@@ -14,7 +14,7 @@ from .grid import (Bus, GridModel, Line, LinearizedSystem, builtin,
 from .numerics import Tolerance
 from .observer import (CoordinatedObserver, SubsystemDecomposition,
                        check_combined_observability, decompose, design,
-                       design_gains, observability_matrix, step_estimate)
+                       design_gains, step_estimate)
 from .shs import (Scenario, ScenarioSet, SensorChannel, sample_skeleton,
                   scenarios_from_channels)
 from .sim import ErrorTrajectory, SimConfig, monte_carlo, run_replica, simulate_truth

@@ -7,8 +7,8 @@ Commands
     simulate    Monte Carlo error trajectories (CSV + manifest)
     reproduce   run a bundled benchmark experiment and check its claim
 
-Exit codes: 0 success, 1 usage error, 2 model or numerical failure,
-3 a reproduce-mode check failed.
+Exit codes: 0 success, 1 usage error or unreadable --config, 2 model or
+numerical failure (grid, scenario, observer), 3 a reproduce check failed.
 """
 
 from __future__ import annotations
@@ -24,13 +24,17 @@ import numpy as np
 from . import __version__, analysis, experiments, grid, observer, sim
 from .grid import GridError
 from .observer import ObserverError
+from .shs import ScenarioError
 
 
 def _load_config(args):
     cfg = {}
     if args.config:
-        with open(args.config) as f:
-            cfg = json.load(f)
+        try:
+            with open(args.config) as f:
+                cfg = json.load(f)
+        except OSError as exc:
+            raise SystemExit2(f"cannot read config {args.config}: {exc.strerror}")
     if getattr(args, "grid", None):
         cfg["grid"] = args.grid
     if getattr(args, "seed", None) is not None:
@@ -93,7 +97,7 @@ def _maybe_gnuplot(outdir, cfg, csv_name):
 
 def cmd_linearize(args):
     cfg = _load_config(args)
-    g = grid.builtin(cfg["grid"]) if "/" not in str(cfg["grid"]) else grid.load_grid(cfg["grid"])
+    g = grid.resolve_grid(cfg["grid"])
     lin = grid.linearize(g)
     outdir = _outdir(args)
     doc = {
@@ -175,8 +179,7 @@ def cmd_analyze(args):
 def cmd_simulate(args):
     cfg = _load_config(args)
     g, lin, scs, obs = _pipeline(cfg)
-    simcfg, traj = experiments.run_simulation(cfg, lin, obs, scs,
-                                              workers=args.workers)
+    simcfg, traj = experiments.run_simulation(cfg, lin, obs, scs)
     outdir = _outdir(args)
     _write_trajectory_csv(outdir / "trajectory.csv", traj)
     _maybe_gnuplot(outdir, cfg, "trajectory.csv")
@@ -195,8 +198,8 @@ def cmd_simulate(args):
 
 
 def cmd_reproduce(args):
-    result = experiments.run_experiment(args.name, workers=args.workers,
-                                        seed=args.seed, replicas=args.replicas)
+    result = experiments.run_experiment(args.name, seed=args.seed,
+                                        replicas=args.replicas)
     outdir = _outdir(args)
     traj = result.get("trajectory")
     if traj is not None:
@@ -222,14 +225,12 @@ def main(argv=None):
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
+    def common(p):
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--grid", help="builtin grid name or grid JSON path")
         p.add_argument("--out", help="output directory (default: $GRIDOBS_OUT or ./out)")
         p.add_argument("--seed", type=int, help="override the simulation seed")
         p.add_argument("--replicas", type=int, help="override the replica count")
-        p.add_argument("--workers", type=int, default=1,
-                       help="parallel workers for Monte Carlo replicas")
 
     for name, fn in (("linearize", cmd_linearize), ("design", cmd_design),
                      ("analyze", cmd_analyze), ("simulate", cmd_simulate)):
@@ -248,7 +249,8 @@ def main(argv=None):
         parser.error(f"{args.command} needs --config")
     try:
         return args.fn(args)
-    except (GridError, ObserverError, np.linalg.LinAlgError, ValueError) as exc:
+    except (GridError, ObserverError, ScenarioError, np.linalg.LinAlgError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:

@@ -53,8 +53,7 @@ def build_scenarios(cfg, lin):
 
 def build_pipeline(cfg):
     """grid -> linearization -> scenarios -> designed observer."""
-    g = grid.builtin(cfg["grid"]) if isinstance(cfg["grid"], str) and "/" not in cfg["grid"] \
-        else grid.load_grid(cfg["grid"])
+    g = grid.resolve_grid(cfg["grid"])
     lin = grid.linearize(g)
     scs = build_scenarios(cfg, lin)
     ocfg = cfg["observer"]
@@ -68,13 +67,13 @@ def build_pipeline(cfg):
     return g, lin, scs, obs
 
 
-def run_simulation(cfg, lin, obs, scs, workers=1, **overrides):
+def run_simulation(cfg, lin, obs, scs, **overrides):
     scfg = dict(cfg["sim"])
     scfg.update({k: v for k, v in overrides.items() if v is not None})
     simcfg = sim.SimConfig(
         K=scfg["K"], replicas=scfg.get("replicas", 1), seed=scfg.get("seed", 0),
         x0=scfg.get("x0"), e0=scfg.get("e0"), xhat0=scfg.get("xhat0"))
-    return simcfg, sim.monte_carlo(lin.A, obs, scs, simcfg, workers=workers)
+    return simcfg, sim.monte_carlo(lin.A, obs, scs, simcfg)
 
 
 def _with_rhos(cfg, rhos):
@@ -98,7 +97,7 @@ def mean_crossing_time(eps_sq, fraction=0.01):
     return float(times.mean())
 
 
-def run_experiment(name, workers=1, seed=None, replicas=None):
+def run_experiment(name, seed=None, replicas=None):
     """Execute one bundled experiment; returns (result dict, checks dict).
 
     `checks` maps check names to booleans; the experiment passes when all
@@ -112,7 +111,7 @@ def run_experiment(name, workers=1, seed=None, replicas=None):
     if kind == "convergence":
         g, lin, scs, obs = build_pipeline(cfg)
         rep = analysis.contraction(obs, scs)
-        simcfg, traj = run_simulation(cfg, lin, obs, scs, workers,
+        simcfg, traj = run_simulation(cfg, lin, obs, scs,
                                       seed=seed, replicas=replicas)
         result.update(report=rep.as_dict(), trajectory=traj,
                       steady=analysis.steady_state(obs, scs).as_dict())
@@ -129,7 +128,7 @@ def run_experiment(name, workers=1, seed=None, replicas=None):
         rep0 = analysis.contraction(base_obs, scs)
         ss = analysis.steady_state(obs, scs)
         ss0 = analysis.steady_state(base_obs, scs)
-        simcfg, traj = run_simulation(cfg, lin, obs, scs, workers,
+        simcfg, traj = run_simulation(cfg, lin, obs, scs,
                                       seed=seed, replicas=replicas)
         result.update(report=rep.as_dict(), baseline_report=rep0.as_dict(),
                       steady=ss.as_dict(), baseline_steady=ss0.as_dict(),
@@ -145,7 +144,7 @@ def run_experiment(name, workers=1, seed=None, replicas=None):
             case_cfg = _with_rhos(cfg, rhos)
             g, lin, scs, obs = build_pipeline(case_cfg)
             rep = analysis.contraction(obs, scs)
-            simcfg, traj = run_simulation(case_cfg, lin, obs, scs, workers,
+            simcfg, traj = run_simulation(case_cfg, lin, obs, scs,
                                           seed=seed, replicas=replicas)
             times.append(mean_crossing_time(traj.err_sq))
             gammas.append(rep.gamma_exact)
@@ -174,7 +173,7 @@ def run_experiment(name, workers=1, seed=None, replicas=None):
         else:
             result["steady"] = {"unstable": True}
             checks["diverges_or_much_larger_floor"] = True
-        simcfg, traj = run_simulation(case_cfg, lin, obs, scs, workers,
+        simcfg, traj = run_simulation(case_cfg, lin, obs, scs,
                                       seed=seed, replicas=replicas)
         result["trajectory"] = traj
 
@@ -184,7 +183,7 @@ def run_experiment(name, workers=1, seed=None, replicas=None):
         gb, linb, scsb, obsb = build_pipeline(base)
         ss = analysis.steady_state(obs, scs)
         ssb = analysis.steady_state(obsb, scsb)
-        simcfg, traj = run_simulation(cfg, lin, obs, scs, workers,
+        simcfg, traj = run_simulation(cfg, lin, obs, scs,
                                       seed=seed, replicas=replicas)
         result.update(steady=ss.as_dict(), baseline_steady=ssb.as_dict(),
                       trajectory=traj)
@@ -196,7 +195,7 @@ def run_experiment(name, workers=1, seed=None, replicas=None):
         g, lin, scs, obs = build_pipeline(cfg)
         rep = analysis.contraction(obs, scs)
         ss = analysis.steady_state(obs, scs)
-        simcfg, traj = run_simulation(cfg, lin, obs, scs, workers,
+        simcfg, traj = run_simulation(cfg, lin, obs, scs,
                                       seed=seed, replicas=replicas)
         result.update(report=rep.as_dict(), steady=ss.as_dict(), trajectory=traj)
         k0 = cfg["check"]["floor_window_start"]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -634,3 +635,11 @@ def builtin(name):
         return GridModel(buses, g.lines, g.base_mva, g.base_kv,
                          name="ieee33_feeder", equilibrium_mode="solve")
     raise GridError(f"unknown builtin grid {name!r}")
+
+
+def resolve_grid(spec):
+    """Grid from a config value: an existing grid JSON file, a dict, or
+    else a bundled name (GridError if it is none)."""
+    if isinstance(spec, str) and not os.path.isfile(spec):
+        return builtin(spec)
+    return load_grid(spec)

@@ -7,6 +7,7 @@ cutoff so that the integer ranks of the bundled models come out exact.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -93,27 +94,13 @@ def noise_gramian(Ac, N, tau):
     return 0.5 * (V + V.T)
 
 
-def _ackermann(A, B, poles):
-    """Single-input pole placement via Ackermann's formula."""
-    n = A.shape[0]
-    ctrb = np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(n)])
-    coeffs = np.real(np.poly(poles))
-    phi = np.zeros_like(A)
-    for c in coeffs:
-        phi = phi @ A + c * np.eye(n)
-    last = np.zeros(n)
-    last[-1] = 1.0
-    return (last @ np.linalg.solve(ctrb, phi)).reshape(1, n)
-
-
 def place_poles(A22, C2, desired, tol=DEFAULT_TOL):
     """Observer gain L with eig(A22 - L C2) equal to `desired`.
 
     Solved as state-feedback placement on the dual pair (A22^T, C2^T).
-    Uses the robust eigenstructure-assignment algorithm; single-output
-    pairs fall back to Ackermann when that algorithm declines the request.
-    Requested poles must be closed under conjugation and, per the design
-    rules of this package, distinct.
+    Uses the robust eigenstructure-assignment algorithm.  Requested poles
+    must be closed under conjugation and, per the design rules of this
+    package, distinct.
     """
     A22 = _as_matrix(A22, "A22")
     C2 = _as_matrix(C2, "C2")
@@ -139,18 +126,12 @@ def place_poles(A22, C2, desired, tol=DEFAULT_TOL):
     # the default iteration budget stops well short of the achievable
     # accuracy on multi-output problems
     kwargs = {"rtol": 1e-11, "maxiter": 300} if B.shape[1] > 1 else {}
-    try:
-        with warnings.catch_warnings():
-            # the robustness optimiser may stop on its iteration cap; pole
-            # accuracy is what matters here and is verified below
-            warnings.filterwarnings("ignore", message="Convergence was not")
-            res = scipy.signal.place_poles(A22.T, B, request, **kwargs)
-        K = res.gain_matrix
-    except ValueError:
-        if B.shape[1] != 1:
-            raise
-        K = _ackermann(A22.T, B, desired)
-    L = K.T
+    with warnings.catch_warnings():
+        # the robustness optimiser may stop on its iteration cap; pole
+        # accuracy is what matters here and is verified below
+        warnings.filterwarnings("ignore", message="Convergence was not")
+        res = scipy.signal.place_poles(A22.T, B, request, **kwargs)
+    L = res.gain_matrix.T
     got = np.linalg.eigvals(A22 - L @ C2)
     if np.max(np.abs(np.sort_complex(got) - np.sort_complex(desired))) > 1e-6:
         raise ValueError("placement did not reach the requested poles")
@@ -216,49 +197,49 @@ def psd_sqrt(M, tol=DEFAULT_TOL):
     return 0.5 * (S + S.T)
 
 
-# Above this size the Kronecker system for the Stein solve gets large; the
-# doubling series is used instead.
-_STEIN_VEC_LIMIT = 60
+# Above this size the n^2 x n^2 Kronecker system gets large; the fixed-point
+# iteration is used instead.
+_VEC_LIMIT = 60
+_ITER_LIMIT = 100000
+# The fixed-point iteration shrinks its error by about the second-moment
+# radius per step and must gain 14 digits within _ITER_LIMIT steps.
+_MAX_RATE = 1e-14 ** (1.0 / _ITER_LIMIT)
 
 
 def solve_symmetric_stein(S, Psi, tol=DEFAULT_TOL):
     """Solve S W S - W + Psi = 0 for symmetric S with spectral radius < 1.
 
-    Small systems go through the vectorised Kronecker solve; larger ones
-    use the convergent series sum_k S^k Psi S^k with squaring-based
-    doubling.  The residual is checked either way.
+    This is the single-map, weight-one case of solve_switched_covariance.
     """
-    S = _as_matrix(S, "S")
-    Psi = _as_matrix(Psi, "Psi")
-    n = S.shape[0]
-    if S.shape != (n, n) or Psi.shape != (n, n):
-        raise ValueError("S and Psi must be square and same size")
-    rho = max(np.abs(np.linalg.eigvals(S))) if n else 0.0
-    if rho >= 1.0:
-        raise ValueError(
-            f"unstable error dynamics (spectral radius {rho:.6f} >= 1); "
-            "steady-state variance undefined"
-        )
-    if n == 0:
-        return np.zeros((0, 0))
-    if n <= _STEIN_VEC_LIMIT:
-        K = np.kron(S.T, S)
-        W = np.linalg.solve(np.eye(n * n) - K, Psi.flatten(order="F"))
-        W = W.reshape((n, n), order="F")
-    else:
-        W = Psi.copy()
-        P = S.copy()
-        for _ in range(200):
-            inc = P @ W @ P
-            W = W + inc
-            P = P @ P
-            if operator_norm(inc) < 1e-16 * (1.0 + operator_norm(W)):
-                break
-    W = 0.5 * (W + W.T)
-    resid = operator_norm(S @ W @ S - W + Psi)
-    if resid > tol.residual_tol * (1.0 + operator_norm(Psi)):
-        raise AssertionError(f"Stein residual {resid:.3e} exceeds tolerance")
-    return W
+    return solve_switched_covariance([S], [1.0], Psi, tol)
+
+
+def _check_mean_square_stable(second_moment, n):
+    """Raise ValueError unless the second-moment map T has radius < _MAX_RATE.
+
+    T keeps PSD matrices PSD, so rho(T) <= (tr T^k(I))^(1/k) for every k;
+    the trace growth per step tends to rho(T) and decides once it settles.
+    """
+    X = np.eye(n) / n
+    log_trace = math.log(n)
+    rate = math.nan
+    for k in range(1, _ITER_LIMIT + 1):
+        Y = second_moment(X)
+        step = float(np.trace(Y))
+        if step == 0.0:
+            return
+        log_trace += math.log(step)
+        if log_trace <= k * math.log(_MAX_RATE):
+            return
+        if abs(step - rate) <= 1e-12 * step:
+            if step < _MAX_RATE:
+                return
+            break
+        rate = step
+        X = Y / step
+    raise ValueError(
+        f"mean-square unstable switching (second-moment radius about {step:.6f}; "
+        f"the fixed-point iteration needs below {_MAX_RATE:.6f})")
 
 
 def solve_switched_covariance(maps, weights, Psi, tol=DEFAULT_TOL):
@@ -267,13 +248,19 @@ def solve_switched_covariance(maps, weights, Psi, tol=DEFAULT_TOL):
     This is the stationary second moment of a linear recursion whose map is
     drawn i.i.d. from `maps` with probabilities `weights` and driven by
     noise of covariance Psi.  Solved by vectorisation for moderate sizes,
-    by fixed-point iteration beyond that.  Requires mean-square stability.
+    by fixed-point iteration beyond that.  Requires mean-square stability:
+    a second-moment map of spectral radius >= 1 (or, for the iteration, too
+    close to 1 to converge) is rejected with ValueError before the solve.
     """
-    maps = [np.asarray(M, dtype=float) for M in maps]
+    maps = [_as_matrix(M, "map") for M in maps]
     weights = np.asarray(weights, dtype=float)
     Psi = _as_matrix(Psi, "Psi")
     n = Psi.shape[0]
-    if n <= _STEIN_VEC_LIMIT:
+
+    def second_moment(W):
+        return sum(w * M @ W @ M.T for w, M in zip(weights, maps))
+
+    if n <= _VEC_LIMIT:
         T = sum(w * np.kron(M, M) for w, M in zip(weights, maps))
         rho = max(np.abs(np.linalg.eigvals(T)))
         if rho >= 1.0:
@@ -283,17 +270,14 @@ def solve_switched_covariance(maps, weights, Psi, tol=DEFAULT_TOL):
         W = np.linalg.solve(np.eye(n * n) - T, Psi.flatten(order="F"))
         W = W.reshape((n, n), order="F")
     else:
+        _check_mean_square_stable(second_moment, n)
         W = Psi.copy()
-        for _ in range(100000):
-            Wn = sum(w * M @ W @ M.T for w, M in zip(weights, maps)) + Psi
-            if operator_norm(Wn - W) < 1e-14 * (1.0 + operator_norm(Wn)):
-                W = Wn
+        for _ in range(_ITER_LIMIT):
+            W, W_prev = second_moment(W) + Psi, W
+            if operator_norm(W - W_prev) < 1e-14 * (1.0 + operator_norm(W)):
                 break
-            W = Wn
     W = 0.5 * (W + W.T)
-    resid = operator_norm(
-        sum(w * M @ W @ M.T for w, M in zip(weights, maps)) + Psi - W
-    )
+    resid = operator_norm(second_moment(W) + Psi - W)
     if resid > tol.residual_tol * (1.0 + operator_norm(Psi)):
         raise AssertionError(f"covariance residual {resid:.3e} exceeds tolerance")
     return W

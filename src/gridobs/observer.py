@@ -24,11 +24,6 @@ class ObserverError(Exception):
     pass
 
 
-def observability_matrix(C, A):
-    """Stacked [C; CA; ...; CA^(n-1)]."""
-    return numerics.observability_stack(C, A)
-
-
 @dataclass
 class ObservabilityReport:
     ranks: dict                   # scenario index -> rank of W(i)
@@ -50,7 +45,7 @@ def check_combined_observability(scenario_set, A, tol=DEFAULT_TOL):
         if s.r == 0:
             ranks[s.index] = 0
             continue
-        W = observability_matrix(s.C, A)
+        W = numerics.observability_stack(s.C, A)
         ranks[s.index] = int(np.linalg.matrix_rank(
             W, tol.rank_tol * max(operator_norm(W), 1.0)))
         blocks.append(W)
@@ -119,7 +114,7 @@ def decompose(A, scenario, completion="orthonormal", tol=DEFAULT_TOL):
             scenario.index, np.zeros((0, n)), 0, np.eye(n), np.zeros((n, 0)),
             np.eye(n), np.eye(n), np.zeros((0, n)), A.copy(), np.zeros((n, 0)),
             np.zeros((0, 0)), np.zeros((0, 0)))
-    W = observability_matrix(C, A)
+    W = numerics.observability_stack(C, A)
     M = numerics.kernel_base(W, tol)
     n_i = n - M.shape[1]
     if n_i == n:
@@ -211,7 +206,6 @@ class CoordinatedObserver:
     exp_Ac_tau: dict              # scenario index -> filter-block map over tau
     exp_A_tau: np.ndarray
     exp_mix_h: dict = field(default_factory=dict)
-    exp_A_h: np.ndarray = None
     block_slices: dict = field(default_factory=dict)
     pole_truncations: dict = field(default_factory=dict)
 
@@ -313,8 +307,7 @@ def build(A, scenario_set, decomps, tau, n_sub=64, tol=DEFAULT_TOL):
     return CoordinatedObserver(
         A=A, tau=tau, n_sub=n_sub, decomps=decomps, scenario_set=scenario_set,
         F=F, Phi=Phi, Lam=Lam, Q=Q, V=V, exp_Ac_tau=exp_Ac,
-        exp_A_tau=exp_A_tau, exp_mix_h=exp_mix_h,
-        exp_A_h=numerics.matrix_exponential(A, h), block_slices=slices)
+        exp_A_tau=exp_A_tau, exp_mix_h=exp_mix_h, block_slices=slices)
 
 
 def design(A, scenario_set, poles, tau, completion="orthonormal", n_sub=64,

@@ -80,7 +80,8 @@ class ScenarioSet:
         for s in self.scenarios:
             if s.index == index:
                 return s
-        raise ScenarioError(f"no scenario with index {index}")
+        raise ScenarioError(f"no scenario with index {index}; the scenarios "
+                            f"are {[s.index for s in self.scenarios]}")
 
 
 _MAX_CHANNELS = 16
@@ -119,9 +120,10 @@ def scenarios_from_channels(channels, sigma_overrides=None):
              if active else np.zeros((0, n)))
         sig = np.diag([channels[k].noise_std for k in active])
         scenarios.append(Scenario(index, C, sig, prob, active))
+    scenario_set = ScenarioSet(scenarios, n, list(channels))
     if sigma_overrides:
         for idx, values in sigma_overrides.items():
-            s = next(sc for sc in scenarios if sc.index == idx)
+            s = scenario_set.by_index(idx)
             vals = np.atleast_1d(np.asarray(values, dtype=float))
             if vals.size == 1:
                 vals = np.full(s.r, vals[0])
@@ -129,7 +131,7 @@ def scenarios_from_channels(channels, sigma_overrides=None):
                 raise ScenarioError(
                     f"scenario {idx}: override has {vals.size} entries, needs {s.r}")
             s.sigma = np.diag(vals)
-    return ScenarioSet(scenarios, n, list(channels))
+    return scenario_set
 
 
 def sample_skeleton(scenario_set, horizon, seed):

@@ -52,23 +52,12 @@ class SimConfig:
     x0: np.ndarray = None         # true initial deviation (defaults to 0)
     e0: np.ndarray = None         # initial estimation error (xhat0 = x0 + e0)
     xhat0: np.ndarray = None      # overrides e0 when given
-    tau: float = None             # must match the observer's interval if given
-    n_sub: int = None             # substeps per interval (defaults to observer's)
     switch_seed: int = None       # optional explicit stream roots
     noise_seed: int = None
 
     def __post_init__(self):
         if self.K < 1 or self.replicas < 1:
             raise ValueError("K and replicas must be >= 1")
-        if self.n_sub is not None and self.n_sub < 1:
-            raise ValueError("n_sub must be >= 1")
-
-    def check_against(self, obs):
-        if self.tau is not None and abs(self.tau - obs.tau) > 1e-12:
-            raise ValueError("config tau differs from the observer's interval")
-        n_sub = self.n_sub or obs.n_sub
-        if n_sub != obs.n_sub:
-            raise ValueError("n_sub differs from the observer's substep grid")
 
     def roots(self):
         sw = (derive_seed(self.seed, _SWITCH_TAG)
@@ -139,7 +128,6 @@ def run_replica(A, obs, scenario_set, cfg, replica_index=0):
     is tested to reproduce it exactly.
     """
     n = obs.n
-    cfg.check_against(obs)
     n_sub = obs.n_sub
     sw_root, nz_root = cfg.roots()
     alphas = _shs.sample_skeleton(scenario_set, cfg.K,
@@ -180,13 +168,18 @@ class ErrorTrajectory:
         return int(below[0]) if below.size else self.mean_err_sq.size
 
 
-def _batched_replicas(A, obs, scenario_set, cfg, replica_indices):
-    """Vectorised engine: all requested replicas advance in lockstep."""
+def monte_carlo(A, obs, scenario_set, cfg):
+    """Monte Carlo over independent replicas, advanced in lockstep.
+
+    Replica streams depend only on (master seed, replica index), so each
+    replica matches the plain engine `run_replica` for its index up to the
+    summation order of the batched products.  Aggregation runs in replica
+    order.
+    """
     from .numerics import matrix_exponential
     n = obs.n
-    R = len(replica_indices)
+    R = cfg.replicas
     K = cfg.K
-    cfg.check_against(obs)
     n_sub = obs.n_sub
     tau = obs.tau
     h = tau / n_sub
@@ -195,8 +188,8 @@ def _batched_replicas(A, obs, scenario_set, cfg, replica_indices):
     sw_root, nz_root = cfg.roots()
     alphas = np.empty((R, K), dtype=int)
     noise_rngs = []
-    for row, r in enumerate(replica_indices):
-        alphas[row] = _shs.sample_skeleton(scenario_set, K, derive_seed(sw_root, r))
+    for r in range(R):
+        alphas[r] = _shs.sample_skeleton(scenario_set, K, derive_seed(sw_root, r))
         noise_rngs.append(np.random.default_rng(derive_seed(nz_root, r)))
     n_ch = len(scenario_set.channels)
     x0, xhat0 = cfg.initial_states(n)
@@ -243,33 +236,10 @@ def _batched_replicas(A, obs, scenario_set, cfg, replica_indices):
             Xh[rows] = Z @ d.T.T
         X = Xnew
         eps[:, k + 1] = Xh - X
-    return eps, alphas
-
-
-def monte_carlo(A, obs, scenario_set, cfg, workers=1):
-    """Monte Carlo over independent replicas; deterministic aggregation.
-
-    Replica streams depend only on (master seed, replica index), so the
-    result is bit-identical for a given config regardless of `workers`.
-    Aggregation runs in replica order.
-    """
-    indices = list(range(cfg.replicas))
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        chunk = max(1, (len(indices) + workers - 1) // workers)
-        groups = [indices[i:i + chunk] for i in range(0, len(indices), chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(
-                lambda g: _batched_replicas(A, obs, scenario_set, cfg, g), groups))
-        eps = np.concatenate([p[0] for p in parts], axis=0)
-        alphas = np.concatenate([p[1] for p in parts], axis=0)
-    else:
-        eps, alphas = _batched_replicas(A, obs, scenario_set, cfg, indices)
     err_sq = np.sum(eps * eps, axis=2)          # (R, K+1)
     mean_err_sq = err_sq.mean(axis=0)
     per_state = (eps * eps).mean(axis=0)
     var = err_sq.var(axis=0, ddof=1) if cfg.replicas > 1 else np.zeros(cfg.K + 1)
-    sw_root, nz_root = cfg.roots()
     return ErrorTrajectory(
         tau=obs.tau, mean_err_sq=mean_err_sq, per_state_mean_sq=per_state,
         var_err_sq=var, paths=alphas, err_sq=err_sq,

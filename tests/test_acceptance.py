@@ -146,7 +146,7 @@ def test_criterion_04_sensor_selection_decomposition(five_bus):
     lin, _, _ = five_bus
     s3 = shs.Scenario(3, np.array([[0.0, 1.0, 0.0, 0.0]]), np.zeros((1, 1)),
                       1.0, (0,))
-    W = observer.observability_matrix(s3.C, lin.A)
+    W = numerics.observability_stack(s3.C, lin.A)
     # rank under the package's relative singular-value cutoff (the matrix
     # entries span 0.1 to 220, so an absolute default threshold misleads)
     sv = np.linalg.svd(W, compute_uv=False)

@@ -1,10 +1,16 @@
 """Command-line interface: outputs, manifests, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridobs
 from gridobs import cli, experiments
 
 
@@ -106,7 +112,7 @@ class TestReproduce:
         assert manifest["result"]["checks"]["gamma_below_one"] is True
 
     def test_failing_check_exit_code(self, tmp_path, monkeypatch):
-        def fake(name, workers=1, seed=None, replicas=None):
+        def fake(name, seed=None, replicas=None):
             return {"name": name, "config": {}, "checks": {"x": False},
                     "passed": False}
         monkeypatch.setattr(experiments, "run_experiment", fake)
@@ -115,3 +121,36 @@ class TestReproduce:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             run(["reproduce", "fig99"])
+
+
+def _fig3_with(overrides=None, rho2=None):
+    cfg = experiments.load_experiment("fig3")
+    if overrides is not None:
+        cfg["scenario_sigma_overrides"] = overrides
+    if rho2 is not None:
+        cfg["channels"][1]["rho"] = rho2
+    return cfg
+
+
+@pytest.mark.parametrize("argv,config,code", [
+    # an override naming a scenario that does not exist
+    (["design", "--config", "cfg.json"], _fig3_with(overrides={"9": 0.01}), 2),
+    # rho 1.0 on channel 2 prunes scenario 3, which fig3's overrides name
+    (["design", "--config", "cfg.json"], _fig3_with(rho2=1.0), 2),
+    (["design", "--config", "cfg.json"], _fig3_with(rho2=1.5), 2),
+    # a grid file named without a directory part
+    (["linearize", "--grid", "mygrid.json"], None, 0),
+    (["analyze", "--config", "missing.json"], None, 1),
+], ids=["unknown-override", "pruned-override", "rho-above-one",
+        "relative-grid-file", "missing-config"])
+def test_failures_exit_cleanly(tmp_path, argv, config, code):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+    (tmp_path / "mygrid.json").write_text(
+        resources.files("gridobs").joinpath("cases", "two_bus.json").read_text())
+    env = dict(os.environ, PYTHONPATH=str(Path(gridobs.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridobs.cli", *argv, "--out", "out"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,5 +1,7 @@
 """Numerics kernels against closed forms and independent oracles."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -244,8 +246,15 @@ class TestSteinSolver:
         assert np.max(np.abs(W - series)) < 1e-10
 
     def test_unstable_rejected(self):
-        with pytest.raises(ValueError, match="unstable"):
-            solve_symmetric_stein(np.eye(2), np.eye(2))
+        # the 70 x 70 inputs take the iterative branch, which must reject
+        # them before it iterates
+        B = np.random.default_rng(3).normal(size=(70, 70))
+        B = (B + B.T) / np.max(np.abs(np.linalg.eigvalsh(B + B.T)))
+        t0 = time.perf_counter()
+        for S in (np.eye(2), B, 1.05 * B):
+            with pytest.raises(ValueError, match="unstable"):
+                solve_symmetric_stein(S, np.eye(len(S)))
+        assert time.perf_counter() - t0 < 5.0
 
     def test_fixed_point_iteration_converges_to_solution(self):
         S = np.array([[0.3, 0.1], [0.1, 0.5]])
@@ -279,8 +288,17 @@ class TestSwitchedCovariance:
         assert np.max(np.abs(W - X)) < 1e-12
 
     def test_unstable_rejected(self):
-        with pytest.raises(ValueError, match="unstable"):
-            solve_switched_covariance([1.1 * np.eye(2)], [1.0], np.eye(2))
+        # two random orthogonal maps scaled by c give second-moment radius
+        # c^2 exactly, since T(I) = c^2 I for the positive map T
+        rng = np.random.default_rng(4)
+        U = [np.linalg.qr(rng.normal(size=(70, 70)))[0] for _ in range(2)]
+        cases = [([1.1 * np.eye(2)], [1.0])]
+        cases += [([np.sqrt(r) * Uj for Uj in U], [0.3, 0.7]) for r in (1.0, 1.05)]
+        t0 = time.perf_counter()
+        for maps, weights in cases:
+            with pytest.raises(ValueError, match="unstable"):
+                solve_switched_covariance(maps, weights, np.eye(len(maps[0])))
+        assert time.perf_counter() - t0 < 5.0
 
 
 class TestOperatorNorm:

@@ -5,8 +5,7 @@ import pytest
 
 from gridobs import numerics, observer, shs
 from gridobs.observer import (ObserverError, check_combined_observability,
-                              decompose, design, design_gains,
-                              observability_matrix, step_estimate)
+                              decompose, design, design_gains, step_estimate)
 
 from conftest import (A5_PRINTED, T3_PRINTED, T3_INV_PRINTED, W3_PRINTED,
                       delta_channels, five_bus_scenarios)
@@ -24,19 +23,19 @@ def scen(C, index=1, prob=1.0, sigma=None):
 class TestObservabilityMatrix:
     def test_identity_output_leads_with_identity(self):
         A = np.random.default_rng(0).normal(size=(3, 3))
-        W = observability_matrix(np.eye(3), A)
+        W = numerics.observability_stack(np.eye(3), A)
         assert np.array_equal(W[:3], np.eye(3))
         assert np.array_equal(W[3:6], A)
 
     def test_five_bus_frequency_sensor_matches_published(self):
-        W = observability_matrix(np.array([[0.0, 1.0, 0.0, 0.0]]), A5_PRINTED)
+        W = numerics.observability_stack(np.array([[0.0, 1.0, 0.0, 0.0]]), A5_PRINTED)
         mask = np.abs(W3_PRINTED) > 1e-12
         rel = np.max(np.abs((W[mask] - W3_PRINTED[mask]) / W3_PRINTED[mask]))
         assert rel < 1e-3
 
     def test_five_bus_normal_operation_full_rank(self, ieee5_lin):
         C1 = np.array([[1.0, 0, 0, 0], [0, 0, 1.0, 0]])
-        W = observability_matrix(C1, ieee5_lin.A)
+        W = numerics.observability_stack(C1, ieee5_lin.A)
         assert np.linalg.matrix_rank(W) == 4
 
 

@@ -77,6 +77,9 @@ class TestScenarioEnumeration:
             SensorChannel("bad", np.array([1.0, 0, 0, 0]), 0.0)
         with pytest.raises(ScenarioError):
             scenarios_from_channels([])
+        # channel 2 at delivery 1.0 prunes scenarios 2 and 4 before renumbering
+        with pytest.raises(ScenarioError, match=r"index 3; the scenarios are \[1, 2\]"):
+            scenarios_from_channels(chans((0.9, 0.0), (1.0, 0.0)), {3: 0.002})
 
 
 class TestSkeleton:

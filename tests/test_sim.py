@@ -120,14 +120,6 @@ class TestMonteCarlo:
         assert np.array_equal(t1.paths, t2.paths)
         assert np.array_equal(t1.per_state_mean_sq, t2.per_state_mean_sq)
 
-    def test_worker_count_does_not_change_results(self, setup):
-        A, scs, obs = setup
-        cfg = SimConfig(K=10, replicas=12, seed=31, e0=[1.0, 0.0, 1.0, 0.0])
-        t1 = monte_carlo(A, obs, scs, cfg, workers=1)
-        t3 = monte_carlo(A, obs, scs, cfg, workers=3)
-        assert np.allclose(t1.mean_err_sq, t3.mean_err_sq, atol=1e-14)
-        assert np.array_equal(t1.paths, t3.paths)
-
     def test_switch_and_noise_streams_independent(self, setup):
         A, _, _ = setup
         scs = five_bus_scenarios(rho1=0.7, rho2=0.7)
