@@ -35,6 +35,8 @@ def _load_config(args):
                 cfg = json.load(f)
         except OSError as exc:
             raise SystemExit2(f"cannot read config {args.config}: {exc.strerror}")
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SystemExit2(f"config {args.config} is not valid JSON: {exc}")
     if getattr(args, "grid", None):
         cfg["grid"] = args.grid
     if getattr(args, "seed", None) is not None:

@@ -271,10 +271,13 @@ def solve_switched_covariance(maps, weights, Psi, tol=DEFAULT_TOL):
         W = W.reshape((n, n), order="F")
     else:
         _check_mean_square_stable(second_moment, n)
+        # Frobenius norms bound the spectral test from the safe side:
+        # ||dW||_2 <= ||dW||_F and ||W||_F / sqrt(n) <= ||W||_2
         W = Psi.copy()
         for _ in range(_ITER_LIMIT):
             W, W_prev = second_moment(W) + Psi, W
-            if operator_norm(W - W_prev) < 1e-14 * (1.0 + operator_norm(W)):
+            if (np.linalg.norm(W - W_prev)
+                    < 1e-14 * (1.0 + np.linalg.norm(W) / math.sqrt(n))):
                 break
     W = 0.5 * (W + W.T)
     resid = operator_norm(second_moment(W) + Psi - W)

@@ -1,7 +1,10 @@
 """Ground-truth simulation and Monte Carlo harness.
 
 The true deviation state is linear and autonomous, so it propagates
-exactly by one-substep matrix exponentials.  Measurements are Brownian
+exactly by one-substep matrix exponentials.  Between samples the filter is
+linear too, so the Monte Carlo engine runs each interval as one
+precomputed affine map per scenario, while `run_replica` walks the
+substeps and serves as its oracle.  Measurements are Brownian
 increments: every sensor channel owns an independent noise lane that is
 drawn on every substep regardless of which scenario is active, so the
 switching path and the noise draws never interact (changing one seed
@@ -124,8 +127,9 @@ def run_replica(A, obs, scenario_set, cfg, replica_index=0):
     """Single-replica reference path: truth, filtering, error recording.
 
     Returns (eps, err_sq, alphas) with eps shaped (K+1, n).  This is the
-    plain (unbatched) engine; monte_carlo uses a vectorised equivalent and
-    is tested to reproduce it exactly.
+    plain substep engine, kept as the oracle for monte_carlo: the two share
+    switching paths and lane draws, and their errors agree to about 1e-13
+    relative (summation order differs).
     """
     n = obs.n
     n_sub = obs.n_sub
@@ -168,74 +172,118 @@ class ErrorTrajectory:
         return int(below[0]) if below.size else self.mean_err_sq.size
 
 
+# lane draws buffered at once across all replicas, in bytes
+_DRAW_BLOCK_BYTES = 1 << 20
+
+
+def interval_maps(A, obs, scenario_set):
+    """One-interval maps of the implemented filter, per scenario, in row form.
+
+    Between samples the truth and the exponential-Euler filter of
+    `observer.step_estimate` are both linear, so for row vectors one
+    interval of scenario a is
+
+        x' = x E,    xhat' = xhat P_a + x Qx_a + xi N_a,
+
+    where xi is the interval's (n_sub, n_ch) block of lane draws flattened
+    substep-major.  Each map comes from running the substep recursion once
+    on basis vectors, so it is that filter up to summation order; the rows
+    of N_a for lanes scenario a leaves down are zero.  The no-sensor
+    scenario maps to P = e^(A tau)^T, Qx = 0, N = 0.
+
+    Returns (E, maps): E is the n x n row-form truth map (the n_sub
+    substep propagators applied in turn) and maps[a] stacks [P_a; Qx_a; N_a],
+    shaped (2n + n_sub n_ch) x n.
+    """
+    from .numerics import matrix_exponential
+    n = obs.n
+    n_sub = obs.n_sub
+    h = obs.tau / n_sub
+    sqh = np.sqrt(h)
+    n_ch = len(scenario_set.channels)
+    Eh_T = matrix_exponential(A, h).T
+    # truth at the start of each substep, from unit initial states
+    xs = np.empty((n_sub, n, n))
+    E = np.eye(n)
+    for j in range(n_sub):
+        xs[j] = E
+        E = E @ Eh_T
+    # basis inputs: n estimate rows, n truth rows, n_sub * n_ch draw rows
+    n_in = 2 * n + n_sub * n_ch
+    maps = {}
+    for s in scenario_set:
+        d = obs.decomps[s.index]
+        if d.n_i == 0 or d.L is None:
+            maps[s.index] = np.zeros((n_in, n))
+            maps[s.index][:n] = obs.exp_A_tau.T
+            continue
+        lanes, sig = _sigma_lanes(s)
+        dy = np.zeros((n_in, n_sub, s.r))
+        dy[n:2 * n] = np.einsum("jbn,cn->bjc", xs, s.C) * h
+        for pos, lane in enumerate(lanes):
+            draw_rows = 2 * n + np.arange(n_sub) * n_ch + lane
+            dy[draw_rows, np.arange(n_sub), pos] = sig[pos] * sqh
+        kdim = n - d.n_i
+        E_T = obs.exp_mix_h[s.index].T
+        gain_T = np.zeros((s.r, n))
+        gain_T[:, kdim:] = d.L.T
+        C2_T = d.C2.T
+        Z = np.zeros((n_in, n))
+        Z[:n] = np.hstack([d.G.T, d.F.T])
+        for j in range(n_sub):
+            innov = dy[:, j, :] - (Z[:, kdim:] @ C2_T) * h
+            Z = Z @ E_T + innov @ gain_T
+        maps[s.index] = Z @ d.T.T
+    return E, maps
+
+
 def monte_carlo(A, obs, scenario_set, cfg):
     """Monte Carlo over independent replicas, advanced in lockstep.
 
-    Replica streams depend only on (master seed, replica index), so each
-    replica matches the plain engine `run_replica` for its index up to the
-    summation order of the batched products.  Aggregation runs in replica
-    order.
+    Each interval is one affine map per active scenario (`interval_maps`)
+    applied to that scenario's replicas.  Replica streams depend only on
+    (master seed, replica index), so each replica follows the substep
+    engine `run_replica` for its index: the same switching path and the
+    same lane draws, with errors equal up to summation order (about 1e-13
+    relative).  Aggregation runs in replica order.
     """
-    from .numerics import matrix_exponential
     n = obs.n
     R = cfg.replicas
     K = cfg.K
     n_sub = obs.n_sub
-    tau = obs.tau
-    h = tau / n_sub
-    sqh = np.sqrt(h)
-    Eh_T = matrix_exponential(A, h).T
+    E, maps = interval_maps(A, obs, scenario_set)
     sw_root, nz_root = cfg.roots()
     alphas = np.empty((R, K), dtype=int)
     noise_rngs = []
     for r in range(R):
         alphas[r] = _shs.sample_skeleton(scenario_set, K, derive_seed(sw_root, r))
         noise_rngs.append(np.random.default_rng(derive_seed(nz_root, r)))
-    n_ch = len(scenario_set.channels)
+    m = n_sub * len(scenario_set.channels)
     x0, xhat0 = cfg.initial_states(n)
-    X = np.tile(x0, (R, 1))
-    Xh = np.tile(xhat0, (R, 1))
+    # row r holds replica r's [xhat | x | lane draws] for the current interval
+    S = np.empty((R, 2 * n + m))
+    S[:, :n] = xhat0
+    S[:, n:2 * n] = x0
+    Xh = np.empty((R, n))
     eps = np.empty((R, K + 1, n))
-    eps[:, 0] = Xh - X
-    scen = {s.index: s for s in scenario_set}
-    pre = {}
-    for s in scenario_set:
-        d = obs.decomps[s.index]
-        lanes, sig = _sigma_lanes(s)
-        pre[s.index] = (d, lanes, sig)
+    eps[:, 0] = S[:, :n] - S[:, n:2 * n]
+    # each replica draws its lanes for kc intervals in one call; the stream
+    # is the same as kc calls of one interval each (8 bytes per draw)
+    kc = max(1, min(K, _DRAW_BLOCK_BYTES // (8 * R * max(m, 1))))
+    draws = np.empty((R, kc, m))
     for k in range(K):
-        xi = np.empty((R, n_sub, n_ch)) if n_ch else np.zeros((R, n_sub, 0))
-        for row in range(R):
-            xi[row] = noise_rngs[row].standard_normal((n_sub, n_ch))
-        # truth path at substep resolution, shared A across replicas
-        xs = np.empty((n_sub, R, n))
-        xcur = X
-        for j in range(n_sub):
-            xs[j] = xcur
-            xcur = xcur @ Eh_T
-        Xnew = xcur
-        for idx in np.unique(alphas[:, k]):
-            rows = np.flatnonzero(alphas[:, k] == idx)
-            s = scen[idx]
-            d, lanes, sig = pre[idx]
-            if d.n_i == 0 or d.L is None:
-                Xh[rows] = Xh[rows] @ obs.exp_A_tau.T
-                continue
-            # measurement increments for this group
-            dy = np.einsum("jrn,cn->rjc", xs[:, rows, :], s.C) * h
-            dy += sig * sqh * xi[rows][:, :, lanes]
-            kdim = n - d.n_i
-            E_T = obs.exp_mix_h[idx].T
-            gain_T = np.zeros((s.r, n))
-            gain_T[:, kdim:] = d.L.T
-            Z = np.hstack([Xh[rows] @ d.G.T, Xh[rows] @ d.F.T])
-            C2_T = d.C2.T
-            for j in range(n_sub):
-                innov = dy[:, j, :] - (Z[:, kdim:] @ C2_T) * h
-                Z = Z @ E_T + innov @ gain_T
-            Xh[rows] = Z @ d.T.T
-        X = Xnew
-        eps[:, k + 1] = Xh - X
+        b = k % kc
+        if b == 0 and m:
+            for r in range(R):
+                noise_rngs[r].standard_normal(out=draws[r, :min(kc, K - k)])
+        S[:, 2 * n:] = draws[:, b]
+        col = alphas[:, k]
+        for idx in np.unique(col):
+            rows = np.flatnonzero(col == idx)
+            Xh[rows] = S[rows] @ maps[idx]
+        S[:, n:2 * n] = S[:, n:2 * n] @ E
+        S[:, :n] = Xh
+        eps[:, k + 1] = Xh - S[:, n:2 * n]
     err_sq = np.sum(eps * eps, axis=2)          # (R, K+1)
     mean_err_sq = err_sq.mean(axis=0)
     per_state = (eps * eps).mean(axis=0)

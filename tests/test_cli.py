@@ -141,11 +141,14 @@ def _fig3_with(overrides=None, rho2=None):
     # a grid file named without a directory part
     (["linearize", "--grid", "mygrid.json"], None, 0),
     (["analyze", "--config", "missing.json"], None, 1),
+    # a config file cut off mid-document
+    (["analyze", "--config", "cfg.json"], '{"grid": "ieee5", "channels": [', 1),
 ], ids=["unknown-override", "pruned-override", "rho-above-one",
-        "relative-grid-file", "missing-config"])
+        "relative-grid-file", "missing-config", "malformed-config"])
 def test_failures_exit_cleanly(tmp_path, argv, config, code):
     if config is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        text = config if isinstance(config, str) else json.dumps(config)
+        (tmp_path / "cfg.json").write_text(text)
     (tmp_path / "mygrid.json").write_text(
         resources.files("gridobs").joinpath("cases", "two_bus.json").read_text())
     env = dict(os.environ, PYTHONPATH=str(Path(gridobs.__file__).parents[1]))

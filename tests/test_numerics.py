@@ -256,6 +256,16 @@ class TestSteinSolver:
                 solve_symmetric_stein(S, np.eye(len(S)))
         assert time.perf_counter() - t0 < 5.0
 
+    def test_slow_iterative_solve_converges(self):
+        # 70 x 70 takes the iterative branch; at radius 0.99 (second-moment
+        # radius 0.98) it needs about 1600 steps to converge
+        B = np.random.default_rng(3).normal(size=(70, 70))
+        S = 0.99 * (B + B.T) / np.max(np.abs(np.linalg.eigvalsh(B + B.T)))
+        Psi = np.eye(70)
+        W = solve_symmetric_stein(S, Psi)
+        resid = operator_norm(S @ W @ S - W + Psi)
+        assert resid < 1e-8 * (1 + operator_norm(Psi))
+
     def test_fixed_point_iteration_converges_to_solution(self):
         S = np.array([[0.3, 0.1], [0.1, 0.5]])
         Psi = np.array([[1.0, 0.2], [0.2, 2.0]])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gridobs import observer, shs, sim
+from gridobs import experiments, observer, shs, sim
 from gridobs.sim import (SimConfig, derive_seed, monte_carlo, run_replica,
                          simulate_truth, splitmix64)
 
@@ -17,6 +17,43 @@ def setup(ieee5_lin):
     scs = five_bus_scenarios()
     obs = observer.design(ieee5_lin.A, scs, POLES, tau=0.6261)
     return ieee5_lin.A, scs, obs
+
+
+@pytest.fixture(scope="module")
+def four_channel(ieee5_lin):
+    """All four states sensed at delivery 0.8: 16 scenarios, 15 gains."""
+    labels = ["delta_1", "omega_1", "delta_2", "omega_2"]
+    chans = delta_channels(labels, [(m, 0.8, 0.01) for m in
+                                    ("1.delta", "1.omega", "2.delta", "2.omega")])
+    scs = shs.scenarios_from_channels(chans)
+    return scs, observer.design(ieee5_lin.A, scs, POLES, tau=0.6261)
+
+
+def _conditional_moments(maps, paths, e0):
+    """Exact mean and variance of ||e_k||^2 given each replica's path.
+
+    With x0 = 0 the truth stays at zero and the error follows
+    e' = e P_a + xi N_a with standard normal xi, so conditional on the
+    path e_k is Gaussian with mean m and covariance C propagated by
+    m <- m P_a and C <- P_a^T C P_a + N_a^T N_a.
+    """
+    R, K = paths.shape
+    n = len(e0)
+    mean = np.tile(np.asarray(e0, dtype=float), (R, 1))
+    cov = np.zeros((R, n, n))
+    expect = np.empty((R, K + 1))
+    var = np.empty((R, K + 1))
+    for k in range(K + 1):
+        if k:
+            for idx in np.unique(paths[:, k - 1]):
+                rows = paths[:, k - 1] == idx
+                P, N = maps[idx][:n], maps[idx][2 * n:]
+                mean[rows] = mean[rows] @ P
+                cov[rows] = P.T @ cov[rows] @ P + N.T @ N
+        expect[:, k] = np.sum(mean ** 2, axis=1) + np.trace(cov, axis1=1, axis2=2)
+        var[:, k] = (2 * np.sum(cov * cov, axis=(1, 2))
+                     + 4 * np.einsum("ri,rij,rj->r", mean, cov, mean))
+    return expect, var
 
 
 class TestSeeding:
@@ -103,13 +140,36 @@ class TestRunReplica:
 
 
 class TestMonteCarlo:
-    def test_single_replica_matches_reference_engine(self, setup):
+    def test_single_replica_matches_reference_engine(self, setup, four_channel,
+                                                     monkeypatch):
+        # a nonzero x0 exercises the truth map Qx; the horizon stays short
+        # because A's +5.2 mode makes the truth grow like e^(5.2 t)
         A, scs, obs = setup
-        cfg = SimConfig(K=25, replicas=1, seed=99, e0=[2.0, 0.0, 1.0, 0.0])
-        eps, err, alphas = run_replica(A, obs, scs, cfg, replica_index=0)
-        traj = monte_carlo(A, obs, scs, cfg)
-        assert np.allclose(traj.mean_err_sq, err, atol=1e-10)
-        assert np.array_equal(traj.paths[0], alphas)
+        rho7 = five_bus_scenarios(rho1=0.7, rho2=0.7)
+        designs = [(scs, obs), (rho7, observer.design(A, rho7, POLES, tau=0.6261)),
+                   four_channel]
+        x0 = np.array([0.3, -0.2, 0.1, 0.4])
+        cfg = SimConfig(K=8, replicas=12, seed=99, x0=x0, e0=[2.0, 0.0, 1.0, 0.0])
+        visited = []
+        for scs_i, obs_i in designs:
+            truth = [np.linalg.matrix_power(obs_i.exp_A_tau, k) @ x0
+                     for k in range(cfg.K + 1)]
+            norm_x = np.sum(np.square(truth), axis=1)
+            # the whole horizon in one draw block, then blocks of 3, 3 and 2
+            trajs = [monte_carlo(A, obs_i, scs_i, cfg)]
+            per_interval = 8 * cfg.replicas * obs_i.n_sub * len(scs_i.channels)
+            monkeypatch.setattr(sim, "_DRAW_BLOCK_BYTES", 3 * per_interval)
+            trajs.append(monte_carlo(A, obs_i, scs_i, cfg))
+            monkeypatch.undo()
+            for r in range(cfg.replicas):
+                _, err, alphas = run_replica(A, obs_i, scs_i, cfg, replica_index=r)
+                for traj in trajs:
+                    assert np.array_equal(traj.paths[r], alphas)
+                    rel = np.abs(traj.err_sq[r] - err) / (err + norm_x)
+                    assert np.max(rel) < 1e-9
+            visited.append(set(trajs[0].paths.ravel().tolist()))
+        assert 4 in visited[1]                 # rho 0.7: the no-sensor scenario
+        assert len(visited[2]) > 4             # four channels, lanes down
 
     def test_deterministic_under_fixed_seed(self, setup):
         A, scs, obs = setup
@@ -184,3 +244,17 @@ class TestMonteCarlo:
         floor = float(np.mean(window))
         se = float(np.sqrt(np.mean(traj.var_err_sq[120:]) / cfg.replicas))
         assert abs(floor - ss.mu_state) < 3 * se + 0.05 * ss.mu_state
+
+    def test_fig3_mean_error_matches_exact_second_moment(self):
+        cfg = experiments.load_experiment("fig3")
+        _, lin, scs, obs = experiments.build_pipeline(cfg)
+        simcfg, traj = experiments.run_simulation(cfg, lin, obs, scs)
+        assert simcfg.x0 is None
+        _, maps = sim.interval_maps(lin.A, obs, scs)
+        expect, var = _conditional_moments(maps, traj.paths, cfg["sim"]["e0"])
+        R = simcfg.replicas
+        mean = expect.mean(axis=0)
+        sd = np.sqrt(var.sum(axis=0)) / R
+        assert traj.mean_err_sq[0] == pytest.approx(mean[0], rel=1e-15)
+        z = (traj.mean_err_sq[1:] - mean[1:]) / sd[1:]
+        assert np.max(np.abs(z)) < 4.5
