@@ -110,7 +110,9 @@ def compute_tau_max(A, scenario_set, decomps, F=None, Phi=None):
     = ||F exp(A tau) Phi|| the open-loop interval gain (h(0) = 1).  Mean-
     square stability therefore requires q* h(tau)^2 < 1 with q* the
     largest probability among the deficient scenarios; tau_max is where
-    that condition first fails, located by grid scan plus bisection.
+    that condition first fails, located by grid scan plus bisection.  The
+    scan propagates exp(A t) from grid point to grid point, E(t + step) =
+    E(t) E(step); the bisection takes a fresh exponential at each point.
     Returns inf when the condition holds over the whole scan window.
     """
     A = np.asarray(A, dtype=float)
@@ -126,19 +128,21 @@ def compute_tau_max(A, scenario_set, decomps, F=None, Phi=None):
     if q >= 1.0:
         raise observer.ObserverError("an always-active scenario is rank deficient")
 
-    def cond(t):
-        if t == 0.0:
-            return q < 1.0
-        h = operator_norm(F @ numerics.matrix_exponential(A, t) @ Phi)
+    def holds(E):
+        h = operator_norm(F @ E @ Phi)
         return q * h * h < 1.0
 
-    if not cond(0.0):
-        return 0.0
+    def cond(t):
+        return holds(numerics.matrix_exponential(A, t))
+
     lo = 0.0
     step = 0.05
+    E_step = numerics.matrix_exponential(A, step)
+    E = np.eye(n)
     t = step
     while t <= _TAU_SCAN_LIMIT:
-        if not cond(t):
+        E = E @ E_step
+        if not holds(E):
             hi = t
             break
         lo = t

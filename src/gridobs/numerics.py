@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +95,11 @@ def noise_gramian(Ac, N, tau):
     return 0.5 * (V + V.T)
 
 
+# verified gains kept by place_poles, keyed by the exact bytes of its inputs
+_GAIN_MEMO_SIZE = 64
+_gain_memo = OrderedDict()
+
+
 def place_poles(A22, C2, desired, tol=DEFAULT_TOL):
     """Observer gain L with eig(A22 - L C2) equal to `desired`.
 
@@ -101,6 +107,12 @@ def place_poles(A22, C2, desired, tol=DEFAULT_TOL):
     Uses the robust eigenstructure-assignment algorithm.  Requested poles
     must be closed under conjugation and, per the design rules of this
     package, distinct.
+
+    Gains are memoised by input content (the bytes and shapes of A22, C2
+    and the requested poles; the last _GAIN_MEMO_SIZE distinct inputs), so
+    a repeated design skips only the assignment algorithm: validation, the
+    observability check and the pole-accuracy check run on every call, and
+    every caller gets its own copy of the gain.
     """
     A22 = _as_matrix(A22, "A22")
     C2 = _as_matrix(C2, "C2")
@@ -119,6 +131,23 @@ def place_poles(A22, C2, desired, tol=DEFAULT_TOL):
     W = observability_stack(C2, A22)
     if np.linalg.matrix_rank(W, tol=tol.rank_tol * max(operator_norm(W), 1.0)) < p:
         raise ValueError("(C2, A22) is not observable; poles cannot be placed")
+    key = (A22.shape, A22.tobytes(), C2.shape, C2.tobytes(), desired.tobytes())
+    L = _gain_memo.get(key)
+    if L is None:
+        L = _assign_poles(A22, C2, desired)
+    got = np.linalg.eigvals(A22 - L @ C2)
+    if np.max(np.abs(np.sort_complex(got) - np.sort_complex(desired))) > 1e-6:
+        raise ValueError("placement did not reach the requested poles")
+    _gain_memo[key] = L
+    _gain_memo.move_to_end(key)
+    if len(_gain_memo) > _GAIN_MEMO_SIZE:
+        _gain_memo.popitem(last=False)
+    # order K keeps the transposed layout the assignment returns
+    return L.copy(order="K")
+
+
+def _assign_poles(A22, C2, desired):
+    """One run of scipy's robust assignment on the dual pair, unchecked."""
     B = C2.T
     # real pole lists go in as real arrays: the assignment algorithm's
     # complex branch pairs poles up and is noticeably less accurate
@@ -128,14 +157,10 @@ def place_poles(A22, C2, desired, tol=DEFAULT_TOL):
     kwargs = {"rtol": 1e-11, "maxiter": 300} if B.shape[1] > 1 else {}
     with warnings.catch_warnings():
         # the robustness optimiser may stop on its iteration cap; pole
-        # accuracy is what matters here and is verified below
+        # accuracy is what matters here and place_poles verifies it
         warnings.filterwarnings("ignore", message="Convergence was not")
         res = scipy.signal.place_poles(A22.T, B, request, **kwargs)
-    L = res.gain_matrix.T
-    got = np.linalg.eigvals(A22 - L @ C2)
-    if np.max(np.abs(np.sort_complex(got) - np.sort_complex(desired))) > 1e-6:
-        raise ValueError("placement did not reach the requested poles")
-    return L
+    return res.gain_matrix.T
 
 
 def observability_stack(C, A):
@@ -169,7 +194,7 @@ def kernel_base(M, tol=DEFAULT_TOL):
         if nz.size and K[nz[0], j] < 0:
             K[:, j] = -K[:, j]
     if K.shape[1] and operator_norm(M @ K) > tol.residual_tol * max(operator_norm(M), 1.0):
-        raise AssertionError("kernel residual exceeds tolerance")
+        raise ValueError("kernel residual exceeds tolerance")
     return K
 
 
@@ -282,5 +307,5 @@ def solve_switched_covariance(maps, weights, Psi, tol=DEFAULT_TOL):
     W = 0.5 * (W + W.T)
     resid = operator_norm(second_moment(W) + Psi - W)
     if resid > tol.residual_tol * (1.0 + operator_norm(Psi)):
-        raise AssertionError(f"covariance residual {resid:.3e} exceeds tolerance")
+        raise ValueError(f"covariance residual {resid:.3e} exceeds tolerance")
     return W

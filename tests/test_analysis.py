@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gridobs import analysis, numerics, observer, shs
+from gridobs import analysis, experiments, grid, numerics, observer, shs
 from gridobs.analysis import (compute_tau_max, contraction, interval_variance,
                               steady_state, tradeoff_sweep)
 from gridobs.observer import ObserverError, decompose, design
@@ -118,6 +118,38 @@ class TestContraction:
             * obs.open_loop_gain() + 1e-9
 
 
+def _fresh_scan_tau_max(A, scs, decomps):
+    """tau_max by a fresh matrix exponential at every 0.05 s grid point."""
+    n = A.shape[0]
+    F = np.vstack([decomps[s.index].F for s in scs if decomps[s.index].n_i])
+    Phi = np.linalg.solve(F.T @ F, F.T)
+    deficient = [s.probability for s in scs if decomps[s.index].n_i < n]
+    if not deficient:
+        return math.inf
+    q = max(deficient)
+
+    def cond(t):
+        h = numerics.operator_norm(F @ numerics.matrix_exponential(A, t) @ Phi)
+        return q * h * h < 1.0
+
+    lo, t = 0.0, 0.05
+    while t <= 100.0:
+        if not cond(t):
+            hi = t
+            break
+        lo = t
+        t += 0.05
+    else:
+        return math.inf
+    while hi - lo > 1e-4:
+        mid = 0.5 * (lo + hi)
+        if cond(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestTauMax:
     def test_five_bus_published_value(self, five_bus_design):
         lin, scs, obs = five_bus_design
@@ -140,6 +172,36 @@ class TestTauMax:
             decomps = {s.index: decompose(ieee5_lin.A, s) for s in scs}
             values.append(compute_tau_max(ieee5_lin.A, scs, decomps))
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("rho", [0.999, 0.998, 0.996, 0.994, 0.99, 0.9,
+                                     0.8, 0.7, 0.5])
+    def test_propagated_scan_matches_fresh_exponentials_ieee5(self, ieee5_lin, rho):
+        scs = five_bus_scenarios(rho1=rho, rho2=rho)
+        decomps = {s.index: decompose(ieee5_lin.A, s) for s in scs}
+        want = _fresh_scan_tau_max(ieee5_lin.A, scs, decomps)
+        got = compute_tau_max(ieee5_lin.A, scs, decomps)
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", experiments.EXPERIMENTS)
+    def test_propagated_scan_matches_fresh_exponentials_figures(self, name):
+        # every scenario set an experiment designs for, its variants included
+        cfg = experiments.load_experiment(name)
+        check = cfg["check"]
+        rho_sets = check.get("cases", []) + [
+            check[k] for k in ("case", "reference_case") if k in check]
+        configs = [cfg] + [experiments._with_rhos(cfg, r) for r in rho_sets]
+        results = []
+        for case in configs:
+            lin = grid.linearize(grid.resolve_grid(case["grid"]))
+            scs = experiments.build_scenarios(case, lin)
+            completion = case["observer"].get("completion", "orthonormal")
+            decomps = {s.index: decompose(lin.A, s, completion) for s in scs}
+            want = _fresh_scan_tau_max(lin.A, scs, decomps)
+            got = compute_tau_max(lin.A, scs, decomps)
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+            results.append(got)
+        if name == "fig8":
+            assert results == [math.inf]      # the full 2000-point scan
 
     def test_h_is_continuous_near_tau_max(self, five_bus_design):
         lin, scs, obs = five_bus_design

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gridobs
-from gridobs import cli, experiments
+from gridobs import cli, experiments, numerics
 
 
 def run(argv):
@@ -60,6 +60,20 @@ class TestAnalyze:
         assert conv["gamma_exact"] < 1.0
         assert abs(conv["tau_max"] - 0.7365) / 0.7365 < 0.05
         assert doc["steady_state"]["mu_state"] > 0
+
+    def test_solver_residual_failure_exits_2(self, tmp_path, fig3_config,
+                                             monkeypatch, capsys):
+        # the covariance solver's own residual check fails under a
+        # tolerance no floating-point solve can meet
+        solve = numerics.solve_switched_covariance
+
+        def strict(maps, weights, Psi, tol=None):
+            return solve(maps, weights, Psi, numerics.Tolerance(residual_tol=1e-300))
+
+        monkeypatch.setattr(numerics, "solve_switched_covariance", strict)
+        rc = run(["analyze", "--config", str(fig3_config), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "covariance residual" in capsys.readouterr().err
 
 
 class TestDesign:

@@ -1,11 +1,13 @@
 """Numerics kernels against closed forms and independent oracles."""
 
 import time
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+import scipy.signal
 
-from gridobs import numerics
+from gridobs import experiments, numerics
 from gridobs.numerics import (Tolerance, kernel_base, matrix_exponential,
                               noise_gramian, operator_norm, place_poles,
                               psd_sqrt, solve_switched_covariance,
@@ -174,6 +176,83 @@ class TestPlacePoles:
             place_poles(A, C, [-2.0, -2.0])
 
 
+def _fig5_gains():
+    """Gains of fig5's three delivery-ratio cases, one dict per case."""
+    cfg = experiments.load_experiment("fig5")
+    gains = []
+    for rhos in cfg["check"]["cases"]:
+        _, _, _, obs = experiments.build_pipeline(experiments._with_rhos(cfg, rhos))
+        gains.append({i: d.L for i, d in obs.decomps.items() if d.L is not None})
+    return gains
+
+
+class TestGainMemo:
+    A = np.array([[0.0, 1.0], [-2.0, -3.0]])
+    C = np.array([[1.0, 0.0]])
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        memo = OrderedDict()
+        monkeypatch.setattr(numerics, "_gain_memo", memo)
+        return memo
+
+    def test_fig5_cases_run_the_assignment_once_per_gain(self, monkeypatch):
+        # delivery ratios do not enter the gains, so the three cases ask
+        # for the same three placements
+        calls = []
+        assign = scipy.signal.place_poles
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return assign(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.signal, "place_poles", counting)
+        size = numerics._GAIN_MEMO_SIZE
+        monkeypatch.setattr(numerics, "_GAIN_MEMO_SIZE", 0)
+        uncached = _fig5_gains()
+        assert len(calls) == 9
+        monkeypatch.setattr(numerics, "_GAIN_MEMO_SIZE", size)
+        calls.clear()
+        cached = _fig5_gains()
+        assert len(calls) == 3
+        for got, want in zip(cached, uncached):
+            assert got.keys() == want.keys() and len(got) == 3
+            for i, L in got.items():
+                assert L.shape == want[i].shape
+                assert L.tobytes(order="A") == want[i].tobytes(order="A")
+        for i, L in cached[0].items():
+            assert not np.shares_memory(L, cached[1][i])
+
+    def test_returned_gain_is_a_private_copy(self):
+        want = place_poles(self.A, self.C, [-1.0, -2.0])
+        ref = want.copy()
+        want[:] = 99.0
+        again = place_poles(self.A, self.C, [-1.0, -2.0])
+        assert np.array_equal(again, ref)
+
+    def test_invalid_requests_raise_on_every_call(self, empty_memo):
+        place_poles(self.A, self.C, [-2.0, -3.0])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="distinct"):
+                place_poles(self.A, self.C, [-2.0, -2.0])
+            with pytest.raises(ValueError, match="not observable"):
+                place_poles(np.diag([-1.0, -2.0]), self.C, [-3.0, -4.0])
+        assert len(empty_memo) == 1          # only the verified gain is kept
+
+    def test_hit_still_checks_pole_accuracy(self, empty_memo):
+        place_poles(self.A, self.C, [-1.0, -2.0])
+        (key,) = empty_memo
+        empty_memo[key] = empty_memo[key] + 1.0
+        with pytest.raises(ValueError, match="did not reach"):
+            place_poles(self.A, self.C, [-1.0, -2.0])
+
+    def test_memo_size_is_bounded(self, monkeypatch, empty_memo):
+        monkeypatch.setattr(numerics, "_GAIN_MEMO_SIZE", 2)
+        for poles in ([-1.0, -2.0], [-1.0, -3.0], [-1.0, -4.0]):
+            place_poles(self.A, self.C, poles)
+        assert len(empty_memo) == 2
+
+
 class TestKernelBase:
     def test_full_rank_gives_empty(self):
         K = kernel_base(np.eye(4))
@@ -200,6 +279,10 @@ class TestKernelBase:
             K = kernel_base(M)
             assert np.max(np.abs(K.T @ K - np.eye(K.shape[1]))) < 1e-10
             assert operator_norm(M @ K) <= 1e-8 * max(operator_norm(M), 1.0)
+
+    def test_residual_failure_is_value_error(self):
+        with pytest.raises(ValueError, match="kernel residual"):
+            kernel_base(W3_PRINTED, Tolerance(residual_tol=1e-300))
 
 
 class TestPsdSqrt:
@@ -309,6 +392,13 @@ class TestSwitchedCovariance:
             with pytest.raises(ValueError, match="unstable"):
                 solve_switched_covariance(maps, weights, np.eye(len(maps[0])))
         assert time.perf_counter() - t0 < 5.0
+
+
+    def test_residual_failure_is_value_error(self):
+        A = np.array([[0.5, 0.2], [0.1, 0.6]])
+        with pytest.raises(ValueError, match="covariance residual"):
+            solve_switched_covariance([A, 0.5 * A], [0.4, 0.6], np.eye(2),
+                                      Tolerance(residual_tol=1e-300))
 
 
 class TestOperatorNorm:
