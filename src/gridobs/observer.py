@@ -13,7 +13,6 @@ and variance analysis downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -218,11 +217,6 @@ class CoordinatedObserver:
     def n_s(self):
         return self.F.shape[0]
 
-    @cached_property
-    def interval_maps(self):
-        """(E, maps) of `_interval_maps`, built on first use and kept."""
-        return _interval_maps(self)
-
     def open_loop_gain(self, tau=None):
         """h(t) = ||F exp(A t) Phi||, the open-loop one-interval gain."""
         t = self.tau if tau is None else tau
@@ -314,66 +308,6 @@ def build(A, scenario_set, decomps, tau, n_sub=64, tol=DEFAULT_TOL):
         A=A, tau=tau, n_sub=n_sub, decomps=decomps, scenario_set=scenario_set,
         F=F, Phi=Phi, Lam=Lam, Q=Q, V=V, exp_Ac_tau=exp_Ac,
         exp_A_tau=exp_A_tau, exp_mix_h=exp_mix_h, block_slices=slices)
-
-
-def _interval_maps(obs):
-    """One-interval maps of the implemented filter, per scenario, in row form.
-
-    Between samples the truth and the exponential-Euler filter of
-    `step_estimate` are both linear, so for row vectors one interval of
-    scenario a is
-
-        x' = x E,    xhat' = xhat P_a + x Qx_a + xi N_a,
-
-    where xi is the interval's (n_sub, n_ch) block of lane draws flattened
-    substep-major.  Each map comes from running the substep recursion once
-    on basis vectors, so it is that filter up to summation order; the rows
-    of N_a for lanes scenario a leaves down are zero.  The no-sensor
-    scenario maps to P = e^(A tau)^T, Qx = 0, N = 0.
-
-    Returns (E, maps): E is the n x n row-form truth map (the n_sub
-    substep propagators applied in turn) and maps[a] stacks [P_a; Qx_a; N_a],
-    shaped (2n + n_sub n_ch) x n.
-    """
-    n = obs.n
-    n_sub = obs.n_sub
-    h = obs.tau / n_sub
-    sqh = np.sqrt(h)
-    n_ch = len(obs.scenario_set.channels)
-    Eh_T = numerics.matrix_exponential(obs.A, h).T
-    # truth at the start of each substep, from unit initial states
-    xs = np.empty((n_sub, n, n))
-    E = np.eye(n)
-    for j in range(n_sub):
-        xs[j] = E
-        E = E @ Eh_T
-    # basis inputs: n estimate rows, n truth rows, n_sub * n_ch draw rows
-    n_in = 2 * n + n_sub * n_ch
-    maps = {}
-    for s in obs.scenario_set:
-        d = obs.decomps[s.index]
-        if d.n_i == 0 or d.L is None:
-            maps[s.index] = np.zeros((n_in, n))
-            maps[s.index][:n] = obs.exp_A_tau.T
-            continue
-        lanes, sig = s.noise_lanes()
-        dy = np.zeros((n_in, n_sub, s.r))
-        dy[n:2 * n] = np.einsum("jbn,cn->bjc", xs, s.C) * h
-        for pos, lane in enumerate(lanes):
-            draw_rows = 2 * n + np.arange(n_sub) * n_ch + lane
-            dy[draw_rows, np.arange(n_sub), pos] = sig[pos] * sqh
-        kdim = n - d.n_i
-        E_T = obs.exp_mix_h[s.index].T
-        gain_T = np.zeros((s.r, n))
-        gain_T[:, kdim:] = d.L.T
-        C2_T = d.C2.T
-        Z = np.zeros((n_in, n))
-        Z[:n] = np.hstack([d.G.T, d.F.T])
-        for j in range(n_sub):
-            innov = dy[:, j, :] - (Z[:, kdim:] @ C2_T) * h
-            Z = Z @ E_T + innov @ gain_T
-        maps[s.index] = Z @ d.T.T
-    return E, maps
 
 
 def design(A, scenario_set, poles, tau, completion="orthonormal", n_sub=64,

@@ -49,12 +49,6 @@ class Scenario:
     def r(self):
         return self.C.shape[0]
 
-    def noise_lanes(self):
-        """Active lane positions and their diagonal noise intensities."""
-        lanes = np.array(self.up_channels, dtype=int)
-        sig = np.diag(self.sigma) if self.sigma.size else np.zeros(0)
-        return lanes, sig
-
 
 @dataclass
 class ScenarioSet:

@@ -82,6 +82,13 @@ class SimConfig:
         return x0, xh
 
 
+def _sigma_lanes(scenario):
+    """Active lane positions and their diagonal noise intensities."""
+    lanes = np.array(scenario.up_channels, dtype=int)
+    sig = np.diag(scenario.sigma) if scenario.sigma.size else np.zeros(0)
+    return lanes, sig
+
+
 def simulate_truth(A, x0, K, tau, n_sub, alphas, scenario_set, noise_seed):
     """Exact state path plus per-interval measurement increments.
 
@@ -104,7 +111,7 @@ def simulate_truth(A, x0, K, tau, n_sub, alphas, scenario_set, noise_seed):
     sqh = np.sqrt(h)
     for k in range(K):
         s = scenario_set.by_index(int(alphas[k]))
-        lanes, sig = s.noise_lanes()
+        lanes, sig = _sigma_lanes(s)
         xi = rng.standard_normal((n_sub, n_ch)) if n_ch else np.zeros((n_sub, 0))
         dy = np.empty((n_sub, s.r))
         for j in range(n_sub):
@@ -169,26 +176,82 @@ class ErrorTrajectory:
 _DRAW_BLOCK_BYTES = 1 << 20
 
 
+def interval_maps(A, obs, scenario_set):
+    """One-interval maps of the implemented filter, per scenario, in row form.
+
+    Between samples the truth and the exponential-Euler filter of
+    `observer.step_estimate` are both linear, so for row vectors one
+    interval of scenario a is
+
+        x' = x E,    xhat' = xhat P_a + x Qx_a + xi N_a,
+
+    where xi is the interval's (n_sub, n_ch) block of lane draws flattened
+    substep-major.  Each map comes from running the substep recursion once
+    on basis vectors, so it is that filter up to summation order; the rows
+    of N_a for lanes scenario a leaves down are zero.  The no-sensor
+    scenario maps to P = e^(A tau)^T, Qx = 0, N = 0.
+
+    Returns (E, maps): E is the n x n row-form truth map (the n_sub
+    substep propagators applied in turn) and maps[a] stacks [P_a; Qx_a; N_a],
+    shaped (2n + n_sub n_ch) x n.
+    """
+    from .numerics import matrix_exponential
+    n = obs.n
+    n_sub = obs.n_sub
+    h = obs.tau / n_sub
+    sqh = np.sqrt(h)
+    n_ch = len(scenario_set.channels)
+    Eh_T = matrix_exponential(A, h).T
+    # truth at the start of each substep, from unit initial states
+    xs = np.empty((n_sub, n, n))
+    E = np.eye(n)
+    for j in range(n_sub):
+        xs[j] = E
+        E = E @ Eh_T
+    # basis inputs: n estimate rows, n truth rows, n_sub * n_ch draw rows
+    n_in = 2 * n + n_sub * n_ch
+    maps = {}
+    for s in scenario_set:
+        d = obs.decomps[s.index]
+        if d.n_i == 0 or d.L is None:
+            maps[s.index] = np.zeros((n_in, n))
+            maps[s.index][:n] = obs.exp_A_tau.T
+            continue
+        lanes, sig = _sigma_lanes(s)
+        dy = np.zeros((n_in, n_sub, s.r))
+        dy[n:2 * n] = np.einsum("jbn,cn->bjc", xs, s.C) * h
+        for pos, lane in enumerate(lanes):
+            draw_rows = 2 * n + np.arange(n_sub) * n_ch + lane
+            dy[draw_rows, np.arange(n_sub), pos] = sig[pos] * sqh
+        kdim = n - d.n_i
+        E_T = obs.exp_mix_h[s.index].T
+        gain_T = np.zeros((s.r, n))
+        gain_T[:, kdim:] = d.L.T
+        C2_T = d.C2.T
+        Z = np.zeros((n_in, n))
+        Z[:n] = np.hstack([d.G.T, d.F.T])
+        for j in range(n_sub):
+            innov = dy[:, j, :] - (Z[:, kdim:] @ C2_T) * h
+            Z = Z @ E_T + innov @ gain_T
+        maps[s.index] = Z @ d.T.T
+    return E, maps
+
+
 def monte_carlo(A, obs, scenario_set, cfg):
     """Monte Carlo over independent replicas, advanced in lockstep.
 
-    Each interval is one affine map per active scenario, taken from the
-    observer (`obs.interval_maps`, built on its first simulation and kept)
-    and applied to that scenario's replicas.  So A must be the observer's
-    model, and the maps follow the observer's scenario set: scenario_set
-    only supplies the switching probabilities.  Replica streams depend
-    only on (master seed, replica index), so each replica follows the
-    substep engine `run_replica` for its index: the same switching path
-    and the same lane draws, with errors equal up to summation order
-    (about 1e-13 relative).  Aggregation runs in replica order.
+    Each interval is one affine map per active scenario (`interval_maps`)
+    applied to that scenario's replicas.  Replica streams depend only on
+    (master seed, replica index), so each replica follows the substep
+    engine `run_replica` for its index: the same switching path and the
+    same lane draws, with errors equal up to summation order (about 1e-13
+    relative).  Aggregation runs in replica order.
     """
-    if not np.array_equal(A, obs.A):
-        raise ValueError("monte_carlo needs the model A the observer was built for")
     n = obs.n
     R = cfg.replicas
     K = cfg.K
     n_sub = obs.n_sub
-    E, maps = obs.interval_maps
+    E, maps = interval_maps(A, obs, scenario_set)
     sw_root, nz_root = cfg.roots()
     alphas = np.empty((R, K), dtype=int)
     noise_rngs = []

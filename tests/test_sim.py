@@ -171,25 +171,6 @@ class TestMonteCarlo:
         assert 4 in visited[1]                 # rho 0.7: the no-sensor scenario
         assert len(visited[2]) > 4             # four channels, lanes down
 
-    def test_maps_built_once_per_observer(self, setup, monkeypatch):
-        # the maps are the observer's: built once, and only for its own model
-        A, scs, _ = setup
-        obs = observer.design(A, scs, POLES, tau=0.6261)
-        interval_maps = observer._interval_maps
-        built = []
-
-        def counting(o):
-            built.append(o)
-            return interval_maps(o)
-
-        monkeypatch.setattr(observer, "_interval_maps", counting)
-        cfg = SimConfig(K=3, replicas=2, seed=1, e0=[1.0, 0.0, 0.0, 0.0])
-        for _ in range(3):
-            monte_carlo(A, obs, scs, cfg)
-        assert len(built) == 1 and built[0] is obs
-        with pytest.raises(ValueError, match="model A"):
-            monte_carlo(1.01 * A, obs, scs, cfg)
-
     def test_deterministic_under_fixed_seed(self, setup):
         A, scs, obs = setup
         cfg = SimConfig(K=15, replicas=8, seed=7, e0=[1.0, 0.0, 0.0, 0.0])
@@ -269,7 +250,7 @@ class TestMonteCarlo:
         _, lin, scs, obs = experiments.build_pipeline(cfg)
         simcfg, traj = experiments.run_simulation(cfg, lin, obs, scs)
         assert simcfg.x0 is None
-        _, maps = obs.interval_maps
+        _, maps = sim.interval_maps(lin.A, obs, scs)
         expect, var = _conditional_moments(maps, traj.paths, cfg["sim"]["e0"])
         R = simcfg.replicas
         mean = expect.mean(axis=0)
