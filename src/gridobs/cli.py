@@ -59,8 +59,40 @@ def _manifest(path, command, cfg, extra=None):
     if extra:
         doc.update(extra)
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2, default=_jsonable)
+        f.write(_dumps(doc))
     return doc
+
+
+# stands in for an integer table while the rest of a document is indented
+_TABLE = "\x00table"
+
+
+def _dumps(doc):
+    """json.dumps(doc, indent=2), with each row of an integer table on one line.
+
+    Indented output goes through json's pure-Python encoder, which would
+    give every entry of a switching-path table (600 x 120 in fig5) a line
+    of its own.  The rows are encoded by the C encoder instead.
+    """
+    tables = []
+
+    def default(obj):
+        if (isinstance(obj, np.ndarray) and obj.ndim == 2 and len(obj)
+                and obj.dtype.kind in "iu"):
+            tables.append(obj.tolist())
+            return f"{_TABLE}{len(tables) - 1}"
+        return _jsonable(obj)
+
+    lines = json.dumps(doc, indent=2, default=default).split("\n")
+    token = json.dumps(_TABLE)[:-1]
+    for k, line in enumerate(lines):
+        head, found, tail = line.partition(token)
+        if found:
+            index, _, rest = tail.partition('"')
+            pad = " " * (len(line) - len(line.lstrip(" ")))
+            rows = ",\n".join(f"{pad}  {json.dumps(row)}" for row in tables[int(index)])
+            lines[k] = f"{head}[\n{rows}\n{pad}]{rest}"
+    return "\n".join(lines)
 
 
 def _jsonable(obj):

@@ -8,13 +8,12 @@ cutoff so that the integer ranks of the bundled models come out exact.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.signal
+import scipy.linalg.lapack
 
 
 @dataclass(frozen=True)
@@ -146,21 +145,252 @@ def place_poles(A22, C2, desired, tol=DEFAULT_TOL):
     return L.copy(order="K")
 
 
+# stopping rule and budget of the robust assignment: the optimiser runs
+# only for two or more outputs, and scipy's default budget stops there
+# well short of the achievable accuracy
+_YT_RTOL = 1e-11
+_YT_MAXITER = 300
+_SQRT_EPS = np.sqrt(np.spacing(1))
+_QR_LAPACK = {
+    "d": (scipy.linalg.lapack.dgeqrf, scipy.linalg.lapack.dorgqr),
+    "D": (scipy.linalg.lapack.zgeqrf, scipy.linalg.lapack.zungqr),
+}
+
+
 def _assign_poles(A22, C2, desired):
-    """One run of scipy's robust assignment on the dual pair, unchecked."""
+    """Robust eigenstructure assignment on the dual pair, unchecked.
+
+    The YT method of Kautsky, Nichols & Van Dooren (1985) and Tits & Yang
+    (1996) as scipy.signal.place_poles runs it, cut down to what
+    place_poles asks of it.  Single-output pairs get their unique gain,
+    pairs with rank(B) = n a least-squares gain, and the rest start from
+    the kernel-sum transfer matrix X and take YT rank-2 updates of X in
+    scipy's order (a KNV0 step for a lone real pole) until |det X| settles
+    to _YT_RTOL or _YT_MAXITER sweeps have run.  Every floating-point
+    operation is scipy's, in scipy's order, so the gain has scipy's bits.
+    """
+    A = A22.T
     B = C2.T
+    n = B.shape[0]
     # real pole lists go in as real arrays: the assignment algorithm's
     # complex branch pairs poles up and is noticeably less accurate
     request = desired.real if np.all(desired.imag == 0) else desired
-    # the default iteration budget stops well short of the achievable
-    # accuracy on multi-output problems
-    kwargs = {"rtol": 1e-11, "maxiter": 300} if B.shape[1] > 1 else {}
-    with warnings.catch_warnings():
-        # the robustness optimiser may stop on its iteration cap; pole
-        # accuracy is what matters here and place_poles verifies it
-        warnings.filterwarnings("ignore", message="Convergence was not")
-        res = scipy.signal.place_poles(A22.T, B, request, **kwargs)
-    return res.gain_matrix.T
+    poles = _order_poles(request)
+    u, qr_b = _full_qr(B)
+    rank_b = np.linalg.matrix_rank(B)
+    u0 = u[:, :rank_b]
+    u1 = u[:, rank_b:]
+    z = np.triu(qr_b)[:rank_b, :]
+    if rank_b == n:
+        # X = I; complex pairs enter as real 2x2 blocks [[a, -b], [b, a]]
+        diag_poles = np.zeros(A.shape)
+        idx = 0
+        while idx < n:
+            p = poles[idx]
+            diag_poles[idx, idx] = np.real(p)
+            if not np.isreal(p):
+                diag_poles[idx, idx + 1] = -np.imag(p)
+                diag_poles[idx + 1, idx + 1] = np.real(p)
+                diag_poles[idx + 1, idx] = np.imag(p)
+                idx += 1
+            idx += 1
+        gain = np.linalg.lstsq(B, diag_poles - A, rcond=-1)[0]
+        return np.real(-gain).T
+    # one orthonormal kernel basis per pole; X starts from the sum of each
+    # basis' columns, a complex pole giving its real and imaginary parts
+    ker_pole = []
+    columns = []
+    skip_conjugate = False
+    for j in range(n):
+        if skip_conjugate:
+            skip_conjugate = False
+            continue
+        pole_space_j = np.dot(u1.T, A - poles[j] * np.eye(n)).T
+        Q, _ = _full_qr(pole_space_j)
+        ker_pole_j = Q[:, pole_space_j.shape[1]:]
+        x = np.sum(ker_pole_j, axis=1)[:, np.newaxis]
+        x = x / np.linalg.norm(x)
+        if np.isreal(poles[j]):
+            ker_pole.append(ker_pole_j)
+        else:
+            x = np.hstack([np.real(x), np.imag(x)])
+            ker_pole.extend([ker_pole_j, ker_pole_j])
+            skip_conjugate = True
+        columns.append(x)
+    X = np.hstack(columns)
+    if rank_b > 1:
+        _yt_loop(ker_pole, X, poles)
+    # columns (Re x, Im x) of a complex pair become (x*, x)
+    X = X.astype(complex)
+    idx = 0
+    while idx < n - 1:
+        if not np.isreal(poles[idx]):
+            rel = X[:, idx].copy()
+            img = X[:, idx + 1]
+            X[:, idx] = rel - 1j * img
+            X[:, idx + 1] = rel + 1j * img
+            idx += 1
+        idx += 1
+    m = np.linalg.solve(X.T, np.dot(np.diag(poles), X.T)).T
+    gain = np.linalg.solve(z, np.dot(u0.T, m - A))
+    return np.real(-gain).T
+
+
+def _full_qr(a):
+    """(Q, packed R) of the full QR of a, as scipy.linalg.qr computes it.
+
+    The same LAPACK calls without the wrapper's checks.  The default
+    workspace leaves LAPACK on its unblocked Householder code for fewer
+    than 128 columns, the code a workspace query would also select there.
+    """
+    geqrf, orgqr = _QR_LAPACK[a.dtype.char]
+    qr, tau, _, _ = geqrf(a)
+    m, k = a.shape[0], min(a.shape)
+    q = np.empty((m, m), dtype=qr.dtype, order="F")
+    q[:, :k] = qr[:, :k]
+    Q, _, _ = orgqr(q, tau, overwrite_a=1)
+    return Q, qr
+
+
+def _close(a, b):
+    """np.allclose(a, b) for finite input, without its overhead."""
+    return bool((abs(a - b) <= 1e-8 + 1e-5 * abs(b)).all())
+
+
+def _order_poles(poles):
+    """Real poles ascending, then each pair (p, conj p) with Im p < 0."""
+    ordered = np.sort(poles[np.isreal(poles)])
+    pairs = []
+    for p in np.sort(poles[np.imag(poles) < 0]):
+        if np.conj(p) in poles:
+            pairs.extend((p, np.conj(p)))
+    ordered = np.hstack((ordered, pairs))
+    if len(ordered) != len(poles):
+        raise ValueError("complex poles must come with their conjugates")
+    return ordered
+
+
+def _yt_update_order(poles):
+    """0-based column pairs (i, j) of one YT sweep, in Tits & Yang's order.
+
+    Built with the paper's 1-based indices.  A pair (i, i) marks the KNV0
+    step taken on a lone real pole.
+    """
+    nb_real = int(np.sum(np.isreal(poles)))
+    hnb = nb_real // 2
+    lone_real = hnb == 0 and np.isreal(poles[0])
+    first, second = ([nb_real], [1]) if nb_real > 0 else ([], [])
+    r_comp = list(range(nb_real + 1, len(poles) + 1, 2))
+
+    def add(pairs):
+        for i, j in pairs:
+            first.append(i)
+            second.append(j)
+
+    def complex_pairs():
+        if lone_real:
+            add([(1, 1)])
+        add((r, r + 1) for r in r_comp)
+
+    add((2 * r, 2 * r + 1) for r in range(1, hnb + nb_real % 2))
+    add((r, r + 1) for r in r_comp)
+    add((2 * r - 1, 2 * r) for r in range(1, hnb + 1))
+    complex_pairs()
+    add((i, i + j) for j in range(2, hnb + nb_real % 2) for i in range(1, hnb + 1))
+    complex_pairs()
+    add((i, i + j if i + j <= nb_real else i + j - nb_real)
+        for j in range(2, hnb + nb_real % 2) for i in range(hnb + 1, nb_real + 1))
+    complex_pairs()
+    add((i, i + hnb) for i in range(1, hnb + 1))
+    complex_pairs()
+    return [(i - 1, j - 1) for i, j in zip(first, second)]
+
+
+def _yt_loop(ker_pole, X, poles):
+    """Sweep the YT updates over X in place until |det X| settles."""
+    n = X.shape[1]
+    sweep = []
+    for i, j in _yt_update_order(poles):
+        rest = [c for c in range(n) if c not in (i, j)]
+        sweep.append((i, j, rest, bool(np.isreal(poles[i]))))
+    for _ in range(_YT_MAXITER):
+        det_before = np.abs(np.linalg.det(X))
+        for i, j, rest, real in sweep:
+            if i == j:
+                _knv0(ker_pole, X, j, rest)
+                continue
+            Q, _ = _full_qr(X[:, rest])
+            if real:
+                _yt_real(ker_pole, Q, X, i, j)
+            else:
+                _yt_complex(ker_pole, Q, X, i, j)
+        det_after = np.abs(np.linalg.det(X))
+        # Tits & Yang's convergence test on the relative change of |det X|
+        if det_after > _SQRT_EPS and np.abs((det_after - det_before) / det_after) < _YT_RTOL:
+            return
+
+
+def _knv0(ker_pole, X, j, rest):
+    """KNV method 0: move x_j into its kernel, orthogonal to the rest."""
+    Q, _ = _full_qr(X[:, rest])
+    yj = np.dot(np.dot(ker_pole[j], ker_pole[j].T), Q[:, -1])
+    if not _close(yj, 0):
+        X[:, j] = yj / np.linalg.norm(yj)
+
+
+def _yt_real(ker_pole, Q, X, i, j):
+    """YT rank-2 update of the columns of two real poles (section 6.1)."""
+    u = Q[:, -2, np.newaxis]
+    v = Q[:, -1, np.newaxis]
+    m = np.dot(np.dot(ker_pole[i].T, np.dot(u, v.T) - np.dot(v, u.T)), ker_pole[j])
+    um, sm, vm = np.linalg.svd(m)
+    mu1, mu2 = um.T[:2, :, np.newaxis]
+    nu1, nu2 = vm[:2, :, np.newaxis]
+    x_ij = np.concatenate((X[:, i, np.newaxis], X[:, j, np.newaxis]))
+    if not _close(sm[0], sm[1]):
+        ker_mu_nu = np.concatenate((np.dot(ker_pole[i], mu1), np.dot(ker_pole[j], nu1)))
+    else:
+        ker_ij = np.vstack((
+            np.hstack((ker_pole[i], np.zeros(ker_pole[i].shape))),
+            np.hstack((np.zeros(ker_pole[j].shape), ker_pole[j]))))
+        mu_nu = np.vstack((np.hstack((mu1, mu2)), np.hstack((nu1, nu2))))
+        ker_mu_nu = np.dot(ker_ij, mu_nu)
+    x_ij = np.dot(np.dot(ker_mu_nu, ker_mu_nu.T), x_ij)
+    n = X.shape[0]
+    if not _close(x_ij, 0):
+        x_ij = np.sqrt(2) * x_ij / np.linalg.norm(x_ij)
+        X[:, i] = x_ij[:n, 0]
+        X[:, j] = x_ij[n:, 0]
+    else:
+        X[:, i] = ker_mu_nu[:n, 0]
+        X[:, j] = ker_mu_nu[n:, 0]
+
+
+def _yt_complex(ker_pole, Q, X, i, j):
+    """YT update of the (Re, Im) columns of a complex pair (section 6.2)."""
+    ur = np.sqrt(2) * Q[:, -2, np.newaxis]
+    ui = np.sqrt(2) * Q[:, -1, np.newaxis]
+    u = ur + 1j * ui
+    ker_pole_ij = ker_pole[i]
+    m = np.dot(np.dot(np.conj(ker_pole_ij.T), np.dot(u, np.conj(u).T)
+                      - np.dot(np.conj(u), u.T)), ker_pole_ij)
+    e_val, e_vec = np.linalg.eig(m)
+    e_val_idx = np.argsort(np.abs(e_val))
+    mu1 = e_vec[:, e_val_idx[-1], np.newaxis]
+    mu2 = e_vec[:, e_val_idx[-2], np.newaxis]
+    x_ij = X[:, i, np.newaxis] + 1j * X[:, j, np.newaxis]
+    if not _close(np.abs(e_val[e_val_idx[-1]]), np.abs(e_val[e_val_idx[-2]])):
+        ker_mu = np.dot(ker_pole_ij, mu1)
+    else:
+        ker_mu = np.dot(ker_pole_ij, np.hstack((mu1, mu2)))
+    x_ij = np.dot(np.dot(ker_mu, np.conj(ker_mu.T)), x_ij)
+    if not _close(x_ij, 0):
+        x_ij = x_ij / np.linalg.norm(x_ij)
+        X[:, i] = np.real(x_ij[:, 0])
+        X[:, j] = np.imag(x_ij[:, 0])
+    else:
+        X[:, i] = np.real(ker_mu[:, 0])
+        X[:, j] = np.imag(ker_mu[:, 0])
 
 
 def observability_stack(C, A):

@@ -118,8 +118,13 @@ class TestContraction:
             * obs.open_loop_gain() + 1e-9
 
 
-def _fresh_scan_tau_max(A, scs, decomps):
-    """tau_max by a fresh matrix exponential at every 0.05 s grid point."""
+def _svd_scan_tau_max(A, scs, decomps, propagate=False):
+    """tau_max with an SVD-based norm at every grid point.
+
+    The 0.05 s grid scan takes a fresh matrix exponential per point, or with
+    `propagate` the product E(t + step) = E(t) E(step) as compute_tau_max
+    does; the bisection takes fresh exponentials either way.
+    """
     n = A.shape[0]
     F = np.vstack([decomps[s.index].F for s in scs if decomps[s.index].n_i])
     Phi = np.linalg.solve(F.T @ F, F.T)
@@ -129,12 +134,18 @@ def _fresh_scan_tau_max(A, scs, decomps):
     q = max(deficient)
 
     def cond(t):
-        h = numerics.operator_norm(F @ numerics.matrix_exponential(A, t) @ Phi)
+        return holds(numerics.matrix_exponential(A, t))
+
+    def holds(E):
+        h = numerics.operator_norm(F @ E @ Phi)
         return q * h * h < 1.0
 
+    E_step = numerics.matrix_exponential(A, 0.05)
+    E = np.eye(n)
     lo, t = 0.0, 0.05
     while t <= 100.0:
-        if not cond(t):
+        E = E @ E_step
+        if not (holds(E) if propagate else cond(t)):
             hi = t
             break
         lo = t
@@ -148,6 +159,15 @@ def _fresh_scan_tau_max(A, scs, decomps):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _figure_scenario_configs(name):
+    """The experiment's config and its delivery-ratio variants."""
+    cfg = experiments.load_experiment(name)
+    check = cfg["check"]
+    rho_sets = check.get("cases", []) + [
+        check[k] for k in ("case", "reference_case") if k in check]
+    return [cfg] + [experiments._with_rhos(cfg, r) for r in rho_sets]
 
 
 class TestTauMax:
@@ -178,30 +198,36 @@ class TestTauMax:
     def test_propagated_scan_matches_fresh_exponentials_ieee5(self, ieee5_lin, rho):
         scs = five_bus_scenarios(rho1=rho, rho2=rho)
         decomps = {s.index: decompose(ieee5_lin.A, s) for s in scs}
-        want = _fresh_scan_tau_max(ieee5_lin.A, scs, decomps)
+        want = _svd_scan_tau_max(ieee5_lin.A, scs, decomps)
         got = compute_tau_max(ieee5_lin.A, scs, decomps)
         assert got == pytest.approx(want, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("name", experiments.EXPERIMENTS)
     def test_propagated_scan_matches_fresh_exponentials_figures(self, name):
         # every scenario set an experiment designs for, its variants included
-        cfg = experiments.load_experiment(name)
-        check = cfg["check"]
-        rho_sets = check.get("cases", []) + [
-            check[k] for k in ("case", "reference_case") if k in check]
-        configs = [cfg] + [experiments._with_rhos(cfg, r) for r in rho_sets]
         results = []
-        for case in configs:
+        for case in _figure_scenario_configs(name):
             lin = grid.linearize(grid.resolve_grid(case["grid"]))
             scs = experiments.build_scenarios(case, lin)
             completion = case["observer"].get("completion", "orthonormal")
             decomps = {s.index: decompose(lin.A, s, completion) for s in scs}
-            want = _fresh_scan_tau_max(lin.A, scs, decomps)
+            want = _svd_scan_tau_max(lin.A, scs, decomps)
             got = compute_tau_max(lin.A, scs, decomps)
             assert got == pytest.approx(want, rel=0, abs=1e-12)
             results.append(got)
         if name == "fig8":
             assert results == [math.inf]      # the full 2000-point scan
+
+    @pytest.mark.parametrize("name", experiments.EXPERIMENTS)
+    def test_frobenius_pretest_keeps_the_svd_scan_result(self, name):
+        # the same propagated scan with an SVD at every point, bit for bit
+        for case in _figure_scenario_configs(name):
+            lin = grid.linearize(grid.resolve_grid(case["grid"]))
+            scs = experiments.build_scenarios(case, lin)
+            completion = case["observer"].get("completion", "orthonormal")
+            decomps = {s.index: decompose(lin.A, s, completion) for s in scs}
+            want = _svd_scan_tau_max(lin.A, scs, decomps, propagate=True)
+            assert compute_tau_max(lin.A, scs, decomps) == want
 
     def test_h_is_continuous_near_tau_max(self, five_bus_design):
         lin, scs, obs = five_bus_design

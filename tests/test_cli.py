@@ -125,6 +125,29 @@ class TestReproduce:
         manifest = json.loads((tmp_path / "fig3_manifest.json").read_text())
         assert manifest["result"]["checks"]["gamma_below_one"] is True
 
+    @pytest.mark.parametrize("name", experiments.EXPERIMENTS)
+    def test_manifest_loads_as_built_with_one_path_per_line(self, name, tmp_path,
+                                                           monkeypatch):
+        built = []
+        write = cli._manifest
+
+        def keeping(*args, **kwargs):
+            built.append(write(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_manifest", keeping)
+        run(["reproduce", name, "--out", str(tmp_path), "--replicas", "3"])
+        text = (tmp_path / f"{name}_manifest.json").read_text()
+        (doc,) = built
+        assert json.loads(text) == json.loads(json.dumps(doc, default=cli._jsonable))
+        paths = doc["result"]["switching_paths"]
+        assert paths.shape == (3, doc["config"]["sim"]["K"])
+        lines = text.splitlines()
+        start = lines.index('    "switching_paths": [')
+        assert [json.loads(line.rstrip(",")) for line in lines[start + 1:start + 4]] \
+            == paths.tolist()
+        assert lines[start + 4].rstrip(",") == "    ]"
+
     def test_failing_check_exit_code(self, tmp_path, monkeypatch):
         def fake(name, seed=None, replicas=None):
             return {"name": name, "config": {}, "checks": {"x": False},
@@ -171,3 +194,14 @@ def test_failures_exit_cleanly(tmp_path, argv, config, code):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs about a second of import time; nothing at run time needs it
+    code = ("import sys, gridobs.cli; print([m for m in sys.modules "
+            "if m == 'scipy.signal' or m.startswith('scipy.signal.')])")
+    env = dict(os.environ, PYTHONPATH=str(Path(gridobs.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

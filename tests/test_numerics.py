@@ -1,6 +1,7 @@
 """Numerics kernels against closed forms and independent oracles."""
 
 import time
+import warnings
 from collections import OrderedDict
 
 import numpy as np
@@ -176,6 +177,105 @@ class TestPlacePoles:
             place_poles(A, C, [-2.0, -2.0])
 
 
+def _scipy_gain(A22, C2, desired):
+    """The gain scipy's place_poles gives for the request _assign_poles gets."""
+    request = desired.real if np.all(desired.imag == 0) else desired
+    kwargs = {"rtol": 1e-11, "maxiter": 300} if C2.shape[0] > 1 else {}
+    with warnings.catch_warnings():
+        # the capped two-output placements stop before scipy's tolerance
+        warnings.filterwarnings("ignore", message="Convergence was not")
+        res = scipy.signal.place_poles(A22.T, C2.T, request, **kwargs)
+    return res.gain_matrix.T
+
+
+def _recorded_placements(monkeypatch, designs):
+    """Distinct (A22, C2, poles) that `designs()` hands to _assign_poles."""
+    seen = {}
+    assign = numerics._assign_poles
+
+    def recording(A22, C2, desired):
+        key = (A22.shape, A22.tobytes(), C2.shape, C2.tobytes(), desired.tobytes())
+        seen.setdefault(key, (A22.copy(), C2.copy(), desired.copy()))
+        return assign(A22, C2, desired)
+
+    monkeypatch.setattr(numerics, "_gain_memo", OrderedDict())
+    monkeypatch.setattr(numerics, "_assign_poles", recording)
+    designs()
+    monkeypatch.setattr(numerics, "_assign_poles", assign)
+    return list(seen.values())
+
+
+def _reproduce_figures():
+    """Run fig3..fig8 as reproduce does, with two replicas each."""
+    for name in experiments.EXPERIMENTS:
+        experiments.run_experiment(name, replicas=2)
+
+
+# ieee5 with all four states sensed: 16 scenarios, 15 of them need a gain,
+# with one to four outputs
+ALPHABET16 = {
+    "grid": "ieee5",
+    "channels": [{"name": m, "measure": m, "rho": 0.9, "sigma": 0.01}
+                 for m in ("1.delta", "1.omega", "2.delta", "2.omega")],
+    "observer": {"tau": 0.6261, "poles": [-4.8, -3.6, -4.0, -4.4], "n_sub": 64},
+}
+
+
+class TestAssignPolesMatchesScipy:
+    """The port gives scipy.signal.place_poles' gain bit for bit."""
+
+    def assert_bitwise(self, A22, C2, desired):
+        desired = np.asarray(desired, dtype=complex)
+        got = numerics._assign_poles(A22, C2, desired)
+        want = _scipy_gain(A22, C2, desired)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), np.max(np.abs(got - want))
+
+    def test_every_figure_placement(self, monkeypatch):
+        placements = _recorded_placements(monkeypatch, _reproduce_figures)
+        outputs = sorted(C2.shape[0] for _, C2, _ in placements)
+        assert len(placements) == 15 and outputs.count(2) == 5
+        for A22, C2, desired in placements:
+            self.assert_bitwise(A22, C2, desired)
+
+    def test_four_channel_alphabet(self, monkeypatch):
+        placements = _recorded_placements(
+            monkeypatch, lambda: experiments.build_pipeline(ALPHABET16))
+        assert sorted(C2.shape[0] for _, C2, _ in placements) == [1] * 4 + [2] * 6 + [3] * 4 + [4]
+        for A22, C2, desired in placements:
+            self.assert_bitwise(A22, C2, desired)
+
+    @staticmethod
+    def random_pair(rng, n, m):
+        while True:
+            A = rng.normal(size=(n, n))
+            C = rng.normal(size=(m, n))
+            if np.linalg.matrix_rank(numerics.observability_stack(C, A)) == n:
+                return A, C
+
+    @staticmethod
+    def pole_list(rng, n, n_pairs):
+        re = -rng.uniform(0.5, 6.0, size=n_pairs)
+        im = rng.uniform(0.3, 3.0, size=n_pairs)
+        p = np.concatenate([re + 1j * im, re - 1j * im,
+                            -rng.uniform(0.5, 6.0, size=n - 2 * n_pairs)])
+        rng.shuffle(p)
+        return p
+
+    @pytest.mark.parametrize("n,m,n_pairs", [
+        (3, 2, 0), (4, 2, 0), (5, 3, 0), (6, 2, 0),      # real poles
+        (4, 2, 2), (4, 2, 1), (6, 3, 3), (5, 2, 1),      # conjugate pairs
+        (3, 2, 1), (5, 2, 2), (5, 3, 1), (5, 2, 0),      # odd real count, m >= 2
+        (4, 4, 0), (4, 4, 2), (3, 3, 1),                 # m = n
+        (4, 1, 0), (5, 1, 2), (2, 1, 1),                 # m = 1
+    ])
+    def test_random_observable_pairs(self, n, m, n_pairs):
+        rng = np.random.default_rng(1000 * n + 100 * m + n_pairs)
+        for _ in range(3):
+            A, C = self.random_pair(rng, n, m)
+            self.assert_bitwise(A, C, self.pole_list(rng, n, n_pairs))
+
+
 def _fig5_gains():
     """Gains of fig5's three delivery-ratio cases, one dict per case."""
     cfg = experiments.load_experiment("fig5")
@@ -200,13 +300,13 @@ class TestGainMemo:
         # delivery ratios do not enter the gains, so the three cases ask
         # for the same three placements
         calls = []
-        assign = scipy.signal.place_poles
+        assign = numerics._assign_poles
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             calls.append(args)
-            return assign(*args, **kwargs)
+            return assign(*args)
 
-        monkeypatch.setattr(scipy.signal, "place_poles", counting)
+        monkeypatch.setattr(numerics, "_assign_poles", counting)
         size = numerics._GAIN_MEMO_SIZE
         monkeypatch.setattr(numerics, "_GAIN_MEMO_SIZE", 0)
         uncached = _fig5_gains()
