@@ -12,8 +12,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.lapack
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,115 @@ def matrix_exponential(A, t=1.0):
         raise ValueError("time must be finite")
     if A.shape[0] == 0:
         return np.zeros((0, 0))
-    return scipy.linalg.expm(A * t)
+    with np.errstate(over="ignore"):
+        At = A * t
+    return _expm(At)
+
+
+# Pade coefficients b_0..b_m of r_m = q_m(A)^-1 p_m(A) for the degrees
+# m = 3, 5, 7, 9, 13 of Al-Mohy & Higham (2009), with theta_m, the largest
+# 1-norm of the scaled input at which r_m has backward error below unit
+# roundoff, and 1/|c_{2m+1}|, the first coefficient of that error's series
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+          7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 4.25}
+_C_RECIP = {3: 100800.0, 5: 10059033600.0, 7: 4487938430976000.0,
+            9: 5914384781877411840000.0,
+            13: 113250775606021113483283660800000000.0}
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _onenorm(M):
+    return float(np.abs(M).sum(axis=0).max())
+
+
+def _ell(A, m):
+    """Extra squarings that keep r_m's backward error near unit roundoff.
+
+    Al-Mohy & Higham (2009), eq. (5.3): the bound on the truncated error
+    series uses || |A|^(2m+1) ||_1, which is much smaller than ||A||^(2m+1)
+    for nonnormal A; without it such inputs are scaled too little.
+    """
+    # 1^T |A|^(2m+1) by binary powering; its largest entry is the 1-norm
+    power = np.abs(A)
+    v = power.sum(axis=0)
+    k = m
+    with np.errstate(over="ignore"):
+        while k:
+            power = power @ power
+            if k & 1:
+                v = v @ power
+            k >>= 1
+    norm = float(v.max())
+    if norm == 0.0:
+        return 0
+    if not math.isfinite(norm):
+        raise ValueError("matrix exponential input is too large to scale")
+    alpha = norm / (_onenorm(A) * _C_RECIP[m])
+    return max(math.ceil(math.log2(alpha / _UNIT_ROUNDOFF) / (2 * m)), 0)
+
+
+def _pade(A, powers, m):
+    """r_m(A) from the even powers [I, A^2, A^4, ...] of A (degree m <= 9)."""
+    b = _PADE[m]
+    U = A @ sum(b[2 * k + 1] * P for k, P in enumerate(powers))
+    V = sum(b[2 * k] * P for k, P in enumerate(powers))
+    return np.linalg.solve(V - U, V + U)
+
+
+def _expm(M):
+    """exp(M) for a finite square float matrix of order >= 1.
+
+    Algorithm 5.1 of Al-Mohy & Higham (2009), "A new scaling and squaring
+    algorithm for the matrix exponential", the method scipy.linalg.expm
+    implements, with exact 1-norms of the powers: the lowest Pade degree
+    whose theta_m bounds max(||A^4||^(1/4), ||A^6||^(1/6)) (degrees 3, 5)
+    or max(||A^6||^(1/6), ||A^8||^(1/8)) (degrees 7, 9) with no extra
+    squaring needed, else degree 13 on 2^-s M followed by s squarings.
+    """
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix exponential input is not finite")
+    ident = np.eye(M.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        A2 = M @ M
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        A8 = A4 @ A4
+        d4, d6, d8, d10 = (_onenorm(P) ** (1.0 / k) for k, P in
+                           ((4, A4), (6, A6), (8, A8), (10, A4 @ A6)))
+    if not all(map(math.isfinite, (d4, d6, d8, d10))):
+        raise ValueError("matrix exponential input is too large to scale")
+    eta = max(d4, d6)
+    for m in (3, 5):
+        if eta <= _THETA[m] and _ell(M, m) == 0:
+            return _pade(M, [ident, A2, A4, A6][:(m + 1) // 2], m)
+    eta3 = max(d6, d8)
+    for m in (7, 9):
+        if eta3 <= _THETA[m] and _ell(M, m) == 0:
+            return _pade(M, [ident, A2, A4, A6, A8][:(m + 1) // 2], m)
+    eta5 = min(eta3, max(d8, d10))
+    s = max(math.ceil(math.log2(eta5 / _THETA[13])), 0) if eta5 > 0 else 0
+    s += _ell(M * 2.0 ** -s, 13)
+    B, B2, B4, B6 = (P * 2.0 ** (-k * s) for k, P in ((1, M), (2, A2), (4, A4), (6, A6)))
+    b = _PADE[13]
+    U = B @ (B6 @ (b[13] * B6 + b[11] * B4 + b[9] * B2)
+             + b[7] * B6 + b[5] * B4 + b[3] * B2 + b[1] * ident)
+    V = (B6 @ (b[12] * B6 + b[10] * B4 + b[8] * B2)
+         + b[6] * B6 + b[4] * B4 + b[2] * B2 + b[0] * ident)
+    X = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        X = X @ X
+    return X
 
 
 def noise_gramian(Ac, N, tau):
@@ -81,6 +187,8 @@ def noise_gramian(Ac, N, tau):
         raise ValueError("Ac must be square")
     if N.shape[0] != p:
         raise ValueError(f"row mismatch: Ac is {p}x{p}, N has {N.shape[0]} rows")
+    if not np.isfinite(tau):
+        raise ValueError("tau must be finite")
     if tau <= 0:
         raise ValueError("tau must be positive")
     if N.shape[1] == 0 or not np.any(N):
@@ -89,7 +197,9 @@ def noise_gramian(Ac, N, tau):
     blk[:p, :p] = -Ac
     blk[:p, p:] = N @ N.T
     blk[p:, p:] = Ac.T
-    E = scipy.linalg.expm(blk * tau)
+    with np.errstate(over="ignore"):
+        blk *= tau
+    E = _expm(blk)
     V = E[p:, p:].T @ E[:p, p:]
     return 0.5 * (V + V.T)
 
@@ -151,10 +261,6 @@ def place_poles(A22, C2, desired, tol=DEFAULT_TOL):
 _YT_RTOL = 1e-11
 _YT_MAXITER = 300
 _SQRT_EPS = np.sqrt(np.spacing(1))
-_QR_LAPACK = {
-    "d": (scipy.linalg.lapack.dgeqrf, scipy.linalg.lapack.dorgqr),
-    "D": (scipy.linalg.lapack.zgeqrf, scipy.linalg.lapack.zungqr),
-}
 
 
 def _assign_poles(A22, C2, desired):
@@ -237,19 +343,15 @@ def _assign_poles(A22, C2, desired):
 
 
 def _full_qr(a):
-    """(Q, packed R) of the full QR of a, as scipy.linalg.qr computes it.
+    """(Q, R) of the full QR of a, both in Fortran order.
 
-    The same LAPACK calls without the wrapper's checks.  The default
-    workspace leaves LAPACK on its unblocked Householder code for fewer
-    than 128 columns, the code a workspace query would also select there.
+    Fortran order is the layout LAPACK's geqrf/orgqr hand back, and the
+    ported assignment's arithmetic follows it: on a C-ordered Q the YT
+    updates' products take other BLAS paths and round differently, and
+    the gains lose scipy.signal.place_poles' bits.
     """
-    geqrf, orgqr = _QR_LAPACK[a.dtype.char]
-    qr, tau, _, _ = geqrf(a)
-    m, k = a.shape[0], min(a.shape)
-    q = np.empty((m, m), dtype=qr.dtype, order="F")
-    q[:, :k] = qr[:, :k]
-    Q, _, _ = orgqr(q, tau, overwrite_a=1)
-    return Q, qr
+    Q, R = np.linalg.qr(a, mode="complete")
+    return np.asfortranarray(Q), np.asfortranarray(R)
 
 
 def _close(a, b):

@@ -254,6 +254,8 @@ def build(A, scenario_set, decomps, tau, n_sub=64, tol=DEFAULT_TOL):
     n = A.shape[0]
     if tau <= 0:
         raise ObserverError("tau must be positive")
+    if isinstance(n_sub, bool) or not isinstance(n_sub, (int, np.integer)) or n_sub < 1:
+        raise ObserverError(f"n_sub must be an integer >= 1, got {n_sub!r}")
     for d in decomps.values():
         if d.needs_gain and d.Ac is None:
             raise ObserverError(f"scenario {d.index}: gain not designed yet")

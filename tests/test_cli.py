@@ -160,12 +160,13 @@ class TestReproduce:
             run(["reproduce", "fig99"])
 
 
-def _fig3_with(overrides=None, rho2=None):
+def _fig3_with(overrides=None, rho2=None, **observer):
     cfg = experiments.load_experiment("fig3")
     if overrides is not None:
         cfg["scenario_sigma_overrides"] = overrides
     if rho2 is not None:
         cfg["channels"][1]["rho"] = rho2
+    cfg["observer"].update(observer)
     return cfg
 
 
@@ -180,8 +181,15 @@ def _fig3_with(overrides=None, rho2=None):
     (["analyze", "--config", "missing.json"], None, 1),
     # a config file cut off mid-document
     (["analyze", "--config", "cfg.json"], '{"grid": "ieee5", "channels": [', 1),
+    # substep counts that are not positive integers
+    (["analyze", "--config", "cfg.json"], _fig3_with(n_sub=0), 2),
+    (["analyze", "--config", "cfg.json"], _fig3_with(n_sub=2.5), 2),
+    (["analyze", "--config", "cfg.json"], _fig3_with(n_sub=-3), 2),
+    # an interval whose scaled model overflows the matrix exponential
+    (["analyze", "--config", "cfg.json"], _fig3_with(tau=1e300), 2),
 ], ids=["unknown-override", "pruned-override", "rho-above-one",
-        "relative-grid-file", "missing-config", "malformed-config"])
+        "relative-grid-file", "missing-config", "malformed-config",
+        "n-sub-zero", "n-sub-fraction", "n-sub-negative", "tau-overflow"])
 def test_failures_exit_cleanly(tmp_path, argv, config, code):
     if config is not None:
         text = config if isinstance(config, str) else json.dumps(config)
@@ -194,14 +202,20 @@ def test_failures_exit_cleanly(tmp_path, argv, config, code):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal costs about a second of import time; nothing at run time needs it
-    code = ("import sys, gridobs.cli; print([m for m in sys.modules "
-            "if m == 'scipy.signal' or m.startswith('scipy.signal.')])")
+def test_run_leaves_scipy_unloaded(tmp_path, fig3_config):
+    # gridobs runs on numpy alone; scipy is only the tests' oracle
+    out = str(tmp_path / "out")
+    code = (
+        "import sys, gridobs.cli\n"
+        "for cmd in (['analyze'], ['simulate', '--replicas', '2']):\n"
+        f"    rc = gridobs.cli.main(cmd + ['--config', {str(fig3_config)!r}, '--out', {out!r}])\n"
+        "    assert rc == 0, cmd\n"
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
     env = dict(os.environ, PYTHONPATH=str(Path(gridobs.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"

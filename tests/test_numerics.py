@@ -6,9 +6,10 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.signal
 
-from gridobs import experiments, numerics
+from gridobs import experiments, grid, numerics
 from gridobs.numerics import (Tolerance, kernel_base, matrix_exponential,
                               noise_gramian, operator_norm, place_poles,
                               psd_sqrt, solve_switched_covariance,
@@ -53,6 +54,13 @@ class TestMatrixExponential:
         with pytest.raises(ValueError):
             matrix_exponential(M)
 
+    def test_rejects_input_too_large_to_scale(self):
+        # A t is finite but its powers overflow, or A t itself overflows
+        with pytest.raises(ValueError, match="too large"):
+            matrix_exponential(A5_PRINTED, 1e300)
+        with pytest.raises(ValueError, match="not finite"):
+            matrix_exponential(np.full((2, 2), 1e300), 1e10)
+
     def test_semigroup_property(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -62,6 +70,61 @@ class TestMatrixExponential:
             lhs = matrix_exponential(A, t1 + t2)
             rhs = matrix_exponential(A, t1) @ matrix_exponential(A, t2)
             assert np.max(np.abs(lhs - rhs)) < 1e-8
+
+
+def _recorded_expm_inputs(monkeypatch, run):
+    """Distinct matrices that `run()` hands to numerics._expm."""
+    seen = {}
+    expm = numerics._expm
+
+    def recording(M):
+        seen.setdefault((M.shape, M.tobytes()), M.copy())
+        return expm(M)
+
+    monkeypatch.setattr(numerics, "_expm", recording)
+    run()
+    monkeypatch.setattr(numerics, "_expm", expm)
+    return list(seen.values())
+
+
+class TestMatrixExponentialMatchesScipy:
+    """The numpy port of Al-Mohy & Higham (2009) against scipy.linalg.expm."""
+
+    @staticmethod
+    def relative_gap(M):
+        want = scipy.linalg.expm(M)
+        return np.max(np.abs(numerics._expm(M) - want)) / np.max(np.abs(want))
+
+    def test_every_figure_input(self, monkeypatch):
+        inputs = _recorded_expm_inputs(monkeypatch, _reproduce_figures)
+        assert len(inputs) > 50
+        assert max(self.relative_gap(M) for M in inputs) <= 1e-11
+
+    @pytest.mark.parametrize("name", ["ieee5", "ieee33", "two_bus"])
+    def test_model_matrices_over_time(self, name):
+        A = grid.linearize(grid.builtin(name)).A
+        tau = 0.6261
+        for t in (1e-4, tau / 64, 0.05, tau, 1.0, 3.0, 10.0, 30.0, 100.0):
+            assert self.relative_gap(A * t) <= 1e-11, t
+
+    def test_random_gaussian_and_structured_forms(self):
+        rng = np.random.default_rng(2009)
+        for n in (1, 2, 3, 4, 6, 8, 12):
+            for scale in (1e-3, 0.1, 1.0, 5.0):
+                for _ in range(5):
+                    G = scale * rng.normal(size=(n, n))
+                    for M in (G, np.triu(G), np.tril(G), np.diag(np.diag(G))):
+                        assert self.relative_gap(M) <= 1e-11, (n, scale)
+
+    def test_moderately_nonnormal(self):
+        # the backward-error correction on || |A|^(2m+1) ||_1 adds the
+        # squarings these need; without it they drift to about 3e-8
+        rng = np.random.default_rng(103)
+        for scale in (0.25, 0.5, 1.0):
+            for _ in range(40):
+                T = np.triu(100.0 * rng.normal(size=(3, 3)), 1) + np.diag(rng.normal(size=3))
+                Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+                assert self.relative_gap(scale * Q @ T @ Q.T) <= 1e-9, scale
 
 
 def simpson_gramian(Ac, N, tau, panels):
@@ -99,6 +162,11 @@ class TestNoiseGramian:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             noise_gramian(np.eye(3), np.ones((2, 1)), 1.0)
+
+    @pytest.mark.parametrize("tau", [np.inf, np.nan])
+    def test_rejects_non_finite_tau(self, tau):
+        with pytest.raises(ValueError, match="finite"):
+            noise_gramian(-np.eye(2), np.ones((2, 1)), tau)
 
     def test_symmetric_psd_and_monotone_in_tau(self):
         rng = np.random.default_rng(11)

@@ -203,6 +203,12 @@ class TestBuild:
         with pytest.raises(ObserverError, match="observability|reconstruct"):
             design(ieee5_lin.A, scs, [-1.0, -2.0, -3.0, -4.0], tau=0.1)
 
+    @pytest.mark.parametrize("n_sub", [64.0, True, "64"])
+    def test_substep_count_must_be_an_int(self, ieee5_lin, n_sub):
+        with pytest.raises(ObserverError, match="n_sub"):
+            design(ieee5_lin.A, five_bus_scenarios(), [-4.8, -3.6, -4.0, -4.4],
+                   tau=0.6261, n_sub=n_sub)
+
 
 class TestStepEstimate:
     def _setup(self, ieee5_lin, tau=0.6261, n_sub=64):
