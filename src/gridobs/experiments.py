@@ -87,14 +87,9 @@ def mean_crossing_time(eps_sq, fraction=0.01):
     """Average over replicas of the first interval where the squared error
     drops below fraction * initial; censors at K+1 for replicas that never
     get there.  eps_sq has shape (R, K+1)."""
-    R, Kp1 = eps_sq.shape
-    target = fraction * eps_sq[:, 0]
-    times = np.full(R, float(Kp1))
-    for r in range(R):
-        below = np.flatnonzero(eps_sq[r] <= target[r])
-        if below.size:
-            times[r] = float(below[0])
-    return float(times.mean())
+    below = eps_sq <= (fraction * eps_sq[:, 0])[:, None]
+    times = np.where(below.any(axis=1), below.argmax(axis=1), eps_sq.shape[1])
+    return float(times.astype(float).mean())
 
 
 def run_experiment(name, seed=None, replicas=None):

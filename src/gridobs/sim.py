@@ -59,8 +59,10 @@ class SimConfig:
     noise_seed: int = None
 
     def __post_init__(self):
-        if self.K < 1 or self.replicas < 1:
-            raise ValueError("K and replicas must be >= 1")
+        for name in ("K", "replicas"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
 
     def roots(self):
         sw = (derive_seed(self.seed, _SWITCH_TAG)
@@ -172,7 +174,8 @@ class ErrorTrajectory:
         return int(below[0]) if below.size else self.mean_err_sq.size
 
 
-# lane draws buffered at once across all replicas, in bytes
+# bytes of lane draws held at once; a block holds whole replica horizons,
+# or chunks of one horizon when a single horizon is larger than this
 _DRAW_BLOCK_BYTES = 1 << 20
 
 
@@ -186,10 +189,16 @@ def interval_maps(A, obs, scenario_set):
         x' = x E,    xhat' = xhat P_a + x Qx_a + xi N_a,
 
     where xi is the interval's (n_sub, n_ch) block of lane draws flattened
-    substep-major.  Each map comes from running the substep recursion once
-    on basis vectors, so it is that filter up to summation order; the rows
-    of N_a for lanes scenario a leaves down are zero.  The no-sensor
-    scenario maps to P = e^(A tau)^T, Qx = 0, N = 0.
+    substep-major.  In the scenario's T coordinates one filter substep is
+    z' = z Phi_a + dy_j gain_T with the closed-loop substep matrix
+    Phi_a = E_a^T - h [0; C2^T] gain_T, so with R_j = gain_T Phi_a^(n_sub-1-j) T^T
+
+        P_a = [G^T F^T] Phi_a^n_sub T^T,
+        Qx_a = h sum_j Eh^(j T) C^T R_j,
+        N_a[(j, lane)] = sigma_lane sqrt(h) R_j[lane's position],
+
+    and the rows of N_a for lanes scenario a leaves down are zero.  The
+    no-sensor scenario maps to P = e^(A tau)^T, Qx = 0, N = 0.
 
     Returns (E, maps): E is the n x n row-form truth map (the n_sub
     substep propagators applied in turn) and maps[a] stacks [P_a; Qx_a; N_a],
@@ -199,7 +208,6 @@ def interval_maps(A, obs, scenario_set):
     n = obs.n
     n_sub = obs.n_sub
     h = obs.tau / n_sub
-    sqh = np.sqrt(h)
     n_ch = len(scenario_set.channels)
     Eh_T = matrix_exponential(A, h).T
     # truth at the start of each substep, from unit initial states
@@ -208,86 +216,107 @@ def interval_maps(A, obs, scenario_set):
     for j in range(n_sub):
         xs[j] = E
         E = E @ Eh_T
-    # basis inputs: n estimate rows, n truth rows, n_sub * n_ch draw rows
-    n_in = 2 * n + n_sub * n_ch
     maps = {}
     for s in scenario_set:
         d = obs.decomps[s.index]
+        M = np.zeros((2 * n + n_sub * n_ch, n))
+        maps[s.index] = M
         if d.n_i == 0 or d.L is None:
-            maps[s.index] = np.zeros((n_in, n))
-            maps[s.index][:n] = obs.exp_A_tau.T
+            M[:n] = obs.exp_A_tau.T
             continue
         lanes, sig = _sigma_lanes(s)
-        dy = np.zeros((n_in, n_sub, s.r))
-        dy[n:2 * n] = np.einsum("jbn,cn->bjc", xs, s.C) * h
-        for pos, lane in enumerate(lanes):
-            draw_rows = 2 * n + np.arange(n_sub) * n_ch + lane
-            dy[draw_rows, np.arange(n_sub), pos] = sig[pos] * sqh
         kdim = n - d.n_i
-        E_T = obs.exp_mix_h[s.index].T
         gain_T = np.zeros((s.r, n))
         gain_T[:, kdim:] = d.L.T
-        C2_T = d.C2.T
-        Z = np.zeros((n_in, n))
-        Z[:n] = np.hstack([d.G.T, d.F.T])
-        for j in range(n_sub):
-            innov = dy[:, j, :] - (Z[:, kdim:] @ C2_T) * h
-            Z = Z @ E_T + innov @ gain_T
-        maps[s.index] = Z @ d.T.T
+        Phi = obs.exp_mix_h[s.index].T.copy()
+        Phi[kdim:] -= h * (d.C2.T @ gain_T)
+        # V[i] = Phi^i T^T, so R_j = gain_T V[n_sub - 1 - j]
+        V = np.empty((n_sub + 1, n, n))
+        V[0] = d.T.T
+        for i in range(n_sub):
+            V[i + 1] = Phi @ V[i]
+        Rj = gain_T @ V[n_sub - 1::-1]
+        M[:n] = np.hstack([d.G.T, d.F.T]) @ V[n_sub]
+        M[n:2 * n] = h * np.einsum("jbc,jcn->bn", xs @ s.C.T, Rj)
+        N = M[2 * n:].reshape(n_sub, n_ch, n)
+        N[:, lanes] = (sig * np.sqrt(h))[:, None] * Rj
     return E, maps
 
 
 def monte_carlo(A, obs, scenario_set, cfg):
-    """Monte Carlo over independent replicas, advanced in lockstep.
+    """Monte Carlo over independent replicas.
 
-    Each interval is one affine map per active scenario (`interval_maps`)
-    applied to that scenario's replicas.  Replica streams depend only on
-    (master seed, replica index), so each replica follows the substep
-    engine `run_replica` for its index: the same switching path and the
-    same lane draws, with errors equal up to summation order (about 1e-13
-    relative).  Aggregation runs in replica order.
+    The switching paths are sampled first.  Each replica then draws its
+    lanes for the whole horizon in one call, several replicas to a buffer
+    of `_DRAW_BLOCK_BYTES` (a horizon larger than that is drawn in chunks,
+    which leaves the stream unchanged), and each interval's draws are
+    projected once through its scenario's noise map, w = xi N_a.  The
+    projected noise waits in the error array until the interval loop,
+    which only advances the estimates: xhat' = xhat P_a + x Qx_a + w, with
+    the truth x_k = x0 E^k shared by every replica.  Replica streams depend
+    only on (master seed, replica index), so each replica follows the
+    substep engine `run_replica` for its index: the same switching path
+    and the same lane draws, with errors equal up to summation order
+    (about 1e-13 relative).  Aggregation runs in replica order.
     """
     n = obs.n
     R = cfg.replicas
     K = cfg.K
-    n_sub = obs.n_sub
     E, maps = interval_maps(A, obs, scenario_set)
     sw_root, nz_root = cfg.roots()
     alphas = np.empty((R, K), dtype=int)
-    noise_rngs = []
     for r in range(R):
         alphas[r] = _shs.sample_skeleton(scenario_set, K, derive_seed(sw_root, r))
-        noise_rngs.append(np.random.default_rng(derive_seed(nz_root, r)))
-    m = n_sub * len(scenario_set.channels)
+    order = np.array(sorted(maps))
+    slot = np.searchsorted(order, alphas)              # (R, K) map positions
+    P = np.stack([maps[i][:n] for i in order])
+    Qx = np.stack([maps[i][n:2 * n] for i in order])
+    N = [maps[i][2 * n:] for i in order]
+    m = N[0].shape[0]
     x0, xhat0 = cfg.initial_states(n)
-    # row r holds replica r's [xhat | x | lane draws] for the current interval
-    S = np.empty((R, 2 * n + m))
-    S[:, :n] = xhat0
-    S[:, n:2 * n] = x0
-    Xh = np.empty((R, n))
-    eps = np.empty((R, K + 1, n))
-    eps[:, 0] = S[:, :n] - S[:, n:2 * n]
-    # each replica draws its lanes for kc intervals in one call; the stream
-    # is the same as kc calls of one interval each (8 bytes per draw)
-    kc = max(1, min(K, _DRAW_BLOCK_BYTES // (8 * R * max(m, 1))))
-    draws = np.empty((R, kc, m))
+    x = np.empty((K + 1, n))
+    x[0] = x0
     for k in range(K):
-        b = k % kc
-        if b == 0 and m:
-            for r in range(R):
-                noise_rngs[r].standard_normal(out=draws[r, :min(kc, K - k)])
-        S[:, 2 * n:] = draws[:, b]
-        col = alphas[:, k]
-        for idx in np.unique(col):
-            rows = np.flatnonzero(col == idx)
-            Xh[rows] = S[rows] @ maps[idx]
-        S[:, n:2 * n] = S[:, n:2 * n] @ E
-        S[:, :n] = Xh
-        eps[:, k + 1] = Xh - S[:, n:2 * n]
-    err_sq = np.sum(eps * eps, axis=2)          # (R, K+1)
+        x[k + 1] = x[k] @ E
+    drive = np.einsum("ki,aij->kaj", x[:K], Qx)        # (K, S, n): x_k Qx_a
+    eps = np.empty((R, K + 1, n))
+    eps[:, 0] = xhat0 - x0
+    w = eps[:, 1:]                  # projected noise until overwritten by errors
+    # intervals per buffer; a block is rb whole horizons or a kc-interval chunk
+    per = max(1, _DRAW_BLOCK_BYTES // (8 * m))
+    kc = min(K, per)
+    rb = max(1, per // K)
+    buf = np.empty(rb * kc * m)
+    for r0 in range(0, R, rb):
+        r1 = min(R, r0 + rb)
+        rngs = [np.random.default_rng(derive_seed(nz_root, r)) for r in range(r0, r1)]
+        for k0 in range(0, K, kc):
+            k1 = min(K, k0 + kc)
+            xi = buf[:(r1 - r0) * (k1 - k0) * m].reshape(r1 - r0, k1 - k0, m)
+            for rng, row in zip(rngs, xi):
+                rng.standard_normal(out=row)
+            # project the block's rows grouped by scenario, one product per group
+            xi = xi.reshape(-1, m)
+            col = slot[r0:r1, k0:k1].ravel()
+            proj = drive[np.tile(np.arange(k0, k1), r1 - r0), col]
+            for a in np.unique(col):
+                rows = np.flatnonzero(col == a)
+                if 2 * rows.size >= col.size:
+                    # a majority group: the product over the whole block costs
+                    # less than copying its rows out
+                    proj[rows] += (xi @ N[a])[rows]
+                else:
+                    proj[rows] += xi[rows] @ N[a]
+            w[r0:r1, k0:k1] = proj.reshape(r1 - r0, k1 - k0, n)
+    xhat = np.tile(xhat0, (R, 1))
+    for k in range(K):
+        xhat = np.einsum("ri,rij->rj", xhat, P[slot[:, k]]) + w[:, k]
+        np.subtract(xhat, x[k + 1], out=eps[:, k + 1])
+    sq = np.square(eps, out=eps)
+    err_sq = sq.sum(axis=2)                    # (R, K+1)
     mean_err_sq = err_sq.mean(axis=0)
-    per_state = (eps * eps).mean(axis=0)
-    var = err_sq.var(axis=0, ddof=1) if cfg.replicas > 1 else np.zeros(cfg.K + 1)
+    per_state = sq.mean(axis=0)
+    var = err_sq.var(axis=0, ddof=1) if R > 1 else np.zeros(K + 1)
     return ErrorTrajectory(
         tau=obs.tau, mean_err_sq=mean_err_sq, per_state_mean_sq=per_state,
         var_err_sq=var, paths=alphas, err_sq=err_sq,

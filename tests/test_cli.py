@@ -160,12 +160,13 @@ class TestReproduce:
             run(["reproduce", "fig99"])
 
 
-def _fig3_with(overrides=None, rho2=None, **observer):
+def _fig3_with(overrides=None, rho2=None, sim=None, **observer):
     cfg = experiments.load_experiment("fig3")
     if overrides is not None:
         cfg["scenario_sigma_overrides"] = overrides
     if rho2 is not None:
         cfg["channels"][1]["rho"] = rho2
+    cfg["sim"].update(sim or {})
     cfg["observer"].update(observer)
     return cfg
 
@@ -187,9 +188,20 @@ def _fig3_with(overrides=None, rho2=None, **observer):
     (["analyze", "--config", "cfg.json"], _fig3_with(n_sub=-3), 2),
     # an interval whose scaled model overflows the matrix exponential
     (["analyze", "--config", "cfg.json"], _fig3_with(tau=1e300), 2),
+    # intervals that are not finite real numbers
+    (["analyze", "--config", "cfg.json"], _fig3_with(tau="0.5"), 2),
+    (["analyze", "--config", "cfg.json"], _fig3_with(tau=None), 2),
+    (["analyze", "--config", "cfg.json"], _fig3_with(tau=True), 2),
+    # horizons and replica counts that are not integers
+    (["simulate", "--config", "cfg.json"], _fig3_with(sim={"K": "10"}), 2),
+    (["simulate", "--config", "cfg.json"], _fig3_with(sim={"K": 2.5}), 2),
+    (["simulate", "--config", "cfg.json"], _fig3_with(sim={"K": True}), 2),
+    (["simulate", "--config", "cfg.json"], _fig3_with(sim={"replicas": 3.5}), 2),
 ], ids=["unknown-override", "pruned-override", "rho-above-one",
         "relative-grid-file", "missing-config", "malformed-config",
-        "n-sub-zero", "n-sub-fraction", "n-sub-negative", "tau-overflow"])
+        "n-sub-zero", "n-sub-fraction", "n-sub-negative", "tau-overflow",
+        "tau-string", "tau-null", "tau-bool", "k-string", "k-fraction",
+        "k-bool", "replicas-fraction"])
 def test_failures_exit_cleanly(tmp_path, argv, config, code):
     if config is not None:
         text = config if isinstance(config, str) else json.dumps(config)

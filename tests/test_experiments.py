@@ -42,6 +42,33 @@ def test_mean_crossing_time_censoring():
     assert t == pytest.approx((2.0 + 4.0) / 2)
 
 
+def _crossing_time_per_replica(eps_sq, fraction=0.01):
+    """The replica loop that mean_crossing_time vectorises; also counts
+    the censored replicas."""
+    R, Kp1 = eps_sq.shape
+    times = np.full(R, float(Kp1))
+    for r in range(R):
+        below = np.flatnonzero(eps_sq[r] <= fraction * eps_sq[r, 0])
+        if below.size:
+            times[r] = float(below[0])
+    return float(times.mean()), int(np.sum(times == Kp1))
+
+
+def test_mean_crossing_time_equals_replica_loop_on_fig5():
+    # fig5's replicas all cross within the horizon, so its first intervals
+    # alone give the censored cases
+    res = experiments.run_experiment("fig5")
+    censored = []
+    for traj in res["all_trajectories"]:
+        for cols in [*range(1, 13), traj.err_sq.shape[1]]:
+            eps_sq = traj.err_sq[:, :cols]
+            want, n_censored = _crossing_time_per_replica(eps_sq)
+            assert experiments.mean_crossing_time(eps_sq) == want
+            censored.append(n_censored)
+    # all, some and none of the 600 replicas censored
+    assert {0, 600} <= set(censored) and any(0 < c < 600 for c in censored)
+
+
 def test_channel_row_parsing():
     labels = ["delta_1", "omega_1", "delta_2", "omega_2"]
     row = experiments.channel_row(labels, "2.omega")

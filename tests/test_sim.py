@@ -1,5 +1,7 @@
 """Truth simulation, replica engine, Monte Carlo determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,14 +21,76 @@ def setup(ieee5_lin):
     return ieee5_lin.A, scs, obs
 
 
-@pytest.fixture(scope="module")
-def four_channel(ieee5_lin):
+def _four_channel_scenarios():
     """All four states sensed at delivery 0.8: 16 scenarios, 15 gains."""
     labels = ["delta_1", "omega_1", "delta_2", "omega_2"]
     chans = delta_channels(labels, [(m, 0.8, 0.01) for m in
                                     ("1.delta", "1.omega", "2.delta", "2.omega")])
-    scs = shs.scenarios_from_channels(chans)
+    return shs.scenarios_from_channels(chans)
+
+
+@pytest.fixture(scope="module")
+def four_channel(ieee5_lin):
+    scs = _four_channel_scenarios()
     return scs, observer.design(ieee5_lin.A, scs, POLES, tau=0.6261)
+
+
+def _basis_row_maps(A, obs, scenario_set):
+    """Oracle for `sim.interval_maps`: the substep recursion on basis rows.
+
+    Runs the exponential-Euler filter of `observer.step_estimate` once on
+    the 2n + n_sub n_ch basis inputs (n estimate rows, n truth rows, one
+    row per lane draw) and reads the maps off the results.
+    """
+    from gridobs.numerics import matrix_exponential
+    n = obs.n
+    n_sub = obs.n_sub
+    h = obs.tau / n_sub
+    n_ch = len(scenario_set.channels)
+    Eh_T = matrix_exponential(A, h).T
+    xs = np.empty((n_sub, n, n))
+    E = np.eye(n)
+    for j in range(n_sub):
+        xs[j] = E
+        E = E @ Eh_T
+    n_in = 2 * n + n_sub * n_ch
+    maps = {}
+    for s in scenario_set:
+        d = obs.decomps[s.index]
+        if d.n_i == 0 or d.L is None:
+            maps[s.index] = np.zeros((n_in, n))
+            maps[s.index][:n] = obs.exp_A_tau.T
+            continue
+        lanes = np.array(s.up_channels, dtype=int)
+        sig = np.diag(s.sigma)
+        dy = np.zeros((n_in, n_sub, s.r))
+        dy[n:2 * n] = np.einsum("jbn,cn->bjc", xs, s.C) * h
+        for pos, lane in enumerate(lanes):
+            draw_rows = 2 * n + np.arange(n_sub) * n_ch + lane
+            dy[draw_rows, np.arange(n_sub), pos] = sig[pos] * np.sqrt(h)
+        kdim = n - d.n_i
+        E_T = obs.exp_mix_h[s.index].T
+        gain_T = np.zeros((s.r, n))
+        gain_T[:, kdim:] = d.L.T
+        Z = np.zeros((n_in, n))
+        Z[:n] = np.hstack([d.G.T, d.F.T])
+        for j in range(n_sub):
+            innov = dy[:, j, :] - (Z[:, kdim:] @ d.C2.T) * h
+            Z = Z @ E_T + innov @ gain_T
+        maps[s.index] = Z @ d.T.T
+    return E, maps
+
+
+def _alphabet(name, ieee5_lin, n_sub):
+    """(A, scenarios, observer) for fig3's alphabet or the four-channel one."""
+    if name == "fig3":
+        cfg = experiments.load_experiment("fig3")
+        cfg["observer"]["n_sub"] = n_sub
+        _, lin, scs, obs = experiments.build_pipeline(cfg)
+        return lin.A, scs, obs
+    scs = _four_channel_scenarios()
+    return ieee5_lin.A, scs, observer.design(ieee5_lin.A, scs, POLES, tau=0.6261,
+                                             n_sub=n_sub)
 
 
 def _conditional_moments(maps, paths, e0):
@@ -143,33 +207,62 @@ class TestMonteCarlo:
     def test_single_replica_matches_reference_engine(self, setup, four_channel,
                                                      monkeypatch):
         # a nonzero x0 exercises the truth map Qx; the horizon stays short
-        # because A's +5.2 mode makes the truth grow like e^(5.2 t)
+        # because A's +5.2 mode makes the truth grow like e^(5.2 t).  That
+        # growth swamps the noise in err_sq, so a run from x0 = 0 checks the
+        # lane streams across draw blocks against err_sq alone
         A, scs, obs = setup
         rho7 = five_bus_scenarios(rho1=0.7, rho2=0.7)
         designs = [(scs, obs), (rho7, observer.design(A, rho7, POLES, tau=0.6261)),
                    four_channel]
         x0 = np.array([0.3, -0.2, 0.1, 0.4])
-        cfg = SimConfig(K=8, replicas=12, seed=99, x0=x0, e0=[2.0, 0.0, 1.0, 0.0])
+        cfgs = [SimConfig(K=8, replicas=12, seed=99, x0=x, e0=[2.0, 0.0, 1.0, 0.0])
+                for x in (x0, np.zeros(4))]
         visited = []
         for scs_i, obs_i in designs:
-            truth = [np.linalg.matrix_power(obs_i.exp_A_tau, k) @ x0
-                     for k in range(cfg.K + 1)]
-            norm_x = np.sum(np.square(truth), axis=1)
-            # the whole horizon in one draw block, then blocks of 3, 3 and 2
-            trajs = [monte_carlo(A, obs_i, scs_i, cfg)]
-            per_interval = 8 * cfg.replicas * obs_i.n_sub * len(scs_i.channels)
-            monkeypatch.setattr(sim, "_DRAW_BLOCK_BYTES", 3 * per_interval)
-            trajs.append(monte_carlo(A, obs_i, scs_i, cfg))
-            monkeypatch.undo()
-            for r in range(cfg.replicas):
-                _, err, alphas = run_replica(A, obs_i, scs_i, cfg, replica_index=r)
-                for traj in trajs:
-                    assert np.array_equal(traj.paths[r], alphas)
-                    rel = np.abs(traj.err_sq[r] - err) / (err + norm_x)
-                    assert np.max(rel) < 1e-9
+            for cfg in cfgs:
+                truth = [np.linalg.matrix_power(obs_i.exp_A_tau, k) @ cfg.x0
+                         for k in range(cfg.K + 1)]
+                norm_x = np.sum(np.square(truth), axis=1)
+                # every horizon in one draw block; then each replica's horizon
+                # in chunks of 3, 3 and 2 intervals; then blocks of 5, 5 and 2
+                # replicas
+                trajs = [monte_carlo(A, obs_i, scs_i, cfg)]
+                per_interval = 8 * obs_i.n_sub * len(scs_i.channels)
+                for budget in (3 * per_interval, 5 * cfg.K * per_interval):
+                    monkeypatch.setattr(sim, "_DRAW_BLOCK_BYTES", budget)
+                    trajs.append(monte_carlo(A, obs_i, scs_i, cfg))
+                    monkeypatch.undo()
+                for r in range(cfg.replicas):
+                    _, err, alphas = run_replica(A, obs_i, scs_i, cfg, replica_index=r)
+                    for traj in trajs:
+                        assert np.array_equal(traj.paths[r], alphas)
+                        rel = np.abs(traj.err_sq[r] - err) / (err + norm_x)
+                        assert np.max(rel) < 1e-9
             visited.append(set(trajs[0].paths.ravel().tolist()))
         assert 4 in visited[1]                 # rho 0.7: the no-sensor scenario
         assert len(visited[2]) > 4             # four channels, lanes down
+
+    def test_peak_memory_stays_within_draw_budget(self, four_channel, ieee5_lin):
+        # mc_alphabet16's sizes: the engine holds the error array, at most
+        # two draw blocks (the buffer and one scenario group's rows) and the
+        # maps, and never an (R, S n) or (R, n_sub n_ch) temporary
+        scs, obs = four_channel
+        cfg = SimConfig(K=60, replicas=200, seed=0, e0=[2.0, 0.0, 1.0, 0.0])
+        _, maps = sim.interval_maps(ieee5_lin.A, obs, scs)
+        budget = (8 * cfg.replicas * (cfg.K + 1) * obs.n
+                  + 2 * sim._DRAW_BLOCK_BYTES
+                  + sum(M.nbytes for M in maps.values()))
+        del maps
+        # a first call outside the trace, so one-time imports do not count
+        monte_carlo(ieee5_lin.A, obs, scs, SimConfig(K=2, replicas=2))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            monte_carlo(ieee5_lin.A, obs, scs, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
 
     def test_deterministic_under_fixed_seed(self, setup):
         A, scs, obs = setup
@@ -258,3 +351,37 @@ class TestMonteCarlo:
         assert traj.mean_err_sq[0] == pytest.approx(mean[0], rel=1e-15)
         z = (traj.mean_err_sq[1:] - mean[1:]) / sd[1:]
         assert np.max(np.abs(z)) < 4.5
+
+
+class TestIntervalMaps:
+    @pytest.mark.parametrize("n_sub", [1, 2, 64])
+    @pytest.mark.parametrize("name", ["fig3", "four_channel"])
+    def test_closed_form_matches_basis_row_recursion(self, ieee5_lin, name, n_sub):
+        A, scs, obs = _alphabet(name, ieee5_lin, n_sub)
+        E, maps = sim.interval_maps(A, obs, scs)
+        E_ref, ref = _basis_row_maps(A, obs, scs)
+        assert np.array_equal(E, E_ref)
+        n = obs.n
+        assert any(s.r == 0 for s in scs)      # the no-sensor scenario
+        for s in scs:
+            assert maps[s.index].shape == ref[s.index].shape
+            # P, Qx and N each within 1e-13 of the oracle's largest entry
+            for rows in (slice(0, n), slice(n, 2 * n), slice(2 * n, None)):
+                got, want = maps[s.index][rows], ref[s.index][rows]
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_noise_rows_are_the_filter_driven_by_one_lane_draw(self, ieee5_lin):
+        A, scs, obs = _alphabet("fig3", ieee5_lin, 64)
+        _, maps = sim.interval_maps(A, obs, scs)
+        n, n_sub, n_ch = obs.n, obs.n_sub, len(scs.channels)
+        h = obs.tau / n_sub
+        for s in scs:
+            N = maps[s.index][2 * n:].reshape(n_sub, n_ch, n)
+            down = [lane for lane in range(n_ch) if lane not in s.up_channels]
+            assert not np.any(N[:, down])
+            for pos, lane in enumerate(s.up_channels):
+                for j in range(n_sub):
+                    dy = np.zeros((n_sub, s.r))
+                    dy[j, pos] = s.sigma[pos, pos] * np.sqrt(h)   # xi = 1
+                    want = observer.step_estimate(obs, np.zeros(n), s.index, dy)
+                    assert np.max(np.abs(N[j, lane] - want)) <= 1e-13 * np.max(np.abs(want))
