@@ -11,10 +11,8 @@ from . import analysis, grid, numerics, observer, shs, sim
 from .grid import (Bus, GridModel, Line, LinearizedSystem, builtin,
                    find_equilibrium, line_flow, linearize, load_grid,
                    read_matpower, solve_network)
-from .numerics import Tolerance
-from .observer import (CoordinatedObserver, SubsystemDecomposition,
-                       check_combined_observability, decompose, design,
-                       design_gains, step_estimate)
+from .observer import (CoordinatedObserver, SubsystemDecomposition, decompose,
+                       design, design_gains, step_estimate)
 from .shs import (Scenario, ScenarioSet, SensorChannel, sample_skeleton,
                   scenarios_from_channels)
 from .sim import ErrorTrajectory, SimConfig, monte_carlo, run_replica, simulate_truth

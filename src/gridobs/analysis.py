@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics, observer
-from .numerics import DEFAULT_TOL, operator_norm
+from .numerics import operator_norm
 
 
-def interval_variance(Ac, L, sigma, tau, tol=DEFAULT_TOL):
+def interval_variance(Ac, L, sigma, tau):
     """Per-interval filter error covariance V and its square root Q.
 
     V integrates exp(Ac u) L sigma (L sigma)^T exp(Ac^T u) over one
@@ -41,7 +41,7 @@ def interval_variance(Ac, L, sigma, tau, tol=DEFAULT_TOL):
         V = np.zeros_like(Ac)
     else:
         V = numerics.noise_gramian(Ac, L @ sigma, tau)
-    return V, numerics.psd_sqrt(V, tol)
+    return V, numerics.psd_sqrt(V)
 
 
 @dataclass
@@ -90,7 +90,7 @@ def contraction(obs, scenario_set):
     gamma2 = operator_norm(D)
     M = second_moment_matrix(obs, scenario_set)
     radius = float(max(np.abs(np.linalg.eigvals(M))))
-    tmax = compute_tau_max(obs.A, scenario_set, obs.decomps, F=obs.F, Phi=obs.Phi)
+    tmax = compute_tau_max(obs.A, scenario_set, obs.decomps)
     return ConvergenceReport(
         gamma_exact=float(gamma), gamma1=float(gamma1), gamma2=float(gamma2),
         tau_max=tmax, stable=radius < 1.0, second_moment_radius=radius,
@@ -101,7 +101,7 @@ _TAU_SCAN_LIMIT = 100.0
 _TAU_RESOLUTION = 1e-4
 
 
-def compute_tau_max(A, scenario_set, decomps, F=None, Phi=None):
+def compute_tau_max(A, scenario_set, decomps):
     """Largest sampling interval any convergent design can tolerate.
 
     Scenarios whose observability matrix is rank deficient run (partly)
@@ -119,16 +119,15 @@ def compute_tau_max(A, scenario_set, decomps, F=None, Phi=None):
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    if F is None or Phi is None:
-        blocks = [decomps[s.index].F for s in scenario_set if decomps[s.index].n_i]
-        F = np.vstack(blocks)
-        Phi = np.linalg.solve(F.T @ F, F.T)
     deficient = [s.probability for s in scenario_set if decomps[s.index].n_i < n]
     if not deficient:
         return math.inf
     q = max(deficient)
     if q >= 1.0:
         raise observer.ObserverError("an always-active scenario is rank deficient")
+    # F and Phi as observer.build assembles them
+    F = np.vstack([decomps[s.index].F for s in scenario_set if decomps[s.index].n_i])
+    Phi = np.linalg.solve(F.T @ F, F.T)
 
     def holds(E):
         # ||M||_2 <= ||M||_F, so the Frobenius norm settles most points
@@ -187,7 +186,7 @@ class SteadyState:
         return out
 
 
-def steady_state(obs, scenario_set, tol=DEFAULT_TOL):
+def steady_state(obs, scenario_set):
     """Steady-state error variance of the coordinated observer.
 
     Requires mean-square stability (second-moment matrix strictly inside
@@ -199,14 +198,14 @@ def steady_state(obs, scenario_set, tol=DEFAULT_TOL):
         raise observer.ObserverError(
             f"error dynamics mean-square unstable (radius {radius:.4f}); "
             "steady-state variance undefined")
-    S = numerics.psd_sqrt(M, tol)
+    S = numerics.psd_sqrt(M)
     Psi = sum(s.probability * obs.Q[s.index].T @ obs.Q[s.index]
               for s in scenario_set)
     Psi = 0.5 * (Psi + Psi.T)
-    W_stein = numerics.solve_symmetric_stein(S, Psi, tol)
+    W_stein = numerics.solve_symmetric_stein(S, Psi)
     maps = [obs.Lam[s.index] for s in scenario_set]
     weights = [s.probability for s in scenario_set]
-    W_inf = numerics.solve_switched_covariance(maps, weights, Psi, tol)
+    W_inf = numerics.solve_switched_covariance(maps, weights, Psi)
     return SteadyState(M, S, Psi, W_stein, float(np.trace(W_stein)),
                        W_inf, float(np.trace(W_inf)))
 

@@ -9,28 +9,15 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Numerical cutoffs used across the package.
-
-    rank_tol is relative to the largest singular value of the matrix at
-    hand; residual_tol is an absolute bound on defect norms.
-    """
-
-    rank_tol: float = 1e-9
-    residual_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.rank_tol <= 0 or self.residual_tol <= 0:
-            raise ValueError("tolerances must be strictly positive")
-
-
-DEFAULT_TOL = Tolerance()
+# Numerical cutoffs used across the package, read at call time.  RANK_TOL
+# is relative to the largest singular value of the matrix at hand;
+# RESIDUAL_TOL is an absolute bound on defect norms.
+RANK_TOL = 1e-9
+RESIDUAL_TOL = 1e-8
 
 
 def _as_matrix(M, name="matrix"):
@@ -209,7 +196,7 @@ _GAIN_MEMO_SIZE = 64
 _gain_memo = OrderedDict()
 
 
-def place_poles(A22, C2, desired, tol=DEFAULT_TOL):
+def place_poles(A22, C2, desired):
     """Observer gain L with eig(A22 - L C2) equal to `desired`.
 
     Solved as state-feedback placement on the dual pair (A22^T, C2^T).
@@ -238,7 +225,7 @@ def place_poles(A22, C2, desired, tol=DEFAULT_TOL):
     if len(np.unique(np.round(desired, 10))) != len(desired):
         raise ValueError("repeated poles are not supported; request distinct poles")
     W = observability_stack(C2, A22)
-    if np.linalg.matrix_rank(W, tol=tol.rank_tol * max(operator_norm(W), 1.0)) < p:
+    if np.linalg.matrix_rank(W, tol=RANK_TOL * max(operator_norm(W), 1.0)) < p:
         raise ValueError("(C2, A22) is not observable; poles cannot be placed")
     key = (A22.shape, A22.tobytes(), C2.shape, C2.tobytes(), desired.tobytes())
     L = _gain_memo.get(key)
@@ -506,10 +493,10 @@ def observability_stack(C, A):
     return np.vstack(rows)
 
 
-def kernel_base(M, tol=DEFAULT_TOL):
+def kernel_base(M):
     """Orthonormal basis of ker(M) as columns; may have zero columns.
 
-    Rank is decided by SVD with the relative cutoff in `tol`.  Columns are
+    Rank is decided by SVD with the relative cutoff RANK_TOL.  Columns are
     sign-normalised so the first nonzero entry is positive, which keeps the
     basis deterministic across BLAS builds.
     """
@@ -518,22 +505,22 @@ def kernel_base(M, tol=DEFAULT_TOL):
     if M.shape[0] == 0:
         return np.eye(b)
     _, s, Vt = np.linalg.svd(M)
-    cutoff = tol.rank_tol * (s[0] if s.size else 0.0)
+    cutoff = RANK_TOL * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     K = Vt[rank:].T
     for j in range(K.shape[1]):
         nz = np.flatnonzero(np.abs(K[:, j]) > 1e-12)
         if nz.size and K[nz[0], j] < 0:
             K[:, j] = -K[:, j]
-    if K.shape[1] and operator_norm(M @ K) > tol.residual_tol * max(operator_norm(M), 1.0):
+    if K.shape[1] and operator_norm(M @ K) > RESIDUAL_TOL * max(operator_norm(M), 1.0):
         raise ValueError("kernel residual exceeds tolerance")
     return K
 
 
-def psd_sqrt(M, tol=DEFAULT_TOL):
+def psd_sqrt(M):
     """Symmetric PSD square root S with S @ S = M.
 
-    Eigenvalues in [-rank_tol*||M||, 0) are clamped to zero; anything more
+    Eigenvalues in [-RANK_TOL*||M||, 0) are clamped to zero; anything more
     negative means the input is genuinely indefinite and is rejected.
     """
     M = _as_matrix(M)
@@ -542,11 +529,11 @@ def psd_sqrt(M, tol=DEFAULT_TOL):
     if M.shape[0] == 0:
         return np.zeros((0, 0))
     nrm = operator_norm(M)
-    if operator_norm(M - M.T) > tol.residual_tol * (1.0 + nrm):
+    if operator_norm(M - M.T) > RESIDUAL_TOL * (1.0 + nrm):
         raise ValueError("matrix is not symmetric")
     Msym = 0.5 * (M + M.T)
     w, U = np.linalg.eigh(Msym)
-    floor = -tol.rank_tol * max(nrm, 1.0)
+    floor = -RANK_TOL * max(nrm, 1.0)
     if np.min(w) < 1e6 * floor:
         raise ValueError(f"matrix is indefinite (min eigenvalue {np.min(w):.3e})")
     w = np.clip(w, 0.0, None)
@@ -563,12 +550,12 @@ _ITER_LIMIT = 100000
 _MAX_RATE = 1e-14 ** (1.0 / _ITER_LIMIT)
 
 
-def solve_symmetric_stein(S, Psi, tol=DEFAULT_TOL):
+def solve_symmetric_stein(S, Psi):
     """Solve S W S - W + Psi = 0 for symmetric S with spectral radius < 1.
 
     This is the single-map, weight-one case of solve_switched_covariance.
     """
-    return solve_switched_covariance([S], [1.0], Psi, tol)
+    return solve_switched_covariance([S], [1.0], Psi)
 
 
 def _check_mean_square_stable(second_moment, n):
@@ -599,7 +586,7 @@ def _check_mean_square_stable(second_moment, n):
         f"the fixed-point iteration needs below {_MAX_RATE:.6f})")
 
 
-def solve_switched_covariance(maps, weights, Psi, tol=DEFAULT_TOL):
+def solve_switched_covariance(maps, weights, Psi):
     """Fixed point of W = sum_j w_j M_j W M_j^T + Psi.
 
     This is the stationary second moment of a linear recursion whose map is
@@ -638,6 +625,6 @@ def solve_switched_covariance(maps, weights, Psi, tol=DEFAULT_TOL):
                 break
     W = 0.5 * (W + W.T)
     resid = operator_norm(second_moment(W) + Psi - W)
-    if resid > tol.residual_tol * (1.0 + operator_norm(Psi)):
+    if resid > RESIDUAL_TOL * (1.0 + operator_norm(Psi)):
         raise ValueError(f"covariance residual {resid:.3e} exceeds tolerance")
     return W

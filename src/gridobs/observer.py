@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .numerics import DEFAULT_TOL, operator_norm
+from .numerics import operator_norm
 
 
 class ObserverError(Exception):
@@ -25,46 +25,10 @@ class ObserverError(Exception):
 
 
 @dataclass
-class ObservabilityReport:
-    ranks: dict                   # scenario index -> rank of W(i)
-    combined_rank: int
-    n: int
-
-    @property
-    def ok(self):
-        return self.combined_rank == self.n
-
-
-def check_combined_observability(scenario_set, A, tol=DEFAULT_TOL):
-    """Ranks of all scenario observability matrices and of their stack."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    ranks = {}
-    blocks = []
-    for s in scenario_set:
-        if s.r == 0:
-            ranks[s.index] = 0
-            continue
-        W = numerics.observability_stack(s.C, A)
-        ranks[s.index] = int(np.linalg.matrix_rank(
-            W, tol.rank_tol * max(operator_norm(W), 1.0)))
-        blocks.append(W)
-    if blocks:
-        Ws = np.vstack(blocks)
-        combined = int(np.linalg.matrix_rank(
-            Ws, tol.rank_tol * max(operator_norm(Ws), 1.0)))
-    else:
-        combined = 0
-    return ObservabilityReport(ranks, combined, n)
-
-
-@dataclass
 class SubsystemDecomposition:
     index: int
-    W: np.ndarray
     n_i: int
     M: np.ndarray                 # kernel base, n x (n - n_i)
-    N: np.ndarray                 # completion, n x n_i
     T: np.ndarray
     G: np.ndarray                 # top rows of T^-1
     F: np.ndarray                 # bottom rows of T^-1
@@ -97,7 +61,7 @@ def _identity_completion(M):
     return N
 
 
-def decompose(A, scenario, completion="orthonormal", tol=DEFAULT_TOL):
+def decompose(A, scenario, completion="orthonormal"):
     """Observability decomposition of one scenario (gain left unset).
 
     completion = "orthonormal" takes the orthogonal complement of the
@@ -106,30 +70,30 @@ def decompose(A, scenario, completion="orthonormal", tol=DEFAULT_TOL):
     kernel sign so its first nonzero entry is negative), which reproduces
     handbook-style printed transforms exactly.
     """
+    if completion not in ("orthonormal", "paper_identity"):
+        raise ObserverError(f"unknown completion mode {completion!r}")
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     C = np.asarray(scenario.C, dtype=float).reshape(-1, n)
     if C.shape[0] == 0:
         return SubsystemDecomposition(
-            scenario.index, np.zeros((0, n)), 0, np.eye(n), np.zeros((n, 0)),
-            np.eye(n), np.eye(n), np.zeros((0, n)), A.copy(), np.zeros((n, 0)),
-            np.zeros((0, 0)), np.zeros((0, 0)))
+            scenario.index, 0, np.eye(n), np.eye(n), np.eye(n), np.zeros((0, n)),
+            A.copy(), np.zeros((n, 0)), np.zeros((0, 0)), np.zeros((0, 0)))
     W = numerics.observability_stack(C, A)
-    M = numerics.kernel_base(W, tol)
+    M = numerics.kernel_base(W)
     n_i = n - M.shape[1]
     if n_i == n:
         # fully observable: skip the transform entirely
         return SubsystemDecomposition(
-            scenario.index, W, n, np.zeros((n, 0)), np.eye(n), np.eye(n),
-            np.zeros((0, n)), np.eye(n), np.zeros((0, 0)), np.zeros((0, n)),
-            A.copy(), C.copy())
+            scenario.index, n, np.zeros((n, 0)), np.eye(n), np.zeros((0, n)),
+            np.eye(n), np.zeros((0, 0)), np.zeros((0, n)), A.copy(), C.copy())
     if completion == "orthonormal":
         # kernel_base returns orthonormal columns; complete orthogonally
         _, _, Vt = np.linalg.svd(W)
         N = Vt[:n_i].T
         T = np.hstack([M, N])
         Tinv = T.T
-    elif completion == "paper_identity":
+    else:
         M = M.copy()
         for j in range(M.shape[1]):
             nz = np.flatnonzero(np.abs(M[:, j]) > 1e-12)
@@ -138,8 +102,6 @@ def decompose(A, scenario, completion="orthonormal", tol=DEFAULT_TOL):
         N = _identity_completion(M)
         T = np.hstack([M, N])
         Tinv = np.linalg.inv(T)
-    else:
-        raise ObserverError(f"unknown completion mode {completion!r}")
     if operator_norm(Tinv @ T - np.eye(n)) > 1e-10:
         raise ObserverError("transformation inverse check failed")
     G = Tinv[: n - n_i]
@@ -155,11 +117,11 @@ def decompose(A, scenario, completion="orthonormal", tol=DEFAULT_TOL):
     if operator_norm(Ct[:, : n - n_i]) > 1e-8 * max(operator_norm(C), 1.0):
         raise ObserverError("output matrix keeps weight on the unobservable part")
     C2 = Ct[:, n - n_i:]
-    return SubsystemDecomposition(scenario.index, W, n_i, M, N, T, G, F,
+    return SubsystemDecomposition(scenario.index, n_i, M, T, G, F,
                                   A11, A12, A22, C2)
 
 
-def design_gains(decomps, poles, tol=DEFAULT_TOL):
+def design_gains(decomps, poles):
     """Place the filter poles for every scenario that admits a gain.
 
     `poles` is either a mapping scenario index -> pole list of length n_i,
@@ -184,7 +146,7 @@ def design_gains(decomps, poles, tol=DEFAULT_TOL):
         if len(want) != d.n_i:
             raise ObserverError(
                 f"scenario {d.index}: need {d.n_i} poles, got {len(want)}")
-        d.L = numerics.place_poles(d.A22, d.C2, want, tol)
+        d.L = numerics.place_poles(d.A22, d.C2, want)
         d.Ac = d.A22 - d.L @ d.C2
         if np.max(np.linalg.eigvals(d.Ac).real) >= 0:
             raise ObserverError(f"scenario {d.index}: closed-loop poles not in the left half-plane")
@@ -201,8 +163,7 @@ class CoordinatedObserver:
     F: np.ndarray                 # stacked F_i blocks, n_s x n
     Phi: np.ndarray               # (F^T F)^-1 F^T, n x n_s
     Lam: dict                     # scenario index -> realised n x n error map
-    Q: dict                       # scenario index -> n x n noise factor (V^(1/2))
-    V: dict                       # scenario index -> interval noise covariance
+    Q: dict                       # scenario index -> root of the interval noise covariance
     exp_Ac_tau: dict              # scenario index -> filter-block map over tau
     exp_A_tau: np.ndarray
     exp_mix_h: dict = field(default_factory=dict)
@@ -240,7 +201,7 @@ def _mix(d, closed=True):
     return mix
 
 
-def build(A, scenario_set, decomps, tau, n_sub=64, tol=DEFAULT_TOL):
+def build(A, scenario_set, decomps, tau, n_sub=64):
     """Assemble the coordinated observer for a designed decomposition set.
 
     Produces the realised one-interval error maps in state coordinates:
@@ -269,24 +230,22 @@ def build(A, scenario_set, decomps, tau, n_sub=64, tol=DEFAULT_TOL):
             blocks.append(d.F)
             slices[s.index] = slice(row, row + d.n_i)
             row += d.n_i
-    if not blocks:
-        raise ObserverError("no scenario contributes an observable sub-state")
-    F = np.vstack(blocks)
-    if np.linalg.matrix_rank(F, tol.rank_tol * operator_norm(F)) < n:
+    F = np.vstack(blocks) if blocks else np.zeros((0, n))
+    rank = np.linalg.matrix_rank(F, numerics.RANK_TOL * operator_norm(F))
+    if rank < n:
         raise ObserverError(
-            "stacked sub-state maps are rank deficient; the scenario set "
-            "cannot reconstruct the full state")
+            f"combined observability rank {rank} < {n}; "
+            "no convergent coordinated observer exists for this scenario set")
     Phi = np.linalg.solve(F.T @ F, F.T)
     if operator_norm(Phi @ F - np.eye(n)) > 1e-10:
         raise ObserverError("reconstruction map is not a left inverse")
     exp_A_tau = numerics.matrix_exponential(A, tau)
     h = tau / n_sub
-    Lam, Q, V, exp_Ac, exp_mix_h = {}, {}, {}, {}, {}
+    Lam, Q, exp_Ac, exp_mix_h = {}, {}, {}, {}
     for s in scenario_set:
         d = decomps[s.index]
         if d.n_i == 0:
             Lam[s.index] = exp_A_tau.copy()
-            V[s.index] = np.zeros((n, n))
             Q[s.index] = np.zeros((n, n))
             exp_Ac[s.index] = np.zeros((0, 0))
             exp_mix_h[s.index] = None
@@ -304,26 +263,23 @@ def build(A, scenario_set, decomps, tau, n_sub=64, tol=DEFAULT_TOL):
             Vs = d.T @ Vmix @ d.T.T
         else:
             Vs = np.zeros((n, n))
-        V[s.index] = 0.5 * (Vs + Vs.T)
-        Q[s.index] = numerics.psd_sqrt(V[s.index], tol)
+        Q[s.index] = numerics.psd_sqrt(0.5 * (Vs + Vs.T))
         exp_mix_h[s.index] = numerics.matrix_exponential(_mix(d, closed=False), h)
     return CoordinatedObserver(
         A=A, tau=tau, n_sub=n_sub, decomps=decomps, scenario_set=scenario_set,
-        F=F, Phi=Phi, Lam=Lam, Q=Q, V=V, exp_Ac_tau=exp_Ac,
+        F=F, Phi=Phi, Lam=Lam, Q=Q, exp_Ac_tau=exp_Ac,
         exp_A_tau=exp_A_tau, exp_mix_h=exp_mix_h, block_slices=slices)
 
 
-def design(A, scenario_set, poles, tau, completion="orthonormal", n_sub=64,
-           tol=DEFAULT_TOL):
-    """decompose + design_gains + build in one call."""
-    report = check_combined_observability(scenario_set, A, tol)
-    if not report.ok:
-        raise ObserverError(
-            f"combined observability rank {report.combined_rank} < {report.n}; "
-            "no convergent coordinated observer exists for this scenario set")
-    decomps = {s.index: decompose(A, s, completion, tol) for s in scenario_set}
-    truncated = design_gains(decomps, poles, tol)
-    obs = build(A, scenario_set, decomps, tau, n_sub, tol)
+def design(A, scenario_set, poles, tau, completion="orthonormal", n_sub=64):
+    """decompose + design_gains + build in one call.
+
+    Combined observability is decided once, by build's rank check on the
+    stacked sub-state maps.
+    """
+    decomps = {s.index: decompose(A, s, completion) for s in scenario_set}
+    truncated = design_gains(decomps, poles)
+    obs = build(A, scenario_set, decomps, tau, n_sub)
     obs.pole_truncations = truncated
     return obs
 

@@ -10,6 +10,7 @@ stream so it never interacts with measurement-noise draws.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -18,6 +19,15 @@ import numpy as np
 
 class ScenarioError(Exception):
     pass
+
+
+def _finite_real(value, what):
+    """float(value) for a finite real number; bool, str and None are refused."""
+    # a comparison, unlike np.isfinite, also takes ints beyond int64
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not abs(value) <= sys.float_info.max):
+        raise ScenarioError(f"{what} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -31,6 +41,9 @@ class SensorChannel:
         self.row = np.asarray(self.row, dtype=float).reshape(-1)
         if not np.any(self.row):
             raise ScenarioError(f"channel {self.name!r} has a zero selector row")
+        self.delivery_ratio = _finite_real(self.delivery_ratio,
+                                           f"channel {self.name!r}: delivery ratio")
+        self.noise_std = _finite_real(self.noise_std, f"channel {self.name!r}: noise level")
         if not 0.0 < self.delivery_ratio <= 1.0:
             raise ScenarioError(f"channel {self.name!r}: delivery ratio must be in (0, 1]")
         if self.noise_std < 0:
@@ -124,7 +137,11 @@ def scenarios_from_channels(channels, sigma_overrides=None):
     if sigma_overrides:
         for idx, values in sigma_overrides.items():
             s = scenario_set.by_index(idx)
-            vals = np.atleast_1d(np.asarray(values, dtype=float))
+            what = f"scenario {idx}: override noise level"
+            vals = values if isinstance(values, (list, tuple, np.ndarray)) else [values]
+            vals = np.array([_finite_real(v, what) for v in vals], dtype=float)
+            if np.any(vals < 0):
+                raise ScenarioError(f"{what} must be >= 0, got {values!r}")
             if vals.size == 1:
                 vals = np.full(s.r, vals[0])
             if vals.size != s.r:

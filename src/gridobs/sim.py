@@ -55,21 +55,17 @@ class SimConfig:
     x0: np.ndarray = None         # true initial deviation (defaults to 0)
     e0: np.ndarray = None         # initial estimation error (xhat0 = x0 + e0)
     xhat0: np.ndarray = None      # overrides e0 when given
-    switch_seed: int = None       # optional explicit stream roots
-    noise_seed: int = None
 
     def __post_init__(self):
         for name in ("K", "replicas"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
     def roots(self):
-        sw = (derive_seed(self.seed, _SWITCH_TAG)
-              if self.switch_seed is None else int(self.switch_seed))
-        nz = (derive_seed(self.seed, _NOISE_TAG)
-              if self.noise_seed is None else int(self.noise_seed))
-        return sw, nz
+        return derive_seed(self.seed, _SWITCH_TAG), derive_seed(self.seed, _NOISE_TAG)
 
     def initial_states(self, n):
         x0 = np.zeros(n) if self.x0 is None else np.asarray(self.x0, dtype=float)
@@ -91,20 +87,20 @@ def _sigma_lanes(scenario):
     return lanes, sig
 
 
-def simulate_truth(A, x0, K, tau, n_sub, alphas, scenario_set, noise_seed):
+def simulate_truth(A, x0, K, tau, n_sub, alphas, scenario_set, seed):
     """Exact state path plus per-interval measurement increments.
 
     Returns (states, increments): states has shape (K*n_sub + 1, n) at
     substep resolution, increments is a list of K arrays shaped
     (n_sub, r_alpha_k).  Each increment is C x dt plus sigma dW over one
-    substep, with dW drawn from the channel's dedicated lane.
+    substep, with dW drawn from the channel's lane of the noise stream `seed`.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     from .numerics import matrix_exponential
     h = tau / n_sub
     Eh = matrix_exponential(A, h)
-    rng = np.random.default_rng(noise_seed)
+    rng = np.random.default_rng(seed)
     n_ch = len(scenario_set.channels)
     x = np.asarray(x0, dtype=float).copy()
     states = np.empty((K * n_sub + 1, n))
@@ -159,12 +155,7 @@ class ErrorTrajectory:
     paths: np.ndarray             # (R, K) switching logs
     err_sq: np.ndarray = None     # (R, K+1) per-replica squared errors
     replicas: int = 1
-    seed: int = 0
     seeds: dict = field(default_factory=dict)
-
-    @property
-    def times(self):
-        return np.arange(self.mean_err_sq.size) * self.tau
 
     def time_to_fraction(self, fraction=0.01):
         """First interval where the mean squared error drops below
@@ -319,7 +310,6 @@ def monte_carlo(A, obs, scenario_set, cfg):
     var = err_sq.var(axis=0, ddof=1) if R > 1 else np.zeros(K + 1)
     return ErrorTrajectory(
         tau=obs.tau, mean_err_sq=mean_err_sq, per_state_mean_sq=per_state,
-        var_err_sq=var, paths=alphas, err_sq=err_sq,
-        replicas=cfg.replicas, seed=cfg.seed,
+        var_err_sq=var, paths=alphas, err_sq=err_sq, replicas=cfg.replicas,
         seeds={"switch_root": sw_root, "noise_root": nz_root,
                "mix": "splitmix64(root xor replica*golden)"})

@@ -64,11 +64,15 @@ class TestAnalyze:
     def test_solver_residual_failure_exits_2(self, tmp_path, fig3_config,
                                              monkeypatch, capsys):
         # the covariance solver's own residual check fails under a
-        # tolerance no floating-point solve can meet
+        # tolerance no floating-point solve can meet; the tolerance is
+        # tightened only inside the solve, since psd_sqrt's symmetry check
+        # reads it too and would fail first
         solve = numerics.solve_switched_covariance
 
-        def strict(maps, weights, Psi, tol=None):
-            return solve(maps, weights, Psi, numerics.Tolerance(residual_tol=1e-300))
+        def strict(maps, weights, Psi):
+            with monkeypatch.context() as m:
+                m.setattr(numerics, "RESIDUAL_TOL", 1e-300)
+                return solve(maps, weights, Psi)
 
         monkeypatch.setattr(numerics, "solve_switched_covariance", strict)
         rc = run(["analyze", "--config", str(fig3_config), "--out", str(tmp_path)])
@@ -87,6 +91,22 @@ class TestDesign:
         assert by_index[4]["L"] is None
         poles = by_index[1]["closed_loop_poles"]
         assert np.allclose(sorted(poles), [-4.8, -4.4, -4.0, -3.6], atol=1e-6)
+
+    @pytest.mark.parametrize("name,ranks", [
+        # one PMU on bus 1: angle and frequency, angle only, frequency only
+        ("fig7", [4, 4, 3, 0]),
+        # the 33-bus model with one angle PMU per generator
+        ("fig8", [4, 2, 2, 0]),
+    ])
+    def test_partly_observable_ranks(self, tmp_path, name, ranks):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(experiments.load_experiment(name)))
+        assert run(["design", "--config", str(path), "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "design.json").read_text())
+        assert doc["combined_rank"] == doc["state_dim"] == 4
+        assert [s["index"] for s in doc["scenarios"]] == [1, 2, 3, 4]
+        assert [s["rank"] for s in doc["scenarios"]] == ranks
+        assert [s["n_i"] for s in doc["scenarios"]] == ranks
 
 
 class TestSimulate:
@@ -160,12 +180,11 @@ class TestReproduce:
             run(["reproduce", "fig99"])
 
 
-def _fig3_with(overrides=None, rho2=None, sim=None, **observer):
+def _fig3_with(overrides=None, channel2=None, sim=None, **observer):
     cfg = experiments.load_experiment("fig3")
     if overrides is not None:
         cfg["scenario_sigma_overrides"] = overrides
-    if rho2 is not None:
-        cfg["channels"][1]["rho"] = rho2
+    cfg["channels"][1].update(channel2 or {})
     cfg["sim"].update(sim or {})
     cfg["observer"].update(observer)
     return cfg
@@ -175,8 +194,17 @@ def _fig3_with(overrides=None, rho2=None, sim=None, **observer):
     # an override naming a scenario that does not exist
     (["design", "--config", "cfg.json"], _fig3_with(overrides={"9": 0.01}), 2),
     # rho 1.0 on channel 2 prunes scenario 3, which fig3's overrides name
-    (["design", "--config", "cfg.json"], _fig3_with(rho2=1.0), 2),
-    (["design", "--config", "cfg.json"], _fig3_with(rho2=1.5), 2),
+    (["design", "--config", "cfg.json"], _fig3_with(channel2={"rho": 1.0}), 2),
+    (["design", "--config", "cfg.json"], _fig3_with(channel2={"rho": 1.5}), 2),
+    # channel numbers that are not finite real numbers
+    (["design", "--config", "cfg.json"], _fig3_with(channel2={"rho": "0.9"}), 2),
+    (["design", "--config", "cfg.json"], _fig3_with(channel2={"sigma": None}), 2),
+    (["design", "--config", "cfg.json"], _fig3_with(channel2={"sigma": float("nan")}), 2),
+    # a negative override noise level
+    (["design", "--config", "cfg.json"], _fig3_with(overrides={"1": [-0.1, 0.1]}), 2),
+    # a completion mode that does not exist, on a set of scenarios that are
+    # all fully observable or blind
+    (["analyze", "--config", "cfg.json"], _fig3_with(completion="bogus"), 2),
     # a grid file named without a directory part
     (["linearize", "--grid", "mygrid.json"], None, 0),
     (["analyze", "--config", "missing.json"], None, 1),
@@ -197,11 +225,13 @@ def _fig3_with(overrides=None, rho2=None, sim=None, **observer):
     (["simulate", "--config", "cfg.json"], _fig3_with(sim={"K": 2.5}), 2),
     (["simulate", "--config", "cfg.json"], _fig3_with(sim={"K": True}), 2),
     (["simulate", "--config", "cfg.json"], _fig3_with(sim={"replicas": 3.5}), 2),
-], ids=["unknown-override", "pruned-override", "rho-above-one",
+    (["simulate", "--config", "cfg.json"], _fig3_with(sim={"seed": 1.5}), 2),
+], ids=["unknown-override", "pruned-override", "rho-above-one", "rho-string",
+        "sigma-null", "sigma-nan", "override-negative", "completion-unknown",
         "relative-grid-file", "missing-config", "malformed-config",
         "n-sub-zero", "n-sub-fraction", "n-sub-negative", "tau-overflow",
         "tau-string", "tau-null", "tau-bool", "k-string", "k-fraction",
-        "k-bool", "replicas-fraction"])
+        "k-bool", "replicas-fraction", "seed-fraction"])
 def test_failures_exit_cleanly(tmp_path, argv, config, code):
     if config is not None:
         text = config if isinstance(config, str) else json.dumps(config)

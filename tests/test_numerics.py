@@ -10,10 +10,9 @@ import scipy.linalg
 import scipy.signal
 
 from gridobs import experiments, grid, numerics
-from gridobs.numerics import (Tolerance, kernel_base, matrix_exponential,
-                              noise_gramian, operator_norm, place_poles,
-                              psd_sqrt, solve_switched_covariance,
-                              solve_symmetric_stein)
+from gridobs.numerics import (kernel_base, matrix_exponential, noise_gramian,
+                              operator_norm, place_poles, psd_sqrt,
+                              solve_switched_covariance, solve_symmetric_stein)
 
 from conftest import A5_PRINTED, W3_PRINTED
 
@@ -448,9 +447,10 @@ class TestKernelBase:
             assert np.max(np.abs(K.T @ K - np.eye(K.shape[1]))) < 1e-10
             assert operator_norm(M @ K) <= 1e-8 * max(operator_norm(M), 1.0)
 
-    def test_residual_failure_is_value_error(self):
+    def test_residual_failure_is_value_error(self, monkeypatch):
+        monkeypatch.setattr(numerics, "RESIDUAL_TOL", 1e-300)
         with pytest.raises(ValueError, match="kernel residual"):
-            kernel_base(W3_PRINTED, Tolerance(residual_tol=1e-300))
+            kernel_base(W3_PRINTED)
 
 
 class TestPsdSqrt:
@@ -562,11 +562,11 @@ class TestSwitchedCovariance:
         assert time.perf_counter() - t0 < 5.0
 
 
-    def test_residual_failure_is_value_error(self):
+    def test_residual_failure_is_value_error(self, monkeypatch):
         A = np.array([[0.5, 0.2], [0.1, 0.6]])
+        monkeypatch.setattr(numerics, "RESIDUAL_TOL", 1e-300)
         with pytest.raises(ValueError, match="covariance residual"):
-            solve_switched_covariance([A, 0.5 * A], [0.4, 0.6], np.eye(2),
-                                      Tolerance(residual_tol=1e-300))
+            solve_switched_covariance([A, 0.5 * A], [0.4, 0.6], np.eye(2))
 
 
 class TestOperatorNorm:
@@ -585,10 +585,3 @@ class TestOperatorNorm:
             v /= np.linalg.norm(v)
         oracle = np.sqrt(v @ (M.T @ (M @ v)))
         assert abs(operator_norm(M) - oracle) < 1e-8
-
-
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(rank_tol=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(residual_tol=-1.0)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gridobs import numerics, observer, shs
-from gridobs.observer import (ObserverError, check_combined_observability,
-                              decompose, design, design_gains, step_estimate)
+from gridobs.observer import (ObserverError, decompose, design, design_gains,
+                              step_estimate)
 
 from conftest import (A5_PRINTED, T3_PRINTED, T3_INV_PRINTED, W3_PRINTED,
                       delta_channels, five_bus_scenarios)
@@ -40,25 +40,28 @@ class TestObservabilityMatrix:
 
 
 class TestCombinedObservability:
+    # design decides combined observability once, on the rank of the
+    # stacked sub-state maps F that build assembles
+
     def test_angle_pair_full_rank(self, ieee5_lin):
-        scs = five_bus_scenarios()
-        rep = check_combined_observability(scs, ieee5_lin.A)
-        assert rep.ok
-        assert rep.combined_rank == 4
-        assert rep.ranks[1] == 4 and rep.ranks[4] == 0
+        obs = design(ieee5_lin.A, five_bus_scenarios(), [-4.8, -3.6, -4.0, -4.4],
+                     tau=0.6261)
+        assert np.linalg.matrix_rank(obs.F) == 4
+        assert obs.decomps[1].n_i == 4 and obs.decomps[4].n_i == 0
 
     def test_frequency_pair_rank_deficient(self, ieee5_lin):
         chans = delta_channels(LABELS5, [("1.omega", 0.99, 0.0),
                                          ("2.omega", 0.995, 0.0)])
         scs = shs.scenarios_from_channels(chans)
-        rep = check_combined_observability(scs, ieee5_lin.A)
-        assert not rep.ok
-        assert rep.combined_rank < 4
+        with pytest.raises(ObserverError, match="combined observability rank 3 < 4"):
+            design(ieee5_lin.A, scs, [-4.8, -3.6, -4.0, -4.4], tau=0.6261)
 
     def test_identity_output_trivially_full(self):
         A = np.diag([1.0, 2.0, 3.0])
         scs = shs.ScenarioSet([scen(np.eye(3))], 3)
-        assert check_combined_observability(scs, A).combined_rank == 3
+        obs = design(A, scs, [-1.0, -2.0, -3.0], tau=0.1)
+        assert obs.decomps[1].n_i == 3
+        assert np.linalg.matrix_rank(obs.F) == 3
 
 
 class TestDecompose:
