@@ -34,9 +34,9 @@ def _load_config(args):
             with open(args.config) as f:
                 cfg = json.load(f)
         except OSError as exc:
-            raise SystemExit2(f"cannot read config {args.config}: {exc.strerror}")
+            raise UsageError(f"cannot read config {args.config}: {exc.strerror}")
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise SystemExit2(f"config {args.config} is not valid JSON: {exc}")
+            raise UsageError(f"config {args.config} is not valid JSON: {exc}")
     if getattr(args, "grid", None):
         cfg["grid"] = args.grid
     if getattr(args, "seed", None) is not None:
@@ -146,8 +146,6 @@ def cmd_linearize(args):
             "network_voltages": lin.equilibrium.network.voltages,
             "residual": lin.equilibrium.residual,
         },
-        "fd_step": lin.fd_step,
-        "richardson_defect": lin.richardson_defect,
     }
     with open(outdir / "linearized.json", "w") as f:
         json.dump(doc, f, indent=2, default=_jsonable)
@@ -158,11 +156,11 @@ def cmd_linearize(args):
 
 def _pipeline(cfg):
     if "channels" not in cfg or "observer" not in cfg:
-        raise SystemExit2("config needs 'channels' and 'observer' sections")
+        raise UsageError("config needs 'channels' and 'observer' sections")
     return experiments.build_pipeline(cfg)
 
 
-class SystemExit2(Exception):
+class UsageError(Exception):
     pass
 
 
@@ -291,7 +289,7 @@ def main(argv=None):
         print(f"usage error: config is missing a required field: {exc}",
               file=sys.stderr)
         return 1
-    except SystemExit2 as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

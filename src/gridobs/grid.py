@@ -8,8 +8,9 @@ Non-dynamic buses may also be anchored (fixed phasor, no balance
 equation), which is how the bundled reduced models freeze the part of a
 network that was folded away.
 
-The linearization is numerical: central finite differences of the dynamic
-right-hand side through the network solve, with a Richardson step check.
+The linearization is analytic: the swing equations' Jacobian follows from
+the power-flow Jacobian at the equilibrium by eliminating the network's
+algebraic unknowns.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from importlib import resources
 
 import numpy as np
 
-from .numerics import operator_norm
+from .numerics import is_finite_real
 
 
 class GridError(Exception):
@@ -33,6 +34,15 @@ class GridError(Exception):
 DYNAMIC = "dynamic"
 NON_DYNAMIC = "non_dynamic"
 SLACK = "slack"
+
+
+def _finite_fields(obj, what, names):
+    """Store each named field as a float; GridError unless it is a finite real."""
+    for name in names:
+        value = getattr(obj, name)
+        if not is_finite_real(value):
+            raise GridError(f"{what}: {name} must be a finite real number, got {value!r}")
+        setattr(obj, name, float(value))
 
 
 @dataclass
@@ -52,11 +62,10 @@ class Bus:
     def __post_init__(self):
         if self.kind not in (DYNAMIC, NON_DYNAMIC, SLACK):
             raise GridError(f"unknown bus kind {self.kind!r}")
+        _finite_fields(self, f"bus {self.id}",
+                       ("voltage", "angle", "inertia", "damping", "p_load", "q_load", "p_in"))
         if self.kind == DYNAMIC and (self.inertia <= 0 or self.damping <= 0):
             raise GridError(f"bus {self.id}: dynamic bus needs inertia > 0 and damping > 0")
-        for v in (self.voltage, self.angle, self.p_load, self.q_load, self.p_in):
-            if not math.isfinite(v):
-                raise GridError(f"bus {self.id}: non-finite data")
 
 
 @dataclass
@@ -68,6 +77,7 @@ class Line:
     shunt_b: float = 0.0          # total line-charging susceptance, pu
 
     def __post_init__(self):
+        _finite_fields(self, f"line {self.from_bus}-{self.to_bus}", ("r", "x", "shunt_b"))
         if math.hypot(self.r, self.x) <= 0:
             raise GridError(f"line {self.from_bus}-{self.to_bus}: |Z| must be positive")
 
@@ -198,8 +208,9 @@ def _injections(Y, V, th):
     return S.real, S.imag
 
 
-def _pf_jacobian(Y, V, th, p_rows, q_rows, ang_cols, v_cols):
-    """Analytic power-flow Jacobian d(P,Q)/d(theta, V) on the given index sets."""
+def _pf_jacobian(Y, V, th, ang, mag):
+    """Analytic power-flow Jacobian: the P rows at `ang` and Q rows at `mag`
+    by the angles at `ang` and the magnitudes at `mag`."""
     Vc = V * np.exp(1j * th)
     Ibus = Y @ Vc
     dV = np.diag(Vc)
@@ -207,56 +218,59 @@ def _pf_jacobian(Y, V, th, p_rows, q_rows, ang_cols, v_cols):
     dVn = np.diag(Vc / V)
     dS_dth = 1j * dV @ (np.conj(dI) - np.conj(Y) @ np.conj(dV))
     dS_dV = dV @ np.conj(Y) @ np.conj(dVn) + np.conj(dI) @ dVn
-    na, nv = len(ang_cols), len(v_cols)
-    J = np.zeros((len(p_rows) + len(q_rows), na + nv))
-    J[: len(p_rows), :na] = dS_dth[np.ix_(p_rows, ang_cols)].real
-    J[: len(p_rows), na:] = dS_dV[np.ix_(p_rows, v_cols)].real
-    J[len(p_rows):, :na] = dS_dth[np.ix_(q_rows, ang_cols)].imag
-    J[len(p_rows):, na:] = dS_dV[np.ix_(q_rows, v_cols)].imag
+    na = len(ang)
+    J = np.zeros((na + len(mag), na + len(mag)))
+    J[:na, :na] = dS_dth[np.ix_(ang, ang)].real
+    J[:na, na:] = dS_dV[np.ix_(ang, mag)].real
+    J[na:, :na] = dS_dth[np.ix_(mag, ang)].imag
+    J[na:, na:] = dS_dV[np.ix_(mag, mag)].imag
     return J
 
 
-def solve_network(grid, dynamic_angles, tol=1e-8, max_iter=50, start=None):
-    """Solve the algebraic network equations given the dynamic-bus angles.
+NEWTON_TOL = 1e-8          # largest power mismatch a solve accepts, pu
+NEWTON_MAX_ITER = 50
 
-    Unknowns are the angles of free non-dynamic buses and the magnitudes of
-    voltage-free buses; a slack bus, if present, stays pinned and absorbs
-    the imbalance.  Newton iteration with an analytic Jacobian and step
-    halving; flat start unless `start` provides (angles, voltages) arrays.
+
+def _network_unknowns(grid):
+    """Bus positions of the network's unknowns: the angles of free
+    non-dynamic buses (with their P rows) and the magnitudes of free-voltage
+    buses (with their Q rows)."""
+    idx = grid._index
+    ang = [idx[b.id] for b in grid.buses if b.kind == NON_DYNAMIC and not b.angle_fixed]
+    mag = [idx[b.id] for b in grid.buses if b.kind != SLACK and not b.voltage_fixed]
+    return ang, mag
+
+
+def _newton(grid, ang, mag, angles=None):
+    """Power flow: solve the P rows at bus positions `ang` for those angles
+    and the Q rows at `mag` for those magnitudes.
+
+    Newton iteration with the analytic Jacobian and step halving, started
+    from the bus data with the bus angles in `angles` (id -> rad) replaced;
+    the setpoints are each bus's p_in - p_load and -q_load.
     """
     Y = grid.ybus()
-    n = len(grid.buses)
     idx = grid._index
-    V = np.array([b.voltage for b in grid.buses], dtype=float)
     th = np.array([b.angle for b in grid.buses], dtype=float)
-    if start is not None:
-        th = np.array(start[0], dtype=float)
-        V = np.array(start[1], dtype=float)
-    for b in grid.buses:
-        if b.kind == DYNAMIC:
-            if b.id not in dynamic_angles:
-                raise GridError(f"missing angle for dynamic bus {b.id}")
-            th[idx[b.id]] = dynamic_angles[b.id]
-    p_rows = [idx[b.id] for b in grid.buses
-              if b.kind == NON_DYNAMIC and not b.angle_fixed]
-    q_rows = [idx[b.id] for b in grid.buses
-              if b.kind != SLACK and not b.voltage_fixed]
+    V = np.array([b.voltage for b in grid.buses], dtype=float)
+    for bus_id, value in (angles or {}).items():
+        th[idx[bus_id]] = value
     Pset = np.array([b.p_in - b.p_load for b in grid.buses])
     Qset = np.array([-b.q_load for b in grid.buses])
 
     def mismatch(V, th):
         P, Q = _injections(Y, V, th)
-        return np.concatenate([(Pset - P)[p_rows], (Qset - Q)[q_rows]])
+        return np.concatenate([(Pset - P)[ang], (Qset - Q)[mag]])
 
     mis = mismatch(V, th)
     it = 0
-    while mis.size and np.max(np.abs(mis)) > tol:
-        if it >= max_iter:
+    while mis.size and np.max(np.abs(mis)) > NEWTON_TOL:
+        if it >= NEWTON_MAX_ITER:
             raise GridError(
-                f"network solve did not converge in {max_iter} iterations "
+                f"network solve did not converge in {NEWTON_MAX_ITER} iterations "
                 f"(residual {np.max(np.abs(mis)):.3e})"
             )
-        J = _pf_jacobian(Y, V, th, p_rows, q_rows, p_rows, q_rows)
+        J = _pf_jacobian(Y, V, th, ang, mag)
         try:
             dx = np.linalg.solve(J, mis)
         except np.linalg.LinAlgError as exc:
@@ -266,8 +280,8 @@ def solve_network(grid, dynamic_angles, tol=1e-8, max_iter=50, start=None):
         for _ in range(12):
             th_t = th.copy()
             V_t = V.copy()
-            th_t[p_rows] += step * dx[: len(p_rows)]
-            V_t[q_rows] += step * dx[len(p_rows):]
+            th_t[ang] += step * dx[: len(ang)]
+            V_t[mag] += step * dx[len(ang):]
             if np.all(V_t > 0.05) and np.linalg.norm(mismatch(V_t, th_t)) < base:
                 break
             step *= 0.5
@@ -285,6 +299,21 @@ def solve_network(grid, dynamic_angles, tol=1e-8, max_iter=50, start=None):
     )
 
 
+def solve_network(grid, dynamic_angles):
+    """Solve the algebraic network equations given the dynamic-bus angles.
+
+    Unknowns are the angles of free non-dynamic buses and the magnitudes of
+    voltage-free buses; a slack bus, if present, stays pinned and absorbs
+    the imbalance.  Starts from the bus data.
+    """
+    angles = {}
+    for b in grid.dynamic_buses:
+        if b.id not in dynamic_angles:
+            raise GridError(f"missing angle for dynamic bus {b.id}")
+        angles[b.id] = dynamic_angles[b.id]
+    return _newton(grid, *_network_unknowns(grid), angles)
+
+
 @dataclass
 class Equilibrium:
     angles: dict                  # dynamic bus id -> rad (omega = 0 throughout)
@@ -293,79 +322,42 @@ class Equilibrium:
     residual: float
 
 
-def _swing_residual(grid, net, p_in):
-    res = []
-    for b in grid.dynamic_buses:
-        res.append(p_in[b.id] - b.p_load - net.injections[b.id])
-    return np.array(res)
-
-
-def find_equilibrium(grid, tol=1e-8, max_iter=50):
+def find_equilibrium(grid):
     """Stationary operating point: omega = 0, rotor real-power balance.
 
     In "anchored" mode the dynamic angles are taken from the bus data and
     the dispatched powers are recovered from the balance.  In "solve" mode
-    the dynamic angles are unknowns of a joint Newton iteration with the
-    network equations; if no fixed-angle bus exists the first dynamic bus
+    the dynamic angles are unknowns of the same Newton iteration as the
+    network: at omega = 0 a rotor's balance p_in - p_load - P = 0 is a
+    power-flow P row.  If no fixed-angle bus exists the first dynamic bus
     pins the angle gauge and its own balance is verified afterward.
     """
     dyn = grid.dynamic_buses
     if not dyn:
-        net = solve_network(grid, {}, tol=tol, max_iter=max_iter)
+        net = solve_network(grid, {})
         return Equilibrium({}, {}, net, net.residual)
     if grid.equilibrium_mode == "anchored":
         angles = {b.id: b.angle for b in dyn}
-        net = solve_network(grid, angles, tol=tol, max_iter=max_iter)
+        net = solve_network(grid, angles)
         p_in = {b.id: b.p_load + net.injections[b.id] for b in dyn}
         return Equilibrium(angles, p_in, net, 0.0)
 
     has_anchor = any(
         b.kind == SLACK or (b.kind == NON_DYNAMIC and b.angle_fixed) for b in grid.buses
     )
-    free = list(dyn) if has_anchor else dyn[1:]
     pinned = None if has_anchor else dyn[0]
+    ang, mag = _network_unknowns(grid)
+    rotors = {grid._index[b.id] for b in dyn if b is not pinned}
+    ang = sorted(rotors.union(ang))
+    net = _newton(grid, ang, mag)
     p_in = {b.id: b.p_in for b in dyn}
-    angles = {b.id: b.angle for b in dyn}
-
-    x = np.array([angles[b.id] for b in free])
-    net = None
-    for it in range(max_iter):
-        for k, b in enumerate(free):
-            angles[b.id] = x[k]
-        net = solve_network(grid, angles, tol=tol, max_iter=max_iter)
-        res = np.array([p_in[b.id] - b.p_load - net.injections[b.id] for b in free])
-        if not free or np.max(np.abs(res)) < tol:
-            break
-        h = 1e-7
-        J = np.zeros((len(free), len(free)))
-        for k, b in enumerate(free):
-            ap = dict(angles)
-            ap[b.id] = x[k] + h
-            np_ = solve_network(grid, ap, tol=tol, max_iter=max_iter)
-            am = dict(angles)
-            am[b.id] = x[k] - h
-            nm = solve_network(grid, am, tol=tol, max_iter=max_iter)
-            J[:, k] = [
-                ((p_in[bb.id] - bb.p_load - np_.injections[bb.id])
-                 - (p_in[bb.id] - bb.p_load - nm.injections[bb.id])) / (2 * h)
-                for bb in free
-            ]
-        try:
-            x = x + np.linalg.solve(J, -res)
-        except np.linalg.LinAlgError as exc:
-            raise GridError("singular equilibrium Jacobian") from exc
-    else:
-        raise GridError(
-            f"equilibrium solve did not converge (residual {np.max(np.abs(res)):.3e})"
-        )
-    full = _swing_residual(grid, net, p_in)
-    resid = float(np.max(np.abs(full))) if full.size else 0.0
-    if pinned is not None and resid > math.sqrt(tol):
+    resid = max(abs(b.p_in - b.p_load - net.injections[b.id]) for b in dyn)
+    if pinned is not None and resid > math.sqrt(NEWTON_TOL):
         raise GridError(
             f"no equilibrium: reference bus {pinned.id} imbalance {resid:.3e} "
             "(grid dispatch and loads are inconsistent)"
         )
-    return Equilibrium(angles, p_in, net, resid)
+    return Equilibrium({b.id: net.angles[b.id] for b in dyn}, p_in, net, resid)
 
 
 @dataclass
@@ -377,120 +369,60 @@ class LinearizedSystem:
     D2: np.ndarray                # wrt non-dynamic-bus loads
     equilibrium: Equilibrium
     state_labels: list = field(default_factory=list)
-    fd_step: float = 0.0
-    richardson_defect: float = 0.0
 
     @property
     def n(self):
         return self.A.shape[0]
 
 
-def _rhs_factory(grid, eq):
-    dyn = grid.dynamic_buses
-    th0 = np.array([eq.network.angles[b.id] for b in grid.buses])
-    V0 = np.array([eq.network.voltages[b.id] for b in grid.buses])
+def linearize(grid, eq=None):
+    """State-space matrices of the swing equations at the equilibrium.
 
-    def rhs(x, p_in=None, p_load_d=None, p_in_nd=None, p_load_nd=None):
-        angles = {b.id: x[2 * k] for k, b in enumerate(dyn)}
-        work = grid
-        if p_in_nd or p_load_nd:
-            work = _with_nd_injections(grid, p_in_nd or {}, p_load_nd or {})
-        net = solve_network(work, angles, start=(th0, V0))
-        out = np.empty(2 * len(dyn))
-        for k, b in enumerate(dyn):
-            omega = x[2 * k + 1]
-            pin = (p_in or eq.p_in)[b.id]
-            pload = b.p_load + (p_load_d or {}).get(b.id, 0.0)
-            out[2 * k] = omega
-            out[2 * k + 1] = (pin - pload - net.injections[b.id] - b.damping * omega) / b.inertia
-        return out
+    The network stays on its power flow, so the rotor injections P_d
+    depend on the rotor angles through the Schur complement of the
+    power-flow Jacobian J at the equilibrium,
 
-    return rhs
+        dP_d/d(delta) = K = J_dd - J_dy J_yy^-1 J_yd,
 
-
-def _with_nd_injections(grid, p_in_nd, p_load_nd):
-    buses = []
-    for b in grid.buses:
-        extra_in = p_in_nd.get(b.id, 0.0)
-        extra_load = p_load_nd.get(b.id, 0.0)
-        if extra_in or extra_load:
-            b = Bus(b.id, b.kind, b.voltage, b.angle, b.voltage_fixed, b.angle_fixed,
-                    b.inertia, b.damping, b.p_load + extra_load, b.q_load,
-                    b.p_in + extra_in)
-        buses.append(b)
-    g = GridModel(buses, grid.lines, grid.base_mva, grid.base_kv, grid.name,
-                  grid.equilibrium_mode)
-    return g
-
-
-def linearize(grid, eq=None, h=1e-5, richardson_tol=1e-4):
-    """State-space matrices at the equilibrium by central finite differences.
-
-    Each state (and input/load) coordinate is perturbed by +-h with the
-    network re-solved at every evaluation; the step is accepted once the
-    Jacobians at h and h/2 agree to `richardson_tol` relative.
+    where d are the dynamic buses' P rows and angles and y the network's
+    unknowns with their rows.  Injection at a non-dynamic bus shifts its P
+    row, so dP_d/dp = J_dy J_yy^-1 E_p with E_p that row's unit column;
+    an anchored bus has no P row and no effect.
     """
     if eq is None:
         eq = find_equilibrium(grid)
     dyn = grid.dynamic_buses
     nd = [b for b in grid.buses if b.kind == NON_DYNAMIC]
-    n = 2 * len(dyn)
-    rhs = _rhs_factory(grid, eq)
-    x0 = np.zeros(n)
-    for k, b in enumerate(dyn):
-        x0[2 * k] = eq.angles[b.id]
-
-    def jac_states(step):
-        A = np.empty((n, n))
-        for col in range(n):
-            xp = x0.copy()
-            xp[col] += step
-            xm = x0.copy()
-            xm[col] -= step
-            A[:, col] = (rhs(xp) - rhs(xm)) / (2 * step)
-        return A
-
-    step = h
-    A = jac_states(step)
-    defect = np.inf
-    for _ in range(4):
-        A_half = jac_states(step / 2)
-        scale = max(operator_norm(A), 1.0)
-        defect = operator_norm(A - A_half) / scale
-        if defect < richardson_tol:
-            A = A_half
-            break
-        A = A_half
-        step /= 2
-    else:
-        raise GridError(f"finite-difference Jacobian did not settle (defect {defect:.2e})")
-
-    def jac_param(bus_list, key, step_p=1e-6):
-        cols = []
-        for b in bus_list:
-            if key == "p_in_d":
-                up = rhs(x0, p_in={**eq.p_in, b.id: eq.p_in[b.id] + step_p})
-                dn = rhs(x0, p_in={**eq.p_in, b.id: eq.p_in[b.id] - step_p})
-            elif key == "p_load_d":
-                up = rhs(x0, p_load_d={b.id: step_p})
-                dn = rhs(x0, p_load_d={b.id: -step_p})
-            elif key == "p_in_nd":
-                up = rhs(x0, p_in_nd={b.id: step_p})
-                dn = rhs(x0, p_in_nd={b.id: -step_p})
-            else:
-                up = rhs(x0, p_load_nd={b.id: step_p})
-                dn = rhs(x0, p_load_nd={b.id: -step_p})
-            cols.append((up - dn) / (2 * step_p))
-        return np.array(cols).T if cols else np.zeros((n, 0))
-
-    B1 = jac_param(dyn, "p_in_d")
-    D1 = jac_param(dyn, "p_load_d")
-    B2 = jac_param(nd, "p_in_nd")
-    D2 = jac_param(nd, "p_load_nd")
+    idx = grid._index
+    ang, mag = _network_unknowns(grid)
+    d = [idx[b.id] for b in dyn]
+    m = len(d)
+    th = np.array([eq.network.angles[b.id] for b in grid.buses])
+    V = np.array([eq.network.voltages[b.id] for b in grid.buses])
+    J = _pf_jacobian(grid.ybus(), V, th, d + ang, mag)
+    E = np.zeros((len(ang) + len(mag), len(nd)))
+    for k, b in enumerate(nd):
+        if idx[b.id] in ang:
+            E[ang.index(idx[b.id]), k] = 1.0
+    try:
+        S = np.linalg.solve(J[m:, m:], np.hstack([J[m:, :m], E]))
+    except np.linalg.LinAlgError as exc:
+        raise GridError("singular network Jacobian at the equilibrium") from exc
+    G = J[:m, m:] @ S
+    inv_inertia = np.array([1.0 / b.inertia for b in dyn])
+    n = 2 * m
+    A = np.zeros((n, n))
+    A[0::2, 1::2] = np.eye(m)
+    A[1::2, 0::2] = -inv_inertia[:, None] * (J[:m, :m] - G[:, :m])
+    A[1::2, 1::2] = np.diag([-b.damping / b.inertia for b in dyn])
+    B1 = np.zeros((n, m))
+    B1[1::2] = np.diag(inv_inertia)
+    B2 = np.zeros((n, len(nd)))
+    B2[1::2] = -inv_inertia[:, None] * G[:, m:]
     labels = []
     for b in dyn:
         labels += [f"delta_{b.id}", f"omega_{b.id}"]
-    return LinearizedSystem(A, B1, B2, D1, D2, eq, labels, step, defect)
+    return LinearizedSystem(A, B1, B2, -B1, -B2, eq, labels)
 
 
 # ---------------------------------------------------------------------------

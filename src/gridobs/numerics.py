@@ -8,6 +8,7 @@ cutoff so that the integer ranks of the bundled models come out exact.
 from __future__ import annotations
 
 import math
+import sys
 from collections import OrderedDict
 
 import numpy as np
@@ -18,6 +19,14 @@ import numpy as np
 # RESIDUAL_TOL is an absolute bound on defect norms.
 RANK_TOL = 1e-9
 RESIDUAL_TOL = 1e-8
+
+
+def is_finite_real(value):
+    """True for a finite int or float; bool, str and None are not numbers here."""
+    # a comparison, unlike np.isfinite, also takes ints beyond int64
+    return (not isinstance(value, bool)
+            and isinstance(value, (int, float, np.integer, np.floating))
+            and abs(value) <= sys.float_info.max)
 
 
 def _as_matrix(M, name="matrix"):
@@ -154,8 +163,11 @@ def _expm(M):
     V = (B6 @ (b[12] * B6 + b[10] * B4 + b[8] * B2)
          + b[6] * B6 + b[4] * B4 + b[2] * B2 + b[0] * ident)
     X = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        X = X @ X
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            X = X @ X
+    if not np.all(np.isfinite(X)):
+        raise ValueError("matrix exponential overflows")
     return X
 
 

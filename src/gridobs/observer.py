@@ -213,9 +213,9 @@ def build(A, scenario_set, decomps, tau, n_sub=64):
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    if (isinstance(tau, bool) or not isinstance(tau, (int, float, np.integer, np.floating))
-            or not np.isfinite(tau) or tau <= 0):
+    if not numerics.is_finite_real(tau) or tau <= 0:
         raise ObserverError(f"tau must be a finite real number > 0, got {tau!r}")
+    tau = float(tau)
     if isinstance(n_sub, bool) or not isinstance(n_sub, (int, np.integer)) or n_sub < 1:
         raise ObserverError(f"n_sub must be an integer >= 1, got {n_sub!r}")
     for d in decomps.values():

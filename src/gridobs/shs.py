@@ -10,11 +10,12 @@ stream so it never interacts with measurement-noise draws.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
+
+from .numerics import is_finite_real
 
 
 class ScenarioError(Exception):
@@ -23,9 +24,7 @@ class ScenarioError(Exception):
 
 def _finite_real(value, what):
     """float(value) for a finite real number; bool, str and None are refused."""
-    # a comparison, unlike np.isfinite, also takes ints beyond int64
-    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-            or not abs(value) <= sys.float_info.max):
+    if not is_finite_real(value):
         raise ScenarioError(f"{what} must be a finite real number, got {value!r}")
     return float(value)
 
@@ -78,16 +77,15 @@ class ScenarioSet:
                 raise ScenarioError(f"scenario {s.index}: C has {s.C.shape[1]} columns, expected {self.n}")
             if s.probability <= 0:
                 raise ScenarioError(f"scenario {s.index}: probability must be positive")
+        # inverse-CDF tables for sample_skeleton
+        self._indices = np.array([s.index for s in self.scenarios])
+        self._edges = np.cumsum([s.probability for s in self.scenarios])
 
     def __iter__(self):
         return iter(self.scenarios)
 
     def __len__(self):
         return len(self.scenarios)
-
-    @property
-    def probabilities(self):
-        return np.array([s.probability for s in self.scenarios])
 
     def by_index(self, index):
         for s in self.scenarios:
@@ -163,7 +161,6 @@ def sample_skeleton(scenario_set, horizon, seed):
     if horizon < 1:
         raise ScenarioError("horizon must be >= 1")
     rng = np.random.default_rng(seed)
-    idx = np.array([s.index for s in scenario_set.scenarios])
-    edges = np.cumsum(scenario_set.probabilities)
+    idx = scenario_set._indices
     u = rng.random(horizon)
-    return idx[np.searchsorted(edges, u, side="right").clip(max=len(idx) - 1)]
+    return idx[np.searchsorted(scenario_set._edges, u, side="right").clip(max=len(idx) - 1)]

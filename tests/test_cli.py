@@ -190,6 +190,13 @@ def _fig3_with(overrides=None, channel2=None, sim=None, **observer):
     return cfg
 
 
+def _two_bus_with(bus=None, line=None):
+    g = json.loads(resources.files("gridobs").joinpath("cases", "two_bus.json").read_text())
+    g["buses"][0].update(bus or {})
+    g["lines"][0].update(line or {})
+    return {"grid": g}
+
+
 @pytest.mark.parametrize("argv,config,code", [
     # an override naming a scenario that does not exist
     (["design", "--config", "cfg.json"], _fig3_with(overrides={"9": 0.01}), 2),
@@ -220,6 +227,14 @@ def _fig3_with(overrides=None, channel2=None, sim=None, **observer):
     (["analyze", "--config", "cfg.json"], _fig3_with(tau="0.5"), 2),
     (["analyze", "--config", "cfg.json"], _fig3_with(tau=None), 2),
     (["analyze", "--config", "cfg.json"], _fig3_with(tau=True), 2),
+    (["analyze", "--config", "cfg.json"], _fig3_with(tau=10**23), 2),
+    # bus and line data that are not finite real numbers
+    (["linearize", "--config", "cfg.json"], _two_bus_with(bus={"p_load": "0.5"}), 2),
+    (["linearize", "--config", "cfg.json"], _two_bus_with(bus={"inertia": None}), 2),
+    (["linearize", "--config", "cfg.json"], _two_bus_with(bus={"inertia": float("nan")}), 2),
+    (["linearize", "--config", "cfg.json"], _two_bus_with(bus={"damping": float("inf")}), 2),
+    (["linearize", "--config", "cfg.json"], _two_bus_with(line={"x": "0.05"}), 2),
+    (["linearize", "--config", "cfg.json"], _two_bus_with(line={"x": float("nan")}), 2),
     # horizons and replica counts that are not integers
     (["simulate", "--config", "cfg.json"], _fig3_with(sim={"K": "10"}), 2),
     (["simulate", "--config", "cfg.json"], _fig3_with(sim={"K": 2.5}), 2),
@@ -230,7 +245,9 @@ def _fig3_with(overrides=None, channel2=None, sim=None, **observer):
         "sigma-null", "sigma-nan", "override-negative", "completion-unknown",
         "relative-grid-file", "missing-config", "malformed-config",
         "n-sub-zero", "n-sub-fraction", "n-sub-negative", "tau-overflow",
-        "tau-string", "tau-null", "tau-bool", "k-string", "k-fraction",
+        "tau-string", "tau-null", "tau-bool", "tau-huge-int", "p-load-string",
+        "inertia-null", "inertia-nan", "damping-inf", "line-x-string",
+        "line-x-nan", "k-string", "k-fraction",
         "k-bool", "replicas-fraction", "seed-fraction"])
 def test_failures_exit_cleanly(tmp_path, argv, config, code):
     if config is not None:

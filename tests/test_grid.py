@@ -1,5 +1,6 @@
 """Grid modeling: line flows, network solve, equilibrium, linearization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -149,6 +150,47 @@ class TestFindEquilibrium:
             find_equilibrium(g)
 
 
+def _started_at(g, eq, extra_p_in=None):
+    """Copy of `g` whose bus data start the network solve at the equilibrium
+    phasors, with extra dispatched power at the buses in `extra_p_in`."""
+    extra_p_in = extra_p_in or {}
+    buses = [dataclasses.replace(b, angle=eq.network.angles[b.id],
+                                 voltage=eq.network.voltages[b.id],
+                                 p_in=b.p_in + extra_p_in.get(b.id, 0.0))
+             for b in g.buses]
+    return GridModel(buses, g.lines, name=g.name, equilibrium_mode=g.equilibrium_mode)
+
+
+def _accelerations(work, eq, angles):
+    """Rotor accelerations at omega = 0 with the network re-solved."""
+    net = solve_network(work, angles)
+    return np.array([(eq.p_in[b.id] - b.p_load - net.injections[b.id]) / b.inertia
+                     for b in work.dynamic_buses])
+
+
+def fd_coupling(g, eq, h):
+    """Central-difference oracle for A's acceleration-by-angle block."""
+    work = _started_at(g, eq)
+    cols = []
+    for b in g.dynamic_buses:
+        up, dn = dict(eq.angles), dict(eq.angles)
+        up[b.id] += h
+        dn[b.id] -= h
+        cols.append((_accelerations(work, eq, up) - _accelerations(work, eq, dn)) / (2 * h))
+    return np.array(cols).T
+
+
+def fd_nd_inputs(g, eq, h):
+    """Central-difference oracle for B2's acceleration rows."""
+    cols = []
+    for b in g.buses:
+        if b.kind == grid.NON_DYNAMIC:
+            up = _accelerations(_started_at(g, eq, {b.id: h}), eq, eq.angles)
+            dn = _accelerations(_started_at(g, eq, {b.id: -h}), eq, eq.angles)
+            cols.append((up - dn) / (2 * h))
+    return np.array(cols).T
+
+
 def rel_err(A, A_ref):
     mask = np.abs(A_ref) > 1e-12
     return np.max(np.abs((A[mask] - A_ref[mask]) / A_ref[mask]))
@@ -160,7 +202,7 @@ class TestLinearize:
         # closed form: coupling = beta cos(delta)/M
         delta = two_bus_lin.equilibrium.angles[1] - two_bus_lin.equilibrium.angles[2]
         beta = 200.0
-        assert two_bus_lin.A[1, 0] == pytest.approx(-beta * np.cos(delta), rel=1e-6)
+        assert two_bus_lin.A[1, 0] == pytest.approx(-beta * np.cos(delta), rel=1e-12)
 
     def test_five_bus_matches_published_matrix(self, ieee5_lin):
         assert rel_err(ieee5_lin.A, A5_PRINTED) < 1e-2
@@ -208,35 +250,41 @@ class TestLinearizationInvariants:
             assert lin.A[2 * k + 1, 2 * k + 1] == pytest.approx(-d / M, rel=1e-12)
 
     def test_richardson_second_order_convergence(self):
-        # against the closed-form two-bus coupling, halving the step must
-        # shrink the central-difference defect by about 4
-        g = builtin("two_bus")
+        # halving the step of the central-difference oracle must shrink its
+        # error against the analytic coupling block by about 4
+        for name in ("two_bus", "ieee33_feeder"):
+            g = builtin(name)
+            eq = find_equilibrium(g)
+            K = linearize(g, eq).A[1::2, 0::2]
+            e1 = np.max(np.abs(fd_coupling(g, eq, 2e-3) - K))
+            e2 = np.max(np.abs(fd_coupling(g, eq, 1e-3) - K))
+            assert e1 / e2 == pytest.approx(4.0, rel=0.05), name
+
+    def test_feeder_input_matrices_match_oracle(self):
+        g = builtin("ieee33_feeder")
         eq = find_equilibrium(g)
-        delta = eq.angles[1] - eq.angles[2]
-        exact = -200.0 * np.cos(delta)
-        from gridobs.grid import _rhs_factory
-        rhs = _rhs_factory(g, eq)
-        x0 = np.array([eq.angles[1], 0.0, eq.angles[2], 0.0])
+        lin = linearize(g, eq)
+        coarse, fine = fd_nd_inputs(g, eq, 1e-2), fd_nd_inputs(g, eq, 5e-3)
+        # Richardson estimate of the fine oracle's truncation error
+        trunc = np.max(np.abs(coarse - fine)) / 3
+        assert trunc < 1e-7 * np.max(np.abs(fine))
+        for M in (lin.B2, -lin.D2):
+            assert np.all(M[0::2] == 0)
+            assert np.max(np.abs(M[1::2] - fine)) < 1.25 * trunc
 
-        def fd(h):
-            xp = x0.copy(); xp[0] += h
-            xm = x0.copy(); xm[0] -= h
-            return (rhs(xp) - rhs(xm))[1] / (2 * h)
-
-        e1 = abs(fd(2e-3) - exact)
-        e2 = abs(fd(1e-3) - exact)
-        assert e1 / e2 == pytest.approx(4.0, rel=0.05)
+    @pytest.mark.parametrize("name", ["two_bus", "ieee5", "ieee33", "ieee33_feeder"])
+    def test_load_matrices_negate_input_matrices(self, name):
+        lin = linearize(builtin(name))
+        assert np.array_equal(lin.D1, -lin.B1)
+        assert np.array_equal(lin.D2, -lin.B2)
 
     @pytest.mark.parametrize("name", ["two_bus", "ieee5", "ieee33", "ieee33_feeder"])
     def test_equilibrium_is_stationary(self, name):
         g = builtin(name)
         eq = find_equilibrium(g)
-        from gridobs.grid import _rhs_factory
-        rhs = _rhs_factory(g, eq)
-        x0 = []
+        net = solve_network(g, eq.angles)
         for b in g.dynamic_buses:
-            x0 += [eq.angles[b.id], 0.0]
-        assert np.max(np.abs(rhs(np.array(x0)))) < 1e-8
+            assert abs(eq.p_in[b.id] - b.p_load - net.injections[b.id]) < 1e-8
 
     def test_power_balance_at_feeder_equilibrium(self):
         g = builtin("ieee33_feeder")

@@ -230,7 +230,7 @@ class TestStepEstimate:
         rng = np.random.default_rng(0)
         for k in range(8):
             s = scs.by_index(int(rng.choice([1, 2, 3, 4],
-                                            p=scs.probabilities)))
+                                            p=[sc.probability for sc in scs])))
             dy = np.empty((obs.n_sub, s.r))
             xs = x.copy()
             for j in range(obs.n_sub):
