@@ -12,9 +12,9 @@ from .grid import (Bus, GridModel, Line, LinearizedSystem, builtin,
                    find_equilibrium, line_flow, linearize, load_grid,
                    read_matpower, solve_network)
 from .observer import (CoordinatedObserver, SubsystemDecomposition, decompose,
-                       design, design_gains, step_estimate)
+                       design, design_gains)
 from .shs import (Scenario, ScenarioSet, SensorChannel, sample_skeleton,
                   scenarios_from_channels)
-from .sim import ErrorTrajectory, SimConfig, monte_carlo, run_replica, simulate_truth
+from .sim import ErrorTrajectory, SimConfig, monte_carlo, run_replica
 
 __version__ = "0.1.0"

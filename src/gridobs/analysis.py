@@ -210,8 +210,31 @@ def steady_state(obs, scenario_set):
                        W_inf, float(np.trace(W_inf)))
 
 
+def expected_err_sq(obs, scenario_set, e0, K):
+    """Exact mean of ||e_k||^2 for k = 0..K from the initial error e0.
+
+    Iterates the second moment of the switched error recursion,
+    Sigma_{k+1} = sum_j p_j (Lam_j Sigma_k Lam_j^T + Q_j Q_j^T) with
+    Sigma_0 = e0 e0^T (Costa, Fragoso & Marques 2005), and returns
+    tr Sigma_k.  Under mean-square stability Sigma_k tends to the
+    steady state's W_inf, so the curve ends at mu_state.
+    """
+    p = np.array([s.probability for s in scenario_set])
+    Lam = np.stack([obs.Lam[s.index] for s in scenario_set])
+    Psi = sum(s.probability * obs.Q[s.index].T @ obs.Q[s.index]
+              for s in scenario_set)
+    e0 = np.asarray(e0, dtype=float)
+    Sigma = np.outer(e0, e0)
+    out = np.empty(K + 1)
+    out[0] = np.trace(Sigma)
+    for k in range(K):
+        Sigma = np.tensordot(p, Lam @ Sigma @ Lam.transpose(0, 2, 1), axes=1) + Psi
+        out[k + 1] = np.trace(Sigma)
+    return out
+
+
 def tradeoff_sweep(A, scenario_set, tau, base_poles, scales,
-                   completion="orthonormal", n_sub=64):
+                   completion="orthonormal"):
     """Convergence speed versus noise floor across scaled pole sets.
 
     Rebuilds the gains with every pole multiplied by each scale factor and
@@ -221,8 +244,7 @@ def tradeoff_sweep(A, scenario_set, tau, base_poles, scales,
     rows = []
     for scale in scales:
         poles = [p * scale for p in base_poles]
-        obs = observer.design(A, scenario_set, poles, tau,
-                              completion=completion, n_sub=n_sub)
+        obs = observer.design(A, scenario_set, poles, tau, completion=completion)
         rep = contraction(obs, scenario_set)
         if rep.stable:
             ss = steady_state(obs, scenario_set)

@@ -103,15 +103,26 @@ def _jsonable(obj):
     raise TypeError(f"cannot serialise {type(obj)}")
 
 
-def _write_trajectory_csv(path, traj):
+def trajectory_table(traj):
+    """Header and rows of a trajectory's CSV file."""
     n = traj.per_state_mean_sq.shape[1]
     header = ["k", "t_seconds", "mean_err_sq", "var_err_sq"]
     header += [f"mean_e{i + 1}" for i in range(n)]
+    header.append("expected_err_sq")
+    rows = []
+    for k in range(traj.mean_err_sq.size):
+        row = [k, k * traj.tau, traj.mean_err_sq[k], traj.var_err_sq[k]]
+        row += list(traj.per_state_mean_sq[k])
+        row.append(traj.expected_err_sq[k])
+        rows.append(row)
+    return header, rows
+
+
+def _write_trajectory_csv(path, traj):
+    header, rows = trajectory_table(traj)
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        for k in range(traj.mean_err_sq.size):
-            row = [k, k * traj.tau, traj.mean_err_sq[k], traj.var_err_sq[k]]
-            row += list(traj.per_state_mean_sq[k])
+        for row in rows:
             f.write(",".join(f"{v:.10g}" if isinstance(v, float) or hasattr(v, "item")
                              else str(v) for v in row) + "\n")
 
@@ -208,10 +219,16 @@ def cmd_analyze(args):
     return 0
 
 
+def _expectation(traj):
+    """Manifest fields comparing a trajectory with its exact mean curve."""
+    return {"expected_err_sq": traj.expected_err_sq,
+            "mean_err_sq_max_abs_z": traj.max_abs_z()}
+
+
 def cmd_simulate(args):
     cfg = _load_config(args)
     g, lin, scs, obs = _pipeline(cfg)
-    simcfg, traj = experiments.run_simulation(cfg, lin, obs, scs)
+    simcfg, traj = experiments.simulate_with_expectation(cfg, lin, obs, scs)
     outdir = _outdir(args)
     _write_trajectory_csv(outdir / "trajectory.csv", traj)
     _maybe_gnuplot(outdir, cfg, "trajectory.csv")
@@ -220,6 +237,7 @@ def cmd_simulate(args):
         "report": rep.as_dict(),
         "seeds": traj.seeds,
         "switching_paths": traj.paths,
+        **_expectation(traj),
     }
     if rep.stable:
         extra["steady_state"] = analysis.steady_state(obs, scs).as_dict()
@@ -229,24 +247,40 @@ def cmd_simulate(args):
     return 0
 
 
+def reproduce_outputs(name, result):
+    """What `reproduce` writes for a run_experiment result: the CSV files
+    by name, the manifest's result payload and the check lines."""
+    traj = result.get("trajectory")
+    csvs = {}
+    if traj is not None:
+        csvs[f"{name}.csv"] = traj
+    for i, t in enumerate(result.get("all_trajectories", [])):
+        csvs[f"{name}_case{i + 1}.csv"] = t
+    payload = {k: v for k, v in result.items()
+               if k not in ("trajectory", "all_trajectories")}
+    if traj is not None:
+        payload.update(_expectation(traj))
+        payload["seeds"] = traj.seeds
+        payload["switching_paths"] = traj.paths
+    if "all_trajectories" in result:
+        payload["case_mean_err_sq_max_abs_z"] = [
+            t.max_abs_z() for t in result["all_trajectories"]]
+    lines = [f"{name}: {check}: {'pass' if ok else 'FAIL'}"
+             for check, ok in result["checks"].items()]
+    return csvs, payload, lines
+
+
 def cmd_reproduce(args):
     result = experiments.run_experiment(args.name, seed=args.seed,
                                         replicas=args.replicas)
     outdir = _outdir(args)
-    traj = result.get("trajectory")
-    if traj is not None:
-        _write_trajectory_csv(outdir / f"{args.name}.csv", traj)
-    for i, t in enumerate(result.get("all_trajectories", [])):
-        _write_trajectory_csv(outdir / f"{args.name}_case{i + 1}.csv", t)
-    payload = {k: v for k, v in result.items()
-               if k not in ("trajectory", "all_trajectories")}
-    if traj is not None:
-        payload["seeds"] = traj.seeds
-        payload["switching_paths"] = traj.paths
+    csvs, payload, lines = reproduce_outputs(args.name, result)
+    for filename, traj in csvs.items():
+        _write_trajectory_csv(outdir / filename, traj)
     _manifest(outdir / f"{args.name}_manifest.json", f"reproduce {args.name}",
               result["config"], {"result": payload})
-    for name, ok in result["checks"].items():
-        print(f"{args.name}: {name}: {'pass' if ok else 'FAIL'}")
+    for line in lines:
+        print(line)
     return 0 if result["passed"] else 3
 
 

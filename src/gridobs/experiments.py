@@ -62,8 +62,7 @@ def build_pipeline(cfg):
         poles = {int(k): v for k, v in poles.items()}
     obs = observer.design(
         lin.A, scs, poles, ocfg["tau"],
-        completion=ocfg.get("completion", "orthonormal"),
-        n_sub=ocfg.get("n_sub", 64))
+        completion=ocfg.get("completion", "orthonormal"))
     return g, lin, scs, obs
 
 
@@ -74,6 +73,15 @@ def run_simulation(cfg, lin, obs, scs, **overrides):
         K=scfg["K"], replicas=scfg.get("replicas", 1), seed=scfg.get("seed", 0),
         x0=scfg.get("x0"), e0=scfg.get("e0"), xhat0=scfg.get("xhat0"))
     return simcfg, sim.monte_carlo(lin.A, obs, scs, simcfg)
+
+
+def simulate_with_expectation(cfg, lin, obs, scs, **overrides):
+    """run_simulation, with the exact mean squared error curve
+    (`analysis.expected_err_sq`) set on the trajectory."""
+    simcfg, traj = run_simulation(cfg, lin, obs, scs, **overrides)
+    x0, xhat0 = simcfg.initial_states(obs.n)
+    traj.expected_err_sq = analysis.expected_err_sq(obs, scs, xhat0 - x0, simcfg.K)
+    return simcfg, traj
 
 
 def _with_rhos(cfg, rhos):
@@ -106,8 +114,8 @@ def run_experiment(name, seed=None, replicas=None):
     if kind == "convergence":
         g, lin, scs, obs = build_pipeline(cfg)
         rep = analysis.contraction(obs, scs)
-        simcfg, traj = run_simulation(cfg, lin, obs, scs,
-                                      seed=seed, replicas=replicas)
+        simcfg, traj = simulate_with_expectation(cfg, lin, obs, scs,
+                                                 seed=seed, replicas=replicas)
         result.update(report=rep.as_dict(), trajectory=traj,
                       steady=analysis.steady_state(obs, scs).as_dict())
         checks["gamma_below_one"] = rep.gamma_exact < 1.0
@@ -117,14 +125,13 @@ def run_experiment(name, seed=None, replicas=None):
     elif kind == "tradeoff":
         g, lin, scs, obs = build_pipeline(cfg)
         base_poles = cfg["check"]["baseline_poles"]
-        base_obs = observer.design(lin.A, scs, base_poles, cfg["observer"]["tau"],
-                                   n_sub=cfg["observer"].get("n_sub", 64))
+        base_obs = observer.design(lin.A, scs, base_poles, cfg["observer"]["tau"])
         rep = analysis.contraction(obs, scs)
         rep0 = analysis.contraction(base_obs, scs)
         ss = analysis.steady_state(obs, scs)
         ss0 = analysis.steady_state(base_obs, scs)
-        simcfg, traj = run_simulation(cfg, lin, obs, scs,
-                                      seed=seed, replicas=replicas)
+        simcfg, traj = simulate_with_expectation(cfg, lin, obs, scs,
+                                                 seed=seed, replicas=replicas)
         result.update(report=rep.as_dict(), baseline_report=rep0.as_dict(),
                       steady=ss.as_dict(), baseline_steady=ss0.as_dict(),
                       trajectory=traj)
@@ -139,8 +146,8 @@ def run_experiment(name, seed=None, replicas=None):
             case_cfg = _with_rhos(cfg, rhos)
             g, lin, scs, obs = build_pipeline(case_cfg)
             rep = analysis.contraction(obs, scs)
-            simcfg, traj = run_simulation(case_cfg, lin, obs, scs,
-                                          seed=seed, replicas=replicas)
+            simcfg, traj = simulate_with_expectation(case_cfg, lin, obs, scs,
+                                                     seed=seed, replicas=replicas)
             times.append(mean_crossing_time(traj.err_sq))
             gammas.append(rep.gamma_exact)
             trajs.append(traj)
@@ -168,8 +175,8 @@ def run_experiment(name, seed=None, replicas=None):
         else:
             result["steady"] = {"unstable": True}
             checks["diverges_or_much_larger_floor"] = True
-        simcfg, traj = run_simulation(case_cfg, lin, obs, scs,
-                                      seed=seed, replicas=replicas)
+        simcfg, traj = simulate_with_expectation(case_cfg, lin, obs, scs,
+                                                 seed=seed, replicas=replicas)
         result["trajectory"] = traj
 
     elif kind == "sensor_selection":
@@ -178,8 +185,8 @@ def run_experiment(name, seed=None, replicas=None):
         gb, linb, scsb, obsb = build_pipeline(base)
         ss = analysis.steady_state(obs, scs)
         ssb = analysis.steady_state(obsb, scsb)
-        simcfg, traj = run_simulation(cfg, lin, obs, scs,
-                                      seed=seed, replicas=replicas)
+        simcfg, traj = simulate_with_expectation(cfg, lin, obs, scs,
+                                                 seed=seed, replicas=replicas)
         result.update(steady=ss.as_dict(), baseline_steady=ssb.as_dict(),
                       trajectory=traj)
         ratio = ss.mu_state / ssb.mu_state
@@ -190,8 +197,8 @@ def run_experiment(name, seed=None, replicas=None):
         g, lin, scs, obs = build_pipeline(cfg)
         rep = analysis.contraction(obs, scs)
         ss = analysis.steady_state(obs, scs)
-        simcfg, traj = run_simulation(cfg, lin, obs, scs,
-                                      seed=seed, replicas=replicas)
+        simcfg, traj = simulate_with_expectation(cfg, lin, obs, scs,
+                                                 seed=seed, replicas=replicas)
         result.update(report=rep.as_dict(), steady=ss.as_dict(), trajectory=traj)
         k0 = cfg["check"]["floor_window_start"]
         floor = float(np.mean(traj.mean_err_sq[k0:]))

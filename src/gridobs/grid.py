@@ -64,6 +64,10 @@ class Bus:
             raise GridError(f"unknown bus kind {self.kind!r}")
         _finite_fields(self, f"bus {self.id}",
                        ("voltage", "angle", "inertia", "damping", "p_load", "q_load", "p_in"))
+        for name in ("voltage_fixed", "angle_fixed"):
+            if not isinstance(getattr(self, name), bool):
+                raise GridError(f"bus {self.id}: {name} must be true or false, "
+                                f"got {getattr(self, name)!r}")
         if self.kind == DYNAMIC and (self.inertia <= 0 or self.damping <= 0):
             raise GridError(f"bus {self.id}: dynamic bus needs inertia > 0 and damping > 0")
 
@@ -100,6 +104,9 @@ class GridModel:
     equilibrium_mode: str = "solve"   # "solve" or "anchored"
 
     def __post_init__(self):
+        if self.equilibrium_mode not in ("solve", "anchored"):
+            raise GridError(f"unknown equilibrium_mode {self.equilibrium_mode!r}; "
+                            "choose 'solve' or 'anchored'")
         ids = [b.id for b in self.buses]
         if len(set(ids)) != len(ids):
             raise GridError("duplicate bus ids")

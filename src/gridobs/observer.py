@@ -157,7 +157,6 @@ def design_gains(decomps, poles):
 class CoordinatedObserver:
     A: np.ndarray
     tau: float
-    n_sub: int
     decomps: dict                 # scenario index -> SubsystemDecomposition
     scenario_set: object
     F: np.ndarray                 # stacked F_i blocks, n_s x n
@@ -166,7 +165,6 @@ class CoordinatedObserver:
     Q: dict                       # scenario index -> root of the interval noise covariance
     exp_Ac_tau: dict              # scenario index -> filter-block map over tau
     exp_A_tau: np.ndarray
-    exp_mix_h: dict = field(default_factory=dict)
     block_slices: dict = field(default_factory=dict)
     pole_truncations: dict = field(default_factory=dict)
 
@@ -184,24 +182,19 @@ class CoordinatedObserver:
         return operator_norm(self.F @ numerics.matrix_exponential(self.A, t) @ self.Phi)
 
 
-def _mix(d, closed=True):
-    """Upper-triangular generator [[A11, A12], [0, .]] in T coordinates.
-
-    The lower-right block is the closed-loop Ac for the realised error map
-    and the open A22 for the substep propagation (the innovation term
-    supplies the feedback there).
-    """
+def _mix(d):
+    """Closed-loop error generator [[A11, A12], [0, Ac]] in T coordinates."""
     k = d.A11.shape[0]
     n = k + d.n_i
     mix = np.zeros((n, n))
     mix[:k, :k] = d.A11
     mix[:k, k:] = d.A12
     if d.n_i:
-        mix[k:, k:] = (d.Ac if closed and d.Ac is not None else d.A22)
+        mix[k:, k:] = d.Ac
     return mix
 
 
-def build(A, scenario_set, decomps, tau, n_sub=64):
+def build(A, scenario_set, decomps, tau):
     """Assemble the coordinated observer for a designed decomposition set.
 
     Produces the realised one-interval error maps in state coordinates:
@@ -216,8 +209,6 @@ def build(A, scenario_set, decomps, tau, n_sub=64):
     if not numerics.is_finite_real(tau) or tau <= 0:
         raise ObserverError(f"tau must be a finite real number > 0, got {tau!r}")
     tau = float(tau)
-    if isinstance(n_sub, bool) or not isinstance(n_sub, (int, np.integer)) or n_sub < 1:
-        raise ObserverError(f"n_sub must be an integer >= 1, got {n_sub!r}")
     for d in decomps.values():
         if d.needs_gain and d.Ac is None:
             raise ObserverError(f"scenario {d.index}: gain not designed yet")
@@ -240,15 +231,13 @@ def build(A, scenario_set, decomps, tau, n_sub=64):
     if operator_norm(Phi @ F - np.eye(n)) > 1e-10:
         raise ObserverError("reconstruction map is not a left inverse")
     exp_A_tau = numerics.matrix_exponential(A, tau)
-    h = tau / n_sub
-    Lam, Q, exp_Ac, exp_mix_h = {}, {}, {}, {}
+    Lam, Q, exp_Ac = {}, {}, {}
     for s in scenario_set:
         d = decomps[s.index]
         if d.n_i == 0:
             Lam[s.index] = exp_A_tau.copy()
             Q[s.index] = np.zeros((n, n))
             exp_Ac[s.index] = np.zeros((0, 0))
-            exp_mix_h[s.index] = None
             continue
         mix = _mix(d)
         E = numerics.matrix_exponential(mix, tau)
@@ -264,14 +253,13 @@ def build(A, scenario_set, decomps, tau, n_sub=64):
         else:
             Vs = np.zeros((n, n))
         Q[s.index] = numerics.psd_sqrt(0.5 * (Vs + Vs.T))
-        exp_mix_h[s.index] = numerics.matrix_exponential(_mix(d, closed=False), h)
     return CoordinatedObserver(
-        A=A, tau=tau, n_sub=n_sub, decomps=decomps, scenario_set=scenario_set,
+        A=A, tau=tau, decomps=decomps, scenario_set=scenario_set,
         F=F, Phi=Phi, Lam=Lam, Q=Q, exp_Ac_tau=exp_Ac,
-        exp_A_tau=exp_A_tau, exp_mix_h=exp_mix_h, block_slices=slices)
+        exp_A_tau=exp_A_tau, block_slices=slices)
 
 
-def design(A, scenario_set, poles, tau, completion="orthonormal", n_sub=64):
+def design(A, scenario_set, poles, tau, completion="orthonormal"):
     """decompose + design_gains + build in one call.
 
     Combined observability is decided once, by build's rank check on the
@@ -279,39 +267,6 @@ def design(A, scenario_set, poles, tau, completion="orthonormal", n_sub=64):
     """
     decomps = {s.index: decompose(A, s, completion) for s in scenario_set}
     truncated = design_gains(decomps, poles)
-    obs = build(A, scenario_set, decomps, tau, n_sub)
+    obs = build(A, scenario_set, decomps, tau)
     obs.pole_truncations = truncated
     return obs
-
-
-def step_estimate(obs, xhat, alpha, dy):
-    """Advance the estimate across one sampling interval.
-
-    `dy` holds the measurement increments of the active scenario, shaped
-    (n_sub, r_alpha).  The active scenario's observable sub-state is
-    filtered against the increments with exponential-Euler substeps (exact
-    linear propagation plus innovation correction); everything unobservable
-    to it follows the model.  With alpha the no-sensor scenario this is
-    pure model propagation.
-    """
-    xhat = np.asarray(xhat, dtype=float)
-    d = obs.decomps.get(alpha)
-    if d is None:
-        raise ObserverError(f"unknown scenario index {alpha}")
-    s = obs.scenario_set.by_index(alpha)
-    if d.n_i == 0 or d.L is None:
-        if dy is not None and np.size(dy):
-            raise ObserverError("no-sensor scenario takes no measurements")
-        return obs.exp_A_tau @ xhat
-    dy = np.asarray(dy, dtype=float).reshape(obs.n_sub, s.r)
-    h = obs.tau / obs.n_sub
-    k = obs.n - d.n_i
-    E = obs.exp_mix_h[alpha]
-    z = np.concatenate([d.G @ xhat, d.F @ xhat])
-    gain = np.zeros((obs.n, s.r))
-    gain[k:, :] = d.L
-    C2 = d.C2
-    for j in range(obs.n_sub):
-        innov = dy[j] - (C2 @ z[k:]) * h
-        z = E @ z + gain @ innov
-    return d.T @ z

@@ -116,13 +116,19 @@ class TestSimulate:
         lines = (tmp_path / "trajectory.csv").read_text().strip().splitlines()
         header = lines[0].split(",")
         assert header[:4] == ["k", "t_seconds", "mean_err_sq", "var_err_sq"]
-        assert header[4:] == ["mean_e1", "mean_e2", "mean_e3", "mean_e4"]
+        assert header[4:] == ["mean_e1", "mean_e2", "mean_e3", "mean_e4",
+                              "expected_err_sq"]
         assert len(lines) == 1 + 13   # K+1 rows
         first = lines[1].split(",")
         assert float(first[2]) == pytest.approx(5.0)
+        assert float(first[-1]) == pytest.approx(5.0)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["sim"]["seed"] == 77
         assert len(manifest["switching_paths"]) == 8
+        expected = manifest["expected_err_sq"]
+        assert [float(line.split(",")[-1]) for line in lines[1:]] == pytest.approx(
+            expected, rel=1e-9)
+        assert manifest["mean_err_sq_max_abs_z"] >= 0.0
 
     def test_seed_override_changes_paths(self, tmp_path, fig3_config):
         run(["simulate", "--config", str(fig3_config), "--out",
@@ -190,10 +196,12 @@ def _fig3_with(overrides=None, channel2=None, sim=None, **observer):
     return cfg
 
 
-def _two_bus_with(bus=None, line=None):
+def _two_bus_with(bus=None, line=None, mode=None):
     g = json.loads(resources.files("gridobs").joinpath("cases", "two_bus.json").read_text())
     g["buses"][0].update(bus or {})
     g["lines"][0].update(line or {})
+    if mode is not None:
+        g["equilibrium_mode"] = mode
     return {"grid": g}
 
 
@@ -217,10 +225,6 @@ def _two_bus_with(bus=None, line=None):
     (["analyze", "--config", "missing.json"], None, 1),
     # a config file cut off mid-document
     (["analyze", "--config", "cfg.json"], '{"grid": "ieee5", "channels": [', 1),
-    # substep counts that are not positive integers
-    (["analyze", "--config", "cfg.json"], _fig3_with(n_sub=0), 2),
-    (["analyze", "--config", "cfg.json"], _fig3_with(n_sub=2.5), 2),
-    (["analyze", "--config", "cfg.json"], _fig3_with(n_sub=-3), 2),
     # an interval whose scaled model overflows the matrix exponential
     (["analyze", "--config", "cfg.json"], _fig3_with(tau=1e300), 2),
     # intervals that are not finite real numbers
@@ -235,6 +239,11 @@ def _two_bus_with(bus=None, line=None):
     (["linearize", "--config", "cfg.json"], _two_bus_with(bus={"damping": float("inf")}), 2),
     (["linearize", "--config", "cfg.json"], _two_bus_with(line={"x": "0.05"}), 2),
     (["linearize", "--config", "cfg.json"], _two_bus_with(line={"x": float("nan")}), 2),
+    # an equilibrium mode that does not exist, and bus flags that are not
+    # JSON booleans
+    (["linearize", "--config", "cfg.json"], _two_bus_with(mode="bogus"), 2),
+    (["linearize", "--config", "cfg.json"], _two_bus_with(bus={"voltage_fixed": "no"}), 2),
+    (["linearize", "--config", "cfg.json"], _two_bus_with(bus={"angle_fixed": 0}), 2),
     # horizons and replica counts that are not integers
     (["simulate", "--config", "cfg.json"], _fig3_with(sim={"K": "10"}), 2),
     (["simulate", "--config", "cfg.json"], _fig3_with(sim={"K": 2.5}), 2),
@@ -243,11 +252,11 @@ def _two_bus_with(bus=None, line=None):
     (["simulate", "--config", "cfg.json"], _fig3_with(sim={"seed": 1.5}), 2),
 ], ids=["unknown-override", "pruned-override", "rho-above-one", "rho-string",
         "sigma-null", "sigma-nan", "override-negative", "completion-unknown",
-        "relative-grid-file", "missing-config", "malformed-config",
-        "n-sub-zero", "n-sub-fraction", "n-sub-negative", "tau-overflow",
+        "relative-grid-file", "missing-config", "malformed-config", "tau-overflow",
         "tau-string", "tau-null", "tau-bool", "tau-huge-int", "p-load-string",
         "inertia-null", "inertia-nan", "damping-inf", "line-x-string",
-        "line-x-nan", "k-string", "k-fraction",
+        "line-x-nan", "mode-unknown", "voltage-fixed-string", "angle-fixed-int",
+        "k-string", "k-fraction",
         "k-bool", "replicas-fraction", "seed-fraction"])
 def test_failures_exit_cleanly(tmp_path, argv, config, code):
     if config is not None:

@@ -1,37 +1,71 @@
-"""Bundled benchmark experiments: all six pass their qualitative checks."""
+"""Bundled benchmark experiments: all six pass their qualitative checks and
+reproduce their pinned outputs."""
+
+import json
 
 import numpy as np
 import pytest
 
 from gridobs import experiments
 
+from write_golden import GOLDEN, mismatches, snapshot
+
+
+@pytest.fixture(scope="module")
+def run():
+    """run_experiment(name), run once per experiment for this module."""
+    results = {}
+
+    def get(name):
+        if name not in results:
+            results[name] = experiments.run_experiment(name)
+        return results[name]
+    return get
+
 
 @pytest.mark.parametrize("name", experiments.EXPERIMENTS)
-def test_experiment_passes(name):
-    res = experiments.run_experiment(name)
+def test_experiment_passes(run, name):
+    res = run(name)
     assert res["passed"], res["checks"]
 
 
-def test_fig4_tradeoff_numbers():
-    res = experiments.run_experiment("fig4")
+@pytest.mark.parametrize("name", experiments.EXPERIMENTS)
+def test_outputs_match_golden_file(run, name):
+    want = json.loads((GOLDEN / f"{name}.json").read_text())
+    diffs = mismatches(snapshot(name, run(name)), want, name)
+    assert not diffs, "\n".join(diffs[:20])
+
+
+def test_golden_comparison_is_strict():
+    want = {"a": [1.0, 2, "x"], "b": {"c": True}}
+    assert mismatches(json.loads(json.dumps(want)), want) == []
+    assert mismatches({"a": [1.0 + 2e-9, 2, "x"], "b": {"c": True}}, want)
+    assert mismatches({"a": [1.0 + 5e-10, 2, "x"], "b": {"c": True}}, want) == []
+    assert mismatches({"a": [1.0, 2.0, "x"], "b": {"c": True}}, want)
+    assert mismatches({"a": [1.0, 2, "x"], "b": {"c": 1}}, want)
+    assert mismatches({"a": [1.0, 2], "b": {"c": True}}, want)
+
+
+def test_fig4_tradeoff_numbers(run):
+    res = run("fig4")
     assert res["steady"]["mu_state"] > res["baseline_steady"]["mu_state"]
     assert res["report"]["gamma_exact"] < res["baseline_report"]["gamma_exact"]
 
 
-def test_fig6_degraded_case_is_mean_square_unstable():
-    res = experiments.run_experiment("fig6")
+def test_fig6_degraded_case_is_mean_square_unstable(run):
+    res = run("fig6")
     assert res["report"]["stable"] is False
     assert res["report"]["gamma_exact"] > 1.0
 
 
-def test_fig7_partial_observability_design():
-    res = experiments.run_experiment("fig7")
+def test_fig7_partial_observability_design(run):
+    res = run("fig7")
     # single-PMU configuration pays a visibly different noise floor
     assert res["floor_ratio"] > 1.5
 
 
-def test_fig8_floor_agreement():
-    res = experiments.run_experiment("fig8")
+def test_fig8_floor_agreement(run):
+    res = run("fig8")
     assert res["simulated_floor"] == pytest.approx(
         res["steady"]["mu_state"], rel=0.25)
 
@@ -54,10 +88,10 @@ def _crossing_time_per_replica(eps_sq, fraction=0.01):
     return float(times.mean()), int(np.sum(times == Kp1))
 
 
-def test_mean_crossing_time_equals_replica_loop_on_fig5():
+def test_mean_crossing_time_equals_replica_loop_on_fig5(run):
     # fig5's replicas all cross within the horizon, so its first intervals
     # alone give the censored cases
-    res = experiments.run_experiment("fig5")
+    res = run("fig5")
     censored = []
     for traj in res["all_trajectories"]:
         for cols in [*range(1, 13), traj.err_sq.shape[1]]:

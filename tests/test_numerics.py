@@ -279,7 +279,8 @@ def _reproduce_figures():
 
 
 # ieee5 with all four states sensed: 16 scenarios, 15 of them need a gain,
-# with one to four outputs
+# with one to four outputs.  "n_sub" is kept as the benchmark's copy of this
+# config carries it: build_pipeline must accept and ignore it
 ALPHABET16 = {
     "grid": "ieee5",
     "channels": [{"name": m, "measure": m, "rho": 0.9, "sigma": 0.01}

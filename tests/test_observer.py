@@ -1,14 +1,14 @@
-"""Decomposition, gain design, assembly, and the estimator step."""
+"""Decomposition, gain design, assembly, and the substep oracle's estimator step."""
 
 import numpy as np
 import pytest
 
 from gridobs import numerics, observer, shs
-from gridobs.observer import (ObserverError, decompose, design, design_gains,
-                              step_estimate)
+from gridobs.observer import ObserverError, decompose, design, design_gains
 
 from conftest import (A5_PRINTED, T3_PRINTED, T3_INV_PRINTED, W3_PRINTED,
                       delta_channels, five_bus_scenarios)
+from substep import step_estimate
 
 LABELS5 = ["delta_1", "omega_1", "delta_2", "omega_2"]
 
@@ -206,24 +206,22 @@ class TestBuild:
         with pytest.raises(ObserverError, match="observability|reconstruct"):
             design(ieee5_lin.A, scs, [-1.0, -2.0, -3.0, -4.0], tau=0.1)
 
-    @pytest.mark.parametrize("n_sub", [64.0, True, "64"])
-    def test_substep_count_must_be_an_int(self, ieee5_lin, n_sub):
-        with pytest.raises(ObserverError, match="n_sub"):
-            design(ieee5_lin.A, five_bus_scenarios(), [-4.8, -3.6, -4.0, -4.4],
-                   tau=0.6261, n_sub=n_sub)
-
 
 class TestStepEstimate:
-    def _setup(self, ieee5_lin, tau=0.6261, n_sub=64):
+    """The substep filter of the test oracle (tests/substep.py)."""
+
+    N_SUB = 64
+
+    def _setup(self, ieee5_lin, tau=0.6261):
         scs = five_bus_scenarios()
-        obs = design(ieee5_lin.A, scs, [-4.8, -3.6, -4.0, -4.4],
-                     tau=tau, n_sub=n_sub)
+        obs = design(ieee5_lin.A, scs, [-4.8, -3.6, -4.0, -4.4], tau=tau)
         return scs, obs
 
     def test_zero_noise_exact_tracking(self, ieee5_lin):
         scs, obs = self._setup(ieee5_lin)
         A = ieee5_lin.A
-        h = obs.tau / obs.n_sub
+        n_sub = self.N_SUB
+        h = obs.tau / n_sub
         Eh = numerics.matrix_exponential(A, h)
         x = np.array([0.3, -0.1, 0.2, 0.05])
         xhat = x.copy()
@@ -231,9 +229,9 @@ class TestStepEstimate:
         for k in range(8):
             s = scs.by_index(int(rng.choice([1, 2, 3, 4],
                                             p=[sc.probability for sc in scs])))
-            dy = np.empty((obs.n_sub, s.r))
+            dy = np.empty((n_sub, s.r))
             xs = x.copy()
-            for j in range(obs.n_sub):
+            for j in range(n_sub):
                 dy[j] = (s.C @ xs) * h
                 xs = Eh @ xs
             xhat = step_estimate(obs, xhat, s.index, dy)
@@ -246,13 +244,14 @@ class TestStepEstimate:
         # the O(tau/n_sub) discretisation of the innovation term
         path = [1, 1, 3, 1, 2, 1, 4, 1]
 
+        scs, obs = self._setup(ieee5_lin)
+
         def defect(n_sub):
-            scs, obs = self._setup(ieee5_lin, n_sub=n_sub)
             xhat = np.array([2.0, 0.0, 1.0, 0.0])
             eps = xhat.copy()
             for alpha in path:
                 s = scs.by_index(alpha)
-                dy = np.zeros((obs.n_sub, s.r))
+                dy = np.zeros((n_sub, s.r))
                 xhat = step_estimate(obs, xhat, alpha, dy)
                 eps = obs.Lam[alpha] @ eps
             return np.max(np.abs(xhat - eps)), np.max(np.abs(eps))
@@ -265,7 +264,7 @@ class TestStepEstimate:
     def test_all_sensors_down_is_pure_model_propagation(self, ieee5_lin):
         scs, obs = self._setup(ieee5_lin)
         xhat = np.array([1.0, 0.5, -0.2, 0.1])
-        out = step_estimate(obs, xhat, 4, np.zeros((obs.n_sub, 0)))
+        out = step_estimate(obs, xhat, 4, np.zeros((self.N_SUB, 0)))
         assert np.allclose(out, obs.exp_A_tau @ xhat, atol=1e-14)
 
     def test_unknown_scenario_rejected(self, ieee5_lin):
@@ -281,11 +280,11 @@ class TestStepEstimate:
         obs = design(ieee5_lin.A, scs, [-10.8, -8.1, -9.0, -9.9], tau=0.6261)
         assert obs.decomps[3].n_i == 3
         xhat = np.array([2.0, 0.0, 1.0, 0.0])
-        out = step_estimate(obs, xhat, 3, np.zeros((obs.n_sub, 1)))
+        out = step_estimate(obs, xhat, 3, np.zeros((self.N_SUB, 1)))
         assert np.all(np.isfinite(out))
         # consistency with the realised map at zero measurement stream is
         # only approximate; here just check the unobservable direction kept
         # its open-loop dynamics (shift mode is invariant: A @ [1,0,1,0]=0)
         shift = np.array([1.0, 0.0, 1.0, 0.0])
-        out2 = step_estimate(obs, xhat + shift, 3, np.zeros((obs.n_sub, 1)))
+        out2 = step_estimate(obs, xhat + shift, 3, np.zeros((self.N_SUB, 1)))
         assert np.allclose(out2 - out, shift, atol=1e-9)

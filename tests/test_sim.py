@@ -1,15 +1,17 @@
-"""Truth simulation, replica engine, Monte Carlo determinism."""
+"""Monte Carlo engine, its replica oracle, the substep oracle, determinism."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from gridobs import experiments, observer, shs, sim
-from gridobs.sim import (SimConfig, derive_seed, monte_carlo, run_replica,
-                         simulate_truth, splitmix64)
+from gridobs import analysis, experiments, observer, shs
+from gridobs.sim import SimConfig, derive_seed, monte_carlo, run_replica, splitmix64
 
 from conftest import delta_channels, five_bus_scenarios
+from substep import (basis_row_maps, closed_form_maps, exact_floor, simulate_truth,
+                     step_estimate)
 
 POLES = [-4.8, -3.6, -4.0, -4.4]
 
@@ -35,71 +37,18 @@ def four_channel(ieee5_lin):
     return scs, observer.design(ieee5_lin.A, scs, POLES, tau=0.6261)
 
 
-def _basis_row_maps(A, obs, scenario_set):
-    """Oracle for `sim.interval_maps`: the substep recursion on basis rows.
-
-    Runs the exponential-Euler filter of `observer.step_estimate` once on
-    the 2n + n_sub n_ch basis inputs (n estimate rows, n truth rows, one
-    row per lane draw) and reads the maps off the results.
-    """
-    from gridobs.numerics import matrix_exponential
-    n = obs.n
-    n_sub = obs.n_sub
-    h = obs.tau / n_sub
-    n_ch = len(scenario_set.channels)
-    Eh_T = matrix_exponential(A, h).T
-    xs = np.empty((n_sub, n, n))
-    E = np.eye(n)
-    for j in range(n_sub):
-        xs[j] = E
-        E = E @ Eh_T
-    n_in = 2 * n + n_sub * n_ch
-    maps = {}
-    for s in scenario_set:
-        d = obs.decomps[s.index]
-        if d.n_i == 0 or d.L is None:
-            maps[s.index] = np.zeros((n_in, n))
-            maps[s.index][:n] = obs.exp_A_tau.T
-            continue
-        lanes = np.array(s.up_channels, dtype=int)
-        sig = np.diag(s.sigma)
-        dy = np.zeros((n_in, n_sub, s.r))
-        dy[n:2 * n] = np.einsum("jbn,cn->bjc", xs, s.C) * h
-        for pos, lane in enumerate(lanes):
-            draw_rows = 2 * n + np.arange(n_sub) * n_ch + lane
-            dy[draw_rows, np.arange(n_sub), pos] = sig[pos] * np.sqrt(h)
-        kdim = n - d.n_i
-        E_T = obs.exp_mix_h[s.index].T
-        gain_T = np.zeros((s.r, n))
-        gain_T[:, kdim:] = d.L.T
-        Z = np.zeros((n_in, n))
-        Z[:n] = np.hstack([d.G.T, d.F.T])
-        for j in range(n_sub):
-            innov = dy[:, j, :] - (Z[:, kdim:] @ d.C2.T) * h
-            Z = Z @ E_T + innov @ gain_T
-        maps[s.index] = Z @ d.T.T
-    return E, maps
+def _figure(name):
+    """(linearization, scenarios, observer, config) of a bundled experiment."""
+    cfg = experiments.load_experiment(name)
+    _, lin, scs, obs = experiments.build_pipeline(cfg)
+    return lin, scs, obs, cfg
 
 
-def _alphabet(name, ieee5_lin, n_sub):
-    """(A, scenarios, observer) for fig3's alphabet or the four-channel one."""
-    if name == "fig3":
-        cfg = experiments.load_experiment("fig3")
-        cfg["observer"]["n_sub"] = n_sub
-        _, lin, scs, obs = experiments.build_pipeline(cfg)
-        return lin.A, scs, obs
-    scs = _four_channel_scenarios()
-    return ieee5_lin.A, scs, observer.design(ieee5_lin.A, scs, POLES, tau=0.6261,
-                                             n_sub=n_sub)
-
-
-def _conditional_moments(maps, paths, e0):
+def _conditional_moments(obs, paths, e0):
     """Exact mean and variance of ||e_k||^2 given each replica's path.
 
-    With x0 = 0 the truth stays at zero and the error follows
-    e' = e P_a + xi N_a with standard normal xi, so conditional on the
-    path e_k is Gaussian with mean m and covariance C propagated by
-    m <- m P_a and C <- P_a^T C P_a + N_a^T N_a.
+    Conditional on the path, e_k is Gaussian with mean m and covariance C
+    propagated by m <- Lam_a m and C <- Lam_a C Lam_a^T + Q_a Q_a^T.
     """
     R, K = paths.shape
     n = len(e0)
@@ -111,9 +60,9 @@ def _conditional_moments(maps, paths, e0):
         if k:
             for idx in np.unique(paths[:, k - 1]):
                 rows = paths[:, k - 1] == idx
-                P, N = maps[idx][:n], maps[idx][2 * n:]
-                mean[rows] = mean[rows] @ P
-                cov[rows] = P.T @ cov[rows] @ P + N.T @ N
+                Lam, Q = obs.Lam[idx], obs.Q[idx]
+                mean[rows] = mean[rows] @ Lam.T
+                cov[rows] = Lam @ cov[rows] @ Lam.T + Q @ Q.T
         expect[:, k] = np.sum(mean ** 2, axis=1) + np.trace(cov, axis1=1, axis2=2)
         var[:, k] = (2 * np.sum(cov * cov, axis=(1, 2))
                      + 4 * np.einsum("ri,rij,rj->r", mean, cov, mean))
@@ -204,12 +153,9 @@ class TestRunReplica:
 
 
 class TestMonteCarlo:
-    def test_single_replica_matches_reference_engine(self, setup, four_channel,
-                                                     monkeypatch):
-        # a nonzero x0 exercises the truth map Qx; the horizon stays short
-        # because A's +5.2 mode makes the truth grow like e^(5.2 t).  That
-        # growth swamps the noise in err_sq, so a run from x0 = 0 checks the
-        # lane streams across draw blocks against err_sq alone
+    def test_single_replica_matches_reference_engine(self, setup, four_channel):
+        # a nonzero x0 changes the errors only by the rounding of
+        # e0 = (x0 + e0) - x0: the recursion does not depend on the truth
         A, scs, obs = setup
         rho7 = five_bus_scenarios(rho1=0.7, rho2=0.7)
         designs = [(scs, obs), (rho7, observer.design(A, rho7, POLES, tau=0.6261)),
@@ -219,40 +165,24 @@ class TestMonteCarlo:
                 for x in (x0, np.zeros(4))]
         visited = []
         for scs_i, obs_i in designs:
-            for cfg in cfgs:
-                truth = [np.linalg.matrix_power(obs_i.exp_A_tau, k) @ cfg.x0
-                         for k in range(cfg.K + 1)]
-                norm_x = np.sum(np.square(truth), axis=1)
-                # every horizon in one draw block; then each replica's horizon
-                # in chunks of 3, 3 and 2 intervals; then blocks of 5, 5 and 2
-                # replicas
-                trajs = [monte_carlo(A, obs_i, scs_i, cfg)]
-                per_interval = 8 * obs_i.n_sub * len(scs_i.channels)
-                for budget in (3 * per_interval, 5 * cfg.K * per_interval):
-                    monkeypatch.setattr(sim, "_DRAW_BLOCK_BYTES", budget)
-                    trajs.append(monte_carlo(A, obs_i, scs_i, cfg))
-                    monkeypatch.undo()
-                for r in range(cfg.replicas):
-                    _, err, alphas = run_replica(A, obs_i, scs_i, cfg, replica_index=r)
-                    for traj in trajs:
-                        assert np.array_equal(traj.paths[r], alphas)
-                        rel = np.abs(traj.err_sq[r] - err) / (err + norm_x)
-                        assert np.max(rel) < 1e-9
+            trajs = [monte_carlo(A, obs_i, scs_i, cfg) for cfg in cfgs]
+            assert np.allclose(trajs[0].err_sq, trajs[1].err_sq, rtol=1e-12, atol=0)
+            for r in range(cfgs[0].replicas):
+                _, err, alphas = run_replica(A, obs_i, scs_i, cfgs[0], replica_index=r)
+                assert np.array_equal(trajs[0].paths[r], alphas)
+                assert np.max(np.abs(trajs[0].err_sq[r] - err) / err) < 1e-9
             visited.append(set(trajs[0].paths.ravel().tolist()))
         assert 4 in visited[1]                 # rho 0.7: the no-sensor scenario
         assert len(visited[2]) > 4             # four channels, lanes down
 
     def test_peak_memory_stays_within_draw_budget(self, four_channel, ieee5_lin):
-        # mc_alphabet16's sizes: the engine holds the error array, at most
-        # two draw blocks (the buffer and one scenario group's rows) and the
-        # maps, and never an (R, S n) or (R, n_sub n_ch) temporary
+        # mc_alphabet16's sizes: the engine holds the error array (which
+        # doubles as the draw buffer), the paths and one interval's gathered
+        # maps, and never a copy of the draws or an (R, K, n, n) temporary
         scs, obs = four_channel
         cfg = SimConfig(K=60, replicas=200, seed=0, e0=[2.0, 0.0, 1.0, 0.0])
-        _, maps = sim.interval_maps(ieee5_lin.A, obs, scs)
-        budget = (8 * cfg.replicas * (cfg.K + 1) * obs.n
-                  + 2 * sim._DRAW_BLOCK_BYTES
-                  + sum(M.nbytes for M in maps.values()))
-        del maps
+        R, K, n = cfg.replicas, cfg.K, obs.n
+        budget = 8 * R * (K + 1) * n + 8 * R * K * n + 8 * R * 2 * n * n
         # a first call outside the trace, so one-time imports do not count
         monte_carlo(ieee5_lin.A, obs, scs, SimConfig(K=2, replicas=2))
         tracemalloc.start()
@@ -274,20 +204,29 @@ class TestMonteCarlo:
         assert np.array_equal(t1.per_state_mean_sq, t2.per_state_mean_sq)
 
     def test_switch_and_noise_streams_independent(self, setup):
-        # every lane is drawn on every substep, whichever channels are up, so
-        # a path that drops channels (scenarios 2, 3 and 4) gets the same
-        # increments on its all-up intervals as a path that never drops one
-        A, scs, _ = setup
-        K, n_sub, seed = 12, 8, derive_seed(222, 0)
-        all_up = np.ones(K, dtype=int)
-        dropping = np.array([1, 2, 1, 3, 4, 1, 1, 2, 3, 1, 4, 1])
-        _, incs_up = simulate_truth(A, np.zeros(4), K, 0.3, n_sub, all_up, scs, seed)
-        _, incs_drop = simulate_truth(A, np.zeros(4), K, 0.3, n_sub, dropping, scs, seed)
-        both_up = np.flatnonzero(dropping == 1)
-        assert both_up.size == 6
-        for k in both_up:
-            assert np.any(incs_up[k])
-            assert np.array_equal(incs_up[k], incs_drop[k])
+        # with Lam = 0 and Q = I for every scenario the errors are the draws
+        # themselves: one (K, n) block of normals per replica from its noise
+        # stream, row k for interval k, whichever scenarios the path visits
+        A, scs, obs = setup
+        rho7 = five_bus_scenarios(rho1=0.7, rho2=0.7)
+        cfg = SimConfig(K=12, replicas=6, seed=222, e0=np.zeros(4))
+        _, nz_root = cfg.roots()
+        draws = np.stack([np.random.default_rng(derive_seed(nz_root, r))
+                          .standard_normal((cfg.K, 4)) for r in range(cfg.replicas)])
+        paths = []
+        for scs_i in (scs, rho7):
+            probe = dataclasses.replace(
+                obs, Lam={s.index: np.zeros((4, 4)) for s in scs_i},
+                Q={s.index: np.eye(4) for s in scs_i})
+            traj = monte_carlo(A, probe, scs_i, cfg)
+            assert np.array_equal(traj.err_sq[:, 1:], np.sum(draws ** 2, axis=2))
+            assert np.array_equal(traj.per_state_mean_sq[1:], np.mean(draws ** 2, axis=0))
+            for r in range(cfg.replicas):
+                eps, _, _ = run_replica(A, probe, scs_i, cfg, replica_index=r)
+                assert np.array_equal(eps[1:], draws[r])
+            paths.append(traj.paths)
+        # rho 0.7 drops channels on intervals where the rho 0.99 paths do not
+        assert np.any(paths[1] != paths[0]) and np.any(paths[1] == 4)
 
     def test_zeroing_noise_keeps_switching_paths(self, setup):
         A, scs, obs = setup
@@ -298,19 +237,7 @@ class TestMonteCarlo:
         t_clean = monte_carlo(A, obs0, scs0, cfg)
         assert np.array_equal(t_noisy.paths, t_clean.paths)
 
-    def test_doubling_substeps_within_replica_error(self, setup):
-        A, scs, obs = setup
-        cfg = SimConfig(K=60, replicas=48, seed=9, e0=[2.0, 0, 1.0, 0])
-        t64 = monte_carlo(A, obs, scs, cfg)
-        obs128 = observer.design(A, scs, POLES, tau=0.6261, n_sub=128)
-        t128 = monte_carlo(A, obs128, scs, cfg)
-        tail = slice(40, None)
-        se = np.sqrt(np.mean(t64.var_err_sq[tail]) / cfg.replicas)
-        diff = abs(np.mean(t64.mean_err_sq[tail]) - np.mean(t128.mean_err_sq[tail]))
-        assert diff < 3 * se
-
     def test_noise_free_decay_rate_bounded_by_gamma(self, setup):
-        from gridobs import analysis
         A, _, _ = setup
         scs0 = five_bus_scenarios(sigma=0.0, overrides=None)
         obs0 = observer.design(A, scs0, POLES, tau=0.6261)
@@ -322,7 +249,6 @@ class TestMonteCarlo:
         assert slopes.mean() <= np.log(gamma) + 0.05
 
     def test_long_run_floor_matches_analysis(self, setup):
-        from gridobs import analysis
         A, scs, obs = setup
         ss = analysis.steady_state(obs, scs)
         cfg = SimConfig(K=250, replicas=96, seed=1515, e0=[2.0, 0, 1.0, 0])
@@ -333,12 +259,10 @@ class TestMonteCarlo:
         assert abs(floor - ss.mu_state) < 3 * se + 0.05 * ss.mu_state
 
     def test_fig3_mean_error_matches_exact_second_moment(self):
-        cfg = experiments.load_experiment("fig3")
-        _, lin, scs, obs = experiments.build_pipeline(cfg)
+        lin, scs, obs, cfg = _figure("fig3")
         simcfg, traj = experiments.run_simulation(cfg, lin, obs, scs)
         assert simcfg.x0 is None
-        _, maps = sim.interval_maps(lin.A, obs, scs)
-        expect, var = _conditional_moments(maps, traj.paths, cfg["sim"]["e0"])
+        expect, var = _conditional_moments(obs, traj.paths, cfg["sim"]["e0"])
         R = simcfg.replicas
         mean = expect.mean(axis=0)
         sd = np.sqrt(var.sum(axis=0)) / R
@@ -347,13 +271,52 @@ class TestMonteCarlo:
         assert np.max(np.abs(z)) < 4.5
 
 
+class TestExpectedCurve:
+    @pytest.mark.parametrize("name", ["fig3", "fig8"])
+    def test_trace_recursion_converges_to_mu_state(self, name):
+        _, scs, obs, cfg = _figure(name)
+        mu = analysis.steady_state(obs, scs).mu_state
+        curve = analysis.expected_err_sq(obs, scs, cfg["sim"]["e0"], 200)
+        assert curve[0] == pytest.approx(np.sum(np.square(cfg["sim"]["e0"])), rel=1e-15)
+        assert abs(curve[-1] - mu) <= 1e-12 * mu
+
+    def test_matches_monte_carlo_mean_of_replica_errors(self, setup):
+        # a single-scenario alphabet (both channels always delivered) has no
+        # rare events, so the sample mean is close to Gaussian about the curve
+        A, _, _ = setup
+        scs = five_bus_scenarios(rho1=1.0, rho2=1.0, overrides=None)
+        obs = observer.design(A, scs, POLES, tau=0.6261)
+        cfg = SimConfig(K=30, replicas=400, seed=77, e0=[2.0, 0.0, 1.0, 0.0])
+        traj = monte_carlo(A, obs, scs, cfg)
+        traj.expected_err_sq = analysis.expected_err_sq(obs, scs, cfg.e0, cfg.K)
+        assert traj.max_abs_z() < 4.5
+
+
+class TestSubstepOracle:
+    @pytest.mark.parametrize("name", ["fig3", "fig7"])
+    def test_floor_bias_is_first_order_in_the_substep(self, name):
+        # the substep filter's exact floor overshoots the interval-resolution
+        # analysis by O(tau / n_sub): quadrupling n_sub cuts the bias 4x
+        lin, scs, obs, _ = _figure(name)
+        mu = analysis.steady_state(obs, scs).mu_state
+        bias = {m: exact_floor(lin.A, obs, scs, m) / mu - 1.0 for m in (64, 256)}
+        assert 0.0 < bias[256] < bias[64]
+        assert bias[64] / bias[256] == pytest.approx(4.0, rel=0.15)
+
+
 class TestIntervalMaps:
     @pytest.mark.parametrize("n_sub", [1, 2, 64])
     @pytest.mark.parametrize("name", ["fig3", "four_channel"])
-    def test_closed_form_matches_basis_row_recursion(self, ieee5_lin, name, n_sub):
-        A, scs, obs = _alphabet(name, ieee5_lin, n_sub)
-        E, maps = sim.interval_maps(A, obs, scs)
-        E_ref, ref = _basis_row_maps(A, obs, scs)
+    def test_closed_form_matches_basis_row_recursion(self, ieee5_lin, four_channel,
+                                                     name, n_sub):
+        if name == "fig3":
+            lin, scs, obs, _ = _figure("fig3")
+            A = lin.A
+        else:
+            A = ieee5_lin.A
+            scs, obs = four_channel
+        E, maps = closed_form_maps(A, obs, scs, n_sub)
+        E_ref, ref = basis_row_maps(A, obs, scs, n_sub)
         assert np.array_equal(E, E_ref)
         n = obs.n
         assert any(s.r == 0 for s in scs)      # the no-sensor scenario
@@ -364,10 +327,11 @@ class TestIntervalMaps:
                 got, want = maps[s.index][rows], ref[s.index][rows]
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_noise_rows_are_the_filter_driven_by_one_lane_draw(self, ieee5_lin):
-        A, scs, obs = _alphabet("fig3", ieee5_lin, 64)
-        _, maps = sim.interval_maps(A, obs, scs)
-        n, n_sub, n_ch = obs.n, obs.n_sub, len(scs.channels)
+    def test_noise_rows_are_the_filter_driven_by_one_lane_draw(self):
+        lin, scs, obs, _ = _figure("fig3")
+        n_sub = 64
+        _, maps = basis_row_maps(lin.A, obs, scs, n_sub)
+        n, n_ch = obs.n, len(scs.channels)
         h = obs.tau / n_sub
         for s in scs:
             N = maps[s.index][2 * n:].reshape(n_sub, n_ch, n)
@@ -377,5 +341,5 @@ class TestIntervalMaps:
                 for j in range(n_sub):
                     dy = np.zeros((n_sub, s.r))
                     dy[j, pos] = s.sigma[pos, pos] * np.sqrt(h)   # xi = 1
-                    want = observer.step_estimate(obs, np.zeros(n), s.index, dy)
+                    want = step_estimate(obs, np.zeros(n), s.index, dy)
                     assert np.max(np.abs(N[j, lane] - want)) <= 1e-13 * np.max(np.abs(want))

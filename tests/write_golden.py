@@ -1,0 +1,86 @@
+"""Pinned outputs of the bundled experiments, and the script that writes them.
+
+    PYTHONPATH=src python tests/write_golden.py [fig3 fig4 ...]
+
+writes tests/golden/<name>.json for the named experiments (all six by
+default).  Each file holds what `gridobs reproduce <name>` prints and
+writes: the check lines, every column of every CSV file, the manifest's
+result payload and a sha256 of each trajectory's switching paths (which
+replace the path table itself).  `test_experiments` compares each run with
+its file, floats to 1e-9 relative and everything else exactly; a change
+that moves a pinned number reruns this script and lists the moved values.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from gridobs import cli, experiments
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+RTOL = 1e-9
+
+
+def snapshot(name, result):
+    """The pinned outputs of one `experiments.run_experiment` result, as
+    plain JSON values."""
+    csvs, payload, lines = cli.reproduce_outputs(name, result)
+    payload = {k: v for k, v in payload.items() if k != "switching_paths"}
+    tables = {}
+    paths = {}
+    for filename, traj in csvs.items():
+        header, rows = cli.trajectory_table(traj)
+        tables[filename] = {h: [row[j] for row in rows] for j, h in enumerate(header)}
+        paths[filename] = hashlib.sha256(
+            np.ascontiguousarray(traj.paths, dtype=np.int64).tobytes()).hexdigest()
+    doc = {"checks": lines, "paths_sha256": paths, "csv": tables, "result": payload}
+    return json.loads(json.dumps(doc, default=cli._jsonable))
+
+
+def mismatches(got, want, where=""):
+    """Places where `got` differs from `want`: floats beyond RTOL relative,
+    anything else not exactly equal."""
+    if isinstance(want, float) and isinstance(got, float):
+        if got == want or abs(got - want) <= RTOL * abs(want):
+            return []
+        return [f"{where}: {got!r} != {want!r}"]
+    if type(got) is not type(want):
+        return [f"{where}: {got!r} != {want!r}"]
+    if isinstance(want, dict):
+        if got.keys() != want.keys():
+            return [f"{where}: keys {sorted(got)} != {sorted(want)}"]
+        return [m for k in want for m in mismatches(got[k], want[k], f"{where}.{k}")]
+    if isinstance(want, list):
+        if len(got) != len(want):
+            return [f"{where}: length {len(got)} != {len(want)}"]
+        return [m for i, (g, w) in enumerate(zip(got, want))
+                for m in mismatches(g, w, f"{where}[{i}]")]
+    return [] if got == want else [f"{where}: {got!r} != {want!r}"]
+
+
+def _dumps(obj, pad=""):
+    """Indented JSON with each list of plain values on one line."""
+    if isinstance(obj, dict) and obj:
+        inner = pad + " "
+        items = ",\n".join(f"{inner}{json.dumps(k)}: {_dumps(v, inner)}"
+                           for k, v in obj.items())
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, list) and any(isinstance(v, (dict, list)) for v in obj):
+        inner = pad + " "
+        return "[\n" + ",\n".join(inner + _dumps(v, inner) for v in obj) + "\n" + pad + "]"
+    return json.dumps(obj)
+
+
+def main(names):
+    GOLDEN.mkdir(exist_ok=True)
+    for name in names or experiments.EXPERIMENTS:
+        doc = snapshot(name, experiments.run_experiment(name))
+        (GOLDEN / f"{name}.json").write_text(_dumps(doc) + "\n")
+        print(f"wrote {GOLDEN / f'{name}.json'}")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
