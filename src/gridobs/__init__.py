@@ -9,7 +9,7 @@ variance, and verifies the analysis by Monte Carlo simulation.
 
 from . import analysis, grid, numerics, observer, shs, sim
 from .grid import (Bus, GridModel, Line, LinearizedSystem, builtin,
-                   find_equilibrium, line_flow, linearize, load_grid,
+                   find_equilibrium, linearize, load_grid,
                    read_matpower, solve_network)
 from .observer import (CoordinatedObserver, SubsystemDecomposition, decompose,
                        design, design_gains)

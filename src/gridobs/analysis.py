@@ -50,8 +50,8 @@ class ConvergenceReport:
     gamma1: float                 # || diag[p_i exp(Ac_i tau)] ||
     gamma2: float                 # || diag[(1-p_i) I] F exp(A tau) Phi ||
     tau_max: float
-    stable: bool                  # second moment matrix inside the unit circle
-    second_moment_radius: float
+    stable: bool                  # mean-square stable: exact radius below one
+    second_moment_radius: float   # rho(M), a sufficient bound only
     scenario_norms: dict = field(default_factory=dict)
 
     def as_dict(self):
@@ -88,12 +88,15 @@ def contraction(obs, scenario_set):
         if sl is not None:
             D[sl, :] *= (1.0 - s.probability)
     gamma2 = operator_norm(D)
+    # rho(M) only bounds the exact radius: E||Lam e||^2 <= rho(M) ||e||^2
     M = second_moment_matrix(obs, scenario_set)
     radius = float(max(np.abs(np.linalg.eigvals(M))))
+    exact = numerics.mean_square_radius([obs.Lam[s.index] for s in scenario_set],
+                                        [s.probability for s in scenario_set])
     tmax = compute_tau_max(obs.A, scenario_set, obs.decomps)
     return ConvergenceReport(
         gamma_exact=float(gamma), gamma1=float(gamma1), gamma2=float(gamma2),
-        tau_max=tmax, stable=radius < 1.0, second_moment_radius=radius,
+        tau_max=tmax, stable=exact < 1.0, second_moment_radius=radius,
         scenario_norms=norms)
 
 
@@ -171,8 +174,8 @@ class SteadyState:
     M_matrix: np.ndarray          # E(Lam^T Lam)
     S: np.ndarray                 # M^(1/2)
     Psi: np.ndarray               # E(Q^T Q) = sum p_j V_j
-    W_stein: np.ndarray           # solution of S W S - W + Psi = 0
-    mu_inf: float                 # Trace(W_stein)
+    W_stein: np.ndarray           # solution of S W S - W + Psi = 0; None if rho(M) >= 1
+    mu_inf: float                 # Trace(W_stein); None if rho(M) >= 1
     W_inf: np.ndarray             # exact stationary covariance of the error
     mu_state: float               # Trace(W_inf); matches simulated ||eps||^2
 
@@ -181,7 +184,8 @@ class SteadyState:
                "trace_Psi": float(np.trace(self.Psi))}
         if matrices:
             out.update(M_matrix=self.M_matrix.tolist(), S=self.S.tolist(),
-                       Psi=self.Psi.tolist(), W_stein=self.W_stein.tolist(),
+                       Psi=self.Psi.tolist(),
+                       W_stein=None if self.W_stein is None else self.W_stein.tolist(),
                        W_inf=self.W_inf.tolist())
         return out
 
@@ -189,25 +193,30 @@ class SteadyState:
 def steady_state(obs, scenario_set):
     """Steady-state error variance of the coordinated observer.
 
-    Requires mean-square stability (second-moment matrix strictly inside
-    the unit circle); otherwise the variance diverges and this raises.
+    Requires mean-square stability (`numerics.mean_square_radius` below
+    one); otherwise the variance diverges and this raises.  The Stein
+    recipe converges only when the bound rho(M) is below one as well;
+    where it is not, W_stein and mu_inf are None.
     """
-    M = second_moment_matrix(obs, scenario_set)
-    radius = float(max(np.abs(np.linalg.eigvals(M))))
+    maps = [obs.Lam[s.index] for s in scenario_set]
+    weights = [s.probability for s in scenario_set]
+    radius = numerics.mean_square_radius(maps, weights)
     if radius >= 1.0:
         raise observer.ObserverError(
             f"error dynamics mean-square unstable (radius {radius:.4f}); "
             "steady-state variance undefined")
+    M = second_moment_matrix(obs, scenario_set)
     S = numerics.psd_sqrt(M)
     Psi = sum(s.probability * obs.Q[s.index].T @ obs.Q[s.index]
               for s in scenario_set)
     Psi = 0.5 * (Psi + Psi.T)
-    W_stein = numerics.solve_symmetric_stein(S, Psi)
-    maps = [obs.Lam[s.index] for s in scenario_set]
-    weights = [s.probability for s in scenario_set]
+    if max(np.abs(np.linalg.eigvals(M))) < 1.0:
+        W_stein = numerics.solve_symmetric_stein(S, Psi)
+        mu_inf = float(np.trace(W_stein))
+    else:
+        W_stein = mu_inf = None
     W_inf = numerics.solve_switched_covariance(maps, weights, Psi)
-    return SteadyState(M, S, Psi, W_stein, float(np.trace(W_stein)),
-                       W_inf, float(np.trace(W_inf)))
+    return SteadyState(M, S, Psi, W_stein, mu_inf, W_inf, float(np.trace(W_inf)))
 
 
 def expected_err_sq(obs, scenario_set, e0, K):

@@ -85,14 +85,6 @@ class Line:
         if math.hypot(self.r, self.x) <= 0:
             raise GridError(f"line {self.from_bus}-{self.to_bus}: |Z| must be positive")
 
-    @property
-    def z_mag(self):
-        return math.hypot(self.r, self.x)
-
-    @property
-    def theta(self):
-        return math.atan2(self.x, self.r)
-
 
 @dataclass
 class GridModel:
@@ -176,21 +168,6 @@ class GridModel:
             Y[i, j] -= y
             Y[j, i] -= y
         return Y
-
-
-def line_flow(vi, di, vj, dj, line):
-    """Sending-end real and reactive power from bus i toward bus j.
-
-    P = Vi^2 cos(theta)/|Z| - Vi Vj cos(theta + dij)/|Z|, and the same with
-    sines for Q, where dij = di - dj and |Z|, theta describe the series
-    impedance.
-    """
-    Z = line.z_mag
-    th = line.theta
-    dij = di - dj
-    P = vi * vi / Z * math.cos(th) - vi * vj / Z * math.cos(th + dij)
-    Q = vi * vi / Z * math.sin(th) - vi * vj / Z * math.sin(th + dij)
-    return P, Q
 
 
 @dataclass

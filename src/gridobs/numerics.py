@@ -570,32 +570,32 @@ def solve_symmetric_stein(S, Psi):
     return solve_switched_covariance([S], [1.0], Psi)
 
 
-def _check_mean_square_stable(second_moment, n):
-    """Raise ValueError unless the second-moment map T has radius < _MAX_RATE.
+def mean_square_radius(maps, weights):
+    """rho(sum_j w_j M_j kron M_j), the exact mean-square stability radius.
 
-    T keeps PSD matrices PSD, so rho(T) <= (tr T^k(I))^(1/k) for every k;
-    the trace growth per step tends to rho(T) and decides once it settles.
+    The recursion x' = M x + noise, with M drawn i.i.d. from `maps` with
+    probabilities `weights`, has a bounded second moment exactly when this
+    radius is below one (Costa, Fragoso & Marques 2005).  Up to _VEC_LIMIT
+    states it is read off the eigenvalues of the n^2 x n^2 operator.
+    Beyond, it is the limit of the trace growth tr T(X) / tr X of the
+    positive map T(W) = sum_j w_j M_j W M_j^T, iterated from the identity
+    until the growth settles to 1e-12 relative or _ITER_LIMIT steps pass.
     """
+    maps = [_as_matrix(M, "map") for M in maps]
+    n = maps[0].shape[0]
+    if n <= _VEC_LIMIT:
+        T = sum(w * np.kron(M, M) for w, M in zip(weights, maps))
+        return float(max(np.abs(np.linalg.eigvals(T))))
     X = np.eye(n) / n
-    log_trace = math.log(n)
     rate = math.nan
-    for k in range(1, _ITER_LIMIT + 1):
-        Y = second_moment(X)
+    for _ in range(_ITER_LIMIT):
+        Y = sum(w * M @ X @ M.T for w, M in zip(weights, maps))
         step = float(np.trace(Y))
-        if step == 0.0:
-            return
-        log_trace += math.log(step)
-        if log_trace <= k * math.log(_MAX_RATE):
-            return
-        if abs(step - rate) <= 1e-12 * step:
-            if step < _MAX_RATE:
-                return
+        if step == 0.0 or abs(step - rate) <= 1e-12 * step:
             break
         rate = step
         X = Y / step
-    raise ValueError(
-        f"mean-square unstable switching (second-moment radius about {step:.6f}; "
-        f"the fixed-point iteration needs below {_MAX_RATE:.6f})")
+    return step
 
 
 def solve_switched_covariance(maps, weights, Psi):
@@ -616,17 +616,19 @@ def solve_switched_covariance(maps, weights, Psi):
     def second_moment(W):
         return sum(w * M @ W @ M.T for w, M in zip(weights, maps))
 
+    rho = mean_square_radius(maps, weights)
+    if rho >= 1.0:
+        raise ValueError(
+            f"mean-square unstable switching (second-moment radius {rho:.4f} >= 1)")
     if n <= _VEC_LIMIT:
         T = sum(w * np.kron(M, M) for w, M in zip(weights, maps))
-        rho = max(np.abs(np.linalg.eigvals(T)))
-        if rho >= 1.0:
-            raise ValueError(
-                f"mean-square unstable switching (second-moment radius {rho:.4f} >= 1)"
-            )
         W = np.linalg.solve(np.eye(n * n) - T, Psi.flatten(order="F"))
         W = W.reshape((n, n), order="F")
     else:
-        _check_mean_square_stable(second_moment, n)
+        if rho >= _MAX_RATE:
+            raise ValueError(
+                f"mean-square unstable switching (second-moment radius about {rho:.6f}; "
+                f"the fixed-point iteration needs below {_MAX_RATE:.6f})")
         # Frobenius norms bound the spectral test from the safe side:
         # ||dW||_2 <= ||dW||_F and ||W||_F / sqrt(n) <= ||W||_2
         W = Psi.copy()

@@ -176,11 +176,6 @@ class CoordinatedObserver:
     def n_s(self):
         return self.F.shape[0]
 
-    def open_loop_gain(self, tau=None):
-        """h(t) = ||F exp(A t) Phi||, the open-loop one-interval gain."""
-        t = self.tau if tau is None else tau
-        return operator_norm(self.F @ numerics.matrix_exponential(self.A, t) @ self.Phi)
-
 
 def _mix(d):
     """Closed-loop error generator [[A11, A12], [0, Ac]] in T coordinates."""

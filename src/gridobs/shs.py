@@ -77,7 +77,7 @@ class ScenarioSet:
                 raise ScenarioError(f"scenario {s.index}: C has {s.C.shape[1]} columns, expected {self.n}")
             if s.probability <= 0:
                 raise ScenarioError(f"scenario {s.index}: probability must be positive")
-        # inverse-CDF tables for sample_skeleton
+        # inverse-CDF tables for inverse_cdf
         self._indices = np.array([s.index for s in self.scenarios])
         self._edges = np.cumsum([s.probability for s in self.scenarios])
 
@@ -86,6 +86,14 @@ class ScenarioSet:
 
     def __len__(self):
         return len(self.scenarios)
+
+    def inverse_cdf(self, u):
+        """Scenario index of each uniform in `u` (any shape): the first
+        scenario whose cumulative probability exceeds it.  A uniform past
+        the last edge, which rounding of the sum can leave, picks the last
+        scenario."""
+        pos = np.searchsorted(self._edges, u, side="right")
+        return self._indices[np.minimum(pos, len(self._indices) - 1)]
 
     def by_index(self, index):
         for s in self.scenarios:
@@ -153,14 +161,12 @@ def sample_skeleton(scenario_set, horizon, seed):
     """i.i.d. draws of scenario indices, reproducible per seed.
 
     Implemented as inverse-CDF sampling of one uniform per interval from a
-    dedicated Generator.  Besides keeping the switching stream independent
-    of any noise stream, this couples runs that differ only in the
-    delivery ratios: the same underlying uniforms fall into shifted
+    dedicated Generator: `np.random.default_rng(seed)`, or `seed` itself
+    when it is a Generator already.  Besides keeping the switching stream
+    independent of any noise stream, this couples runs that differ only in
+    the delivery ratios: the same underlying uniforms fall into shifted
     probability bins, so reliability sweeps compare like against like.
     """
     if horizon < 1:
         raise ScenarioError("horizon must be >= 1")
-    rng = np.random.default_rng(seed)
-    idx = scenario_set._indices
-    u = rng.random(horizon)
-    return idx[np.searchsorted(scenario_set._edges, u, side="right").clip(max=len(idx) - 1)]
+    return scenario_set.inverse_cdf(np.random.default_rng(seed).random(horizon))

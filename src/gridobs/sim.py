@@ -8,6 +8,13 @@ normals xi_k whichever scenario is active, and w_k = Q_a xi_k, so the
 switching path and the noise draws never interact (changing one seed
 leaves the other stream untouched).  Replica streams derive from the
 master seed through a splitmix64 hash of the replica index.
+
+Each stream is numpy's `np.random.default_rng(seed)` stream for its
+derived seed.  `monte_carlo` derives all PCG64 states in bulk (a
+vectorised port of numpy's SeedSequence hash, then PCG64's seeding step
+in 128-bit integers) and loads them into one reused Generator; a test pins
+the states to `np.random.PCG64(seed).state`.  `run_replica` seeds through
+`default_rng` itself and stays the independent oracle.
 """
 
 from __future__ import annotations
@@ -18,8 +25,11 @@ import numpy as np
 
 from . import shs as _shs
 
+_M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def splitmix64(x):
@@ -37,6 +47,82 @@ def derive_seed(master, *indices):
     for ix in indices:
         s = splitmix64(s ^ ((int(ix) * _GOLDEN) & _M64))
     return s
+
+
+def derive_seeds(root, count):
+    """derive_seed(root, r) for r = 0..count-1, as a uint64 array."""
+    u = np.uint64
+    z = (u(int(root) & _M64) ^ (np.arange(count, dtype=u) * u(_GOLDEN))) + u(_GOLDEN)
+    z = (z ^ (z >> u(30))) * u(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> u(27))) * u(0x94D049BB133111EB)
+    return z ^ (z >> u(31))
+
+
+def _hash_constants(init, mult, count):
+    """The hash constant and its count successors under multiplication."""
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & _M32)
+    return [np.uint32(c) for c in h]
+
+
+def seed_sequence_words(seeds):
+    """`np.random.SeedSequence(s).generate_state(4, np.uint64)` for each
+    seed s < 2**64, as a (len(seeds), 4) uint64 array.
+
+    A vectorised port of numpy's SeedSequence (O'Neill's seed_seq hash):
+    the seed's two 32-bit words, zero-padded to the pool size of four, are
+    hashed into the pool and cross-mixed, then eight output words are
+    hashed from the pool.  A seed below 2**32 has one entropy word, which
+    numpy pads with the same zero hash.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    entropy = [(seeds & np.uint64(_M32)).astype(np.uint32),
+               (seeds >> np.uint64(32)).astype(np.uint32), zero, zero]
+    shift = np.uint32(16)
+    consts = iter(_hash_constants(0x43B0D7E5, 0x931E8875, 16))
+    h = next(consts)
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ h
+        h = next(consts)
+        v = v * h
+        return v ^ (v >> shift)
+
+    def mix(x, y):
+        v = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return v ^ (v >> shift)
+
+    pool = [hashmix(w) for w in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hb = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+    words = np.empty((8, seeds.size), dtype=np.uint64)
+    for i in range(8):
+        v = (pool[i % 4] ^ hb[i]) * hb[i + 1]
+        words[i] = v ^ (v >> shift)
+    return (words[0::2] | (words[1::2] << np.uint64(32))).T
+
+
+def pcg64_state(w0, w1, w2, w3):
+    """(state, inc) of the PCG64 that numpy seeds from the four
+    generate_state words: initstate = w0:w1 and initseq = w2:w3 as 128-bit
+    numbers, inc = 2 initseq + 1, and two LCG steps from state 0 with
+    initstate added between them."""
+    inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+    return ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _M128, inc
+
+
+def _load_stream(bitgen, words):
+    """Put `bitgen` at the start of the stream that default_rng(seed)
+    gives, with `words` = seed_sequence_words([seed])[0]."""
+    state, inc = pcg64_state(*words.tolist())
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
 
 
 # stream tags for the two independent random sources
@@ -136,8 +222,9 @@ def monte_carlo(A, obs, scenario_set, cfg):
 
     Each interval of scenario a maps the error e_k to
     e_{k+1} = Lam_a e_k + Q_a xi_k with xi_k standard normal, the exact
-    interval law of the continuous-time filter (`observer.build`).  The
-    switching paths are sampled first.  Each replica then draws its
+    interval law of the continuous-time filter (`observer.build`).  One
+    Generator is loaded with each replica's switching state and then its
+    noise state: it samples the replica's switching path, then draws its
     (K, n) block of normals in one call into rows 1..K of its slice of
     the error array, which doubles as the noise buffer.  Interval k
     overwrites row k+1, xi_k, with e_{k+1} = [e_k, xi_k] [Lam_a^T; Q_a^T],
@@ -152,14 +239,19 @@ def monte_carlo(A, obs, scenario_set, cfg):
     R = cfg.replicas
     K = cfg.K
     sw_root, nz_root = cfg.roots()
-    alphas = np.empty((R, K), dtype=int)
-    for r in range(R):
-        alphas[r] = _shs.sample_skeleton(scenario_set, K, derive_seed(sw_root, r))
     x0, xhat0 = cfg.initial_states(n)
+    words = seed_sequence_words(np.concatenate(
+        [derive_seeds(sw_root, R), derive_seeds(nz_root, R)]))
+    bitgen = np.random.PCG64(0)            # each stream overwrites its state
+    gen = np.random.Generator(bitgen)
+    alphas = np.empty((R, K), dtype=int)
     eps = np.empty((R, K + 1, n))
     eps[:, 0] = xhat0 - x0
     for r in range(R):
-        np.random.default_rng(derive_seed(nz_root, r)).standard_normal(out=eps[r, 1:])
+        _load_stream(bitgen, words[r])
+        alphas[r] = _shs.sample_skeleton(scenario_set, K, gen)
+        _load_stream(bitgen, words[R + r])
+        gen.standard_normal(out=eps[r, 1:])
     # M[a] = [Lam_a^T; Q_a^T] in row form, indexed by scenario: an interval
     # maps a replica's error and its draws, adjacent rows of eps, to the
     # next error

@@ -9,7 +9,7 @@ state-space matrix directly).
 import numpy as np
 import pytest
 
-from gridobs import grid, shs
+from gridobs import grid, numerics, shs
 
 # pass/fail lines recorded by the acceptance tests, echoed after the run
 ACCEPTANCE_LINES = []
@@ -127,6 +127,14 @@ def five_bus_scenarios(A_labels=None, rho1=0.99, rho2=0.995, sigma=0.01,
     chans = delta_channels(labels, [("1.delta", rho1, sigma),
                                     ("2.delta", rho2, sigma)])
     return shs.scenarios_from_channels(chans, overrides)
+
+
+def open_loop_gain(obs, tau=None):
+    """h(t) = ||F exp(A t) Phi||, the open-loop one-interval gain of a
+    coordinated observer (t defaults to its sampling interval)."""
+    t = obs.tau if tau is None else tau
+    return numerics.operator_norm(
+        obs.F @ numerics.matrix_exponential(obs.A, t) @ obs.Phi)
 
 
 @pytest.fixture(scope="session")

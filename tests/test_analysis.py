@@ -10,7 +10,7 @@ from gridobs.analysis import (compute_tau_max, contraction, interval_variance,
                               steady_state, tradeoff_sweep)
 from gridobs.observer import ObserverError, decompose, design
 
-from conftest import five_bus_scenarios
+from conftest import five_bus_scenarios, open_loop_gain
 
 POLES = [-4.8, -3.6, -4.0, -4.4]
 
@@ -115,7 +115,7 @@ class TestContraction:
         _, scs, obs = five_bus_design
         rep = contraction(obs, scs)
         assert rep.gamma2 <= max(1 - s.probability for s in scs) \
-            * obs.open_loop_gain() + 1e-9
+            * open_loop_gain(obs) + 1e-9
 
 
 def _svd_scan_tau_max(A, scs, decomps, propagate=False):
@@ -232,9 +232,9 @@ class TestTauMax:
     def test_h_is_continuous_near_tau_max(self, five_bus_design):
         lin, scs, obs = five_bus_design
         t0 = 0.7
-        base = obs.open_loop_gain(t0)
+        base = open_loop_gain(obs, t0)
         for d in (1e-3, 1e-5, 1e-7):
-            assert abs(obs.open_loop_gain(t0 + d) - base) < 50 * d * base
+            assert abs(open_loop_gain(obs, t0 + d) - base) < 50 * d * base
 
 
 class TestSteadyState:
@@ -278,6 +278,26 @@ class TestSteadyState:
         obs = design(ieee5_lin.A, scs, [-3.6, -2.7, -3.0, -3.3], tau=0.6261)
         with pytest.raises(ObserverError, match="undefined|unstable"):
             steady_state(obs, scs)
+
+    def test_exact_radius_admits_what_the_bound_refuses(self, ieee5_lin):
+        # both channels at delivery 0.99: rho(M) = 1.38 is only a bound, the
+        # exact radius 0.151 makes the design mean-square stable
+        scs = five_bus_scenarios(rho1=0.99, rho2=0.99)
+        obs = design(ieee5_lin.A, scs, [-3.6, -2.7, -3.0, -3.3], tau=0.6261)
+        rep = contraction(obs, scs)
+        assert rep.second_moment_radius == pytest.approx(1.382, abs=1e-3)
+        assert rep.stable
+        T = sum(s.probability * np.kron(obs.Lam[s.index], obs.Lam[s.index])
+                for s in scs)
+        assert max(np.abs(np.linalg.eigvals(T))) == pytest.approx(0.1509, abs=1e-4)
+        ss = steady_state(obs, scs)
+        Psi = sum(s.probability * obs.Q[s.index] @ obs.Q[s.index].T for s in scs)
+        W = np.linalg.solve(np.eye(16) - T, Psi.flatten(order="F")).reshape(
+            (4, 4), order="F")
+        assert np.allclose(ss.W_inf, W, rtol=1e-12, atol=1e-15)
+        assert ss.mu_state == pytest.approx(np.trace(W), rel=1e-12)
+        # the Stein recipe diverges when rho(M) >= 1
+        assert ss.W_stein is None and ss.mu_inf is None
 
     def test_stein_trace_recursion_unique_fixed_point(self, five_bus_design):
         _, scs, obs = five_bus_design

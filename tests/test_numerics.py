@@ -10,8 +10,8 @@ import scipy.linalg
 import scipy.signal
 
 from gridobs import experiments, grid, numerics
-from gridobs.numerics import (kernel_base, matrix_exponential, noise_gramian,
-                              operator_norm, place_poles, psd_sqrt,
+from gridobs.numerics import (kernel_base, matrix_exponential, mean_square_radius,
+                              noise_gramian, operator_norm, place_poles, psd_sqrt,
                               solve_switched_covariance, solve_symmetric_stein)
 
 from conftest import A5_PRINTED, W3_PRINTED
@@ -537,6 +537,42 @@ class TestSteinSolver:
         W = solve_symmetric_stein(S, Psi)
         resid = operator_norm(S @ W @ S - W + Psi)
         assert resid < 1e-8 * (1 + operator_norm(Psi))
+
+
+class TestMeanSquareRadius:
+    def test_diagonal_maps_closed_form(self):
+        # diagonal maps give a diagonal Kronecker sum with entries
+        # sum_j w_j a_ji a_jk
+        a = np.array([[0.9, -0.2, 0.5], [0.1, 1.2, -0.4]])
+        w = np.array([0.7, 0.3])
+        want = np.max(np.abs(np.einsum("j,ji,jk->ik", w, a, a)))
+        got = mean_square_radius([np.diag(row) for row in a], w)
+        assert got == pytest.approx(want, rel=1e-14)
+
+    def test_scaled_orthogonal_maps(self):
+        # T(I) = c^2 I for orthogonal maps scaled by c, so the radius is c^2
+        rng = np.random.default_rng(4)
+        U = [np.linalg.qr(rng.normal(size=(5, 5)))[0] for _ in range(3)]
+        got = mean_square_radius([0.8 * Uj for Uj in U], [0.2, 0.3, 0.5])
+        assert got == pytest.approx(0.64, rel=1e-13)
+
+    def test_below_the_second_moment_bound(self):
+        # E||M e||^2 <= rho(sum w M^T M) ||e||^2 bounds the exact radius
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            maps = [rng.normal(size=(4, 4)) for _ in range(3)]
+            w = rng.dirichlet(np.ones(3))
+            bound = max(np.abs(np.linalg.eigvals(
+                sum(wj * M.T @ M for wj, M in zip(w, maps)))))
+            assert mean_square_radius(maps, w) <= bound * (1 + 1e-12)
+
+    def test_iteration_branch_matches_kronecker(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        maps = [0.4 * rng.normal(size=(6, 6)) for _ in range(3)]
+        w = [0.5, 0.3, 0.2]
+        exact = mean_square_radius(maps, w)
+        monkeypatch.setattr(numerics, "_VEC_LIMIT", 0)
+        assert mean_square_radius(maps, w) == pytest.approx(exact, rel=1e-9)
 
 
 class TestSwitchedCovariance:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from gridobs import analysis, experiments, observer, shs
-from gridobs.sim import SimConfig, derive_seed, monte_carlo, run_replica, splitmix64
+from gridobs.sim import (SimConfig, derive_seed, derive_seeds, monte_carlo, pcg64_state,
+                        run_replica, seed_sequence_words, splitmix64)
 
 from conftest import delta_channels, five_bus_scenarios
 from substep import (basis_row_maps, closed_form_maps, exact_floor, simulate_truth,
@@ -78,6 +79,23 @@ class TestSeeding:
     def test_derive_seed_changes_with_every_index(self):
         assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
         assert derive_seed(1, 2) != derive_seed(2, 2)
+
+    @pytest.mark.parametrize("root", [0, 1, 0x5157, 2**63, 2**64 - 1])
+    def test_bulk_seeds_match_derive_seed(self, root):
+        seeds = derive_seeds(root, 300)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [derive_seed(root, r) for r in range(300)]
+
+    def test_bulk_states_match_numpy_seeding(self):
+        # edge seeds: one or two 32-bit entropy words, top bits set
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        seeds += np.random.default_rng(8).integers(0, 2**64, 200, dtype=np.uint64).tolist()
+        words = seed_sequence_words(seeds)
+        assert words.shape == (len(seeds), 4)
+        for seed, w in zip(seeds, words):
+            assert np.array_equal(w, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+            want = np.random.PCG64(seed).state["state"]
+            assert pcg64_state(*w.tolist()) == (want["state"], want["inc"])
 
 
 class TestSimulateTruth:
@@ -193,6 +211,15 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < budget
+
+    @pytest.mark.parametrize("r", [0, 1, 37, 123])
+    def test_replica_independent_of_replica_count(self, four_channel, ieee5_lin, r):
+        scs, obs = four_channel
+        cfg = SimConfig(K=20, replicas=200, seed=5, e0=[1.0, 0.0, 0.5, 0.0])
+        full = monte_carlo(ieee5_lin.A, obs, scs, cfg)
+        alone = monte_carlo(ieee5_lin.A, obs, scs, dataclasses.replace(cfg, replicas=r + 1))
+        assert np.array_equal(alone.paths[r], full.paths[r])
+        assert np.array_equal(alone.err_sq[r], full.err_sq[r])
 
     def test_deterministic_under_fixed_seed(self, setup):
         A, scs, obs = setup

@@ -1,10 +1,12 @@
 """Pinned outputs of the bundled experiments, and the script that writes them.
 
-    PYTHONPATH=src python tests/write_golden.py [fig3 fig4 ...]
+    PYTHONPATH=src python tests/write_golden.py [--check] [fig3 fig4 ...]
 
 writes tests/golden/<name>.json for the named experiments (all six by
-default).  Each file holds what `gridobs reproduce <name>` prints and
-writes: the check lines, every column of every CSV file, the manifest's
+default).  With --check it writes nothing: it reruns the experiments,
+prints every pinned value that moved at all (floats with their relative
+change) and exits 1 if any did.  Each file holds what `gridobs reproduce
+<name>` prints and writes: the check lines, every column of every CSV file, the manifest's
 result payload and a sha256 of each trajectory's switching paths (which
 replace the path table itself).  `test_experiments` compares each run with
 its file, floats to 1e-9 relative and everything else exactly; a change
@@ -13,6 +15,7 @@ that moves a pinned number reruns this script and lists the moved values.
 
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -40,24 +43,26 @@ def snapshot(name, result):
     return json.loads(json.dumps(doc, default=cli._jsonable))
 
 
-def mismatches(got, want, where=""):
-    """Places where `got` differs from `want`: floats beyond RTOL relative,
-    anything else not exactly equal."""
+def mismatches(got, want, where="", rtol=RTOL):
+    """Places where `got` differs from `want`: floats beyond `rtol`
+    relative, anything else not exactly equal."""
     if isinstance(want, float) and isinstance(got, float):
-        if got == want or abs(got - want) <= RTOL * abs(want):
+        if got == want or abs(got - want) <= rtol * abs(want):
             return []
-        return [f"{where}: {got!r} != {want!r}"]
+        rel = abs(got - want) / abs(want) if want else math.inf
+        return [f"{where}: {got!r} != {want!r} (relative change {rel:.3g})"]
     if type(got) is not type(want):
         return [f"{where}: {got!r} != {want!r}"]
     if isinstance(want, dict):
         if got.keys() != want.keys():
             return [f"{where}: keys {sorted(got)} != {sorted(want)}"]
-        return [m for k in want for m in mismatches(got[k], want[k], f"{where}.{k}")]
+        return [m for k in want
+                for m in mismatches(got[k], want[k], f"{where}.{k}", rtol)]
     if isinstance(want, list):
         if len(got) != len(want):
             return [f"{where}: length {len(got)} != {len(want)}"]
         return [m for i, (g, w) in enumerate(zip(got, want))
-                for m in mismatches(g, w, f"{where}[{i}]")]
+                for m in mismatches(g, w, f"{where}[{i}]", rtol)]
     return [] if got == want else [f"{where}: {got!r} != {want!r}"]
 
 
@@ -74,13 +79,32 @@ def _dumps(obj, pad=""):
     return json.dumps(obj)
 
 
-def main(names):
+def check(names):
+    """Rerun the experiments against their golden files; 1 if any pinned
+    value moved at all, else 0."""
+    moved = 0
+    for name in names:
+        want = json.loads((GOLDEN / f"{name}.json").read_text())
+        diffs = mismatches(snapshot(name, experiments.run_experiment(name)), want,
+                           name, rtol=0.0)
+        for line in diffs:
+            print(line)
+        print(f"{name}: {len(diffs)} moved")
+        moved += len(diffs)
+    return 1 if moved else 0
+
+
+def main(argv):
+    names = [a for a in argv if a != "--check"] or list(experiments.EXPERIMENTS)
+    if "--check" in argv:
+        return check(names)
     GOLDEN.mkdir(exist_ok=True)
-    for name in names or experiments.EXPERIMENTS:
+    for name in names:
         doc = snapshot(name, experiments.run_experiment(name))
         (GOLDEN / f"{name}.json").write_text(_dumps(doc) + "\n")
         print(f"wrote {GOLDEN / f'{name}.json'}")
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))
