@@ -14,34 +14,12 @@ classical diagnostic.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numerics, observer
 from .numerics import operator_norm
-
-
-def interval_variance(Ac, L, sigma, tau):
-    """Per-interval filter error covariance V and its square root Q.
-
-    V integrates exp(Ac u) L sigma (L sigma)^T exp(Ac^T u) over one
-    sampling interval.  Ac is expected to be Hurwitz; if it is not the
-    integral still exists but the filter it describes will not settle, so
-    a warning is raised.
-    """
-    Ac = np.asarray(Ac, dtype=float)
-    if Ac.size and np.max(np.linalg.eigvals(Ac).real) >= 0:
-        warnings.warn("Ac is not Hurwitz; interval variance computed anyway",
-                      RuntimeWarning, stacklevel=2)
-    L = np.asarray(L, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.size == 0 or not np.any(sigma):
-        V = np.zeros_like(Ac)
-    else:
-        V = numerics.noise_gramian(Ac, L @ sigma, tau)
-    return V, numerics.psd_sqrt(V)
 
 
 @dataclass
@@ -200,22 +178,23 @@ def steady_state(obs, scenario_set):
     """
     maps = [obs.Lam[s.index] for s in scenario_set]
     weights = [s.probability for s in scenario_set]
-    radius = numerics.mean_square_radius(maps, weights)
-    if radius >= 1.0:
-        raise observer.ObserverError(
-            f"error dynamics mean-square unstable (radius {radius:.4f}); "
-            "steady-state variance undefined")
-    M = second_moment_matrix(obs, scenario_set)
-    S = numerics.psd_sqrt(M)
     Psi = sum(s.probability * obs.Q[s.index].T @ obs.Q[s.index]
               for s in scenario_set)
     Psi = 0.5 * (Psi + Psi.T)
+    # the exact solve decides mean-square stability on its own radius
+    try:
+        W_inf = numerics.solve_switched_covariance(maps, weights, Psi)
+    except numerics.MeanSquareUnstable as exc:
+        raise observer.ObserverError(
+            f"error dynamics mean-square unstable (radius {exc.radius:.4f}); "
+            "steady-state variance undefined") from exc
+    M = second_moment_matrix(obs, scenario_set)
+    S = numerics.psd_sqrt(M)
     if max(np.abs(np.linalg.eigvals(M))) < 1.0:
         W_stein = numerics.solve_symmetric_stein(S, Psi)
         mu_inf = float(np.trace(W_stein))
     else:
         W_stein = mu_inf = None
-    W_inf = numerics.solve_switched_covariance(maps, weights, Psi)
     return SteadyState(M, S, Psi, W_stein, mu_inf, W_inf, float(np.trace(W_inf)))
 
 
@@ -240,26 +219,3 @@ def expected_err_sq(obs, scenario_set, e0, K):
         Sigma = np.tensordot(p, Lam @ Sigma @ Lam.transpose(0, 2, 1), axes=1) + Psi
         out[k + 1] = np.trace(Sigma)
     return out
-
-
-def tradeoff_sweep(A, scenario_set, tau, base_poles, scales,
-                   completion="orthonormal"):
-    """Convergence speed versus noise floor across scaled pole sets.
-
-    Rebuilds the gains with every pole multiplied by each scale factor and
-    reports (scale, gamma_exact, mu_inf, mu_state); unstable designs get
-    NaN variances.
-    """
-    rows = []
-    for scale in scales:
-        poles = [p * scale for p in base_poles]
-        obs = observer.design(A, scenario_set, poles, tau, completion=completion)
-        rep = contraction(obs, scenario_set)
-        if rep.stable:
-            ss = steady_state(obs, scenario_set)
-            rows.append({"scale": scale, "gamma_exact": rep.gamma_exact,
-                         "mu_inf": ss.mu_inf, "mu_state": ss.mu_state})
-        else:
-            rows.append({"scale": scale, "gamma_exact": rep.gamma_exact,
-                         "mu_inf": math.nan, "mu_state": math.nan})
-    return rows

@@ -12,6 +12,7 @@ import sys
 from collections import OrderedDict
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 
 # Numerical cutoffs used across the package, read at call time.  RANK_TOL
@@ -260,6 +261,12 @@ def place_poles(A22, C2, desired):
 _YT_RTOL = 1e-11
 _YT_MAXITER = 300
 _SQRT_EPS = np.sqrt(np.spacing(1))
+_SQRT2 = math.sqrt(2.0)
+# LAPACK work per matrix column in _full_qr: room for blocks of 64
+# columns, twice the block size OpenBLAS asks for geqrf and orgqr, so the
+# blocked or unblocked path LAPACK takes is the one numpy's queried
+# workspace gives
+_QR_WORK_PER_COLUMN = 64
 
 
 def _assign_poles(A22, C2, desired):
@@ -273,6 +280,12 @@ def _assign_poles(A22, C2, desired):
     scipy's order (a KNV0 step for a lone real pole) until |det X| settles
     to _YT_RTOL or _YT_MAXITER sweeps have run.  Every floating-point
     operation is scipy's, in scipy's order, so the gain has scipy's bits.
+    Each full QR (of B, of each pole's space, of X without the columns
+    being updated) is _full_qr's direct LAPACK call.  X is complex when
+    any requested pole is, its real-pole columns included, and its QRs
+    run in complex arithmetic as scipy's do: a float QR of those columns
+    rounds differently and moves the gain.  A sweep takes |det X| once,
+    after its updates; the previous sweep's value is its starting point.
     """
     A = A22.T
     B = C2.T
@@ -342,20 +355,49 @@ def _assign_poles(A22, C2, desired):
 
 
 def _full_qr(a):
-    """(Q, R) of the full QR of a, both in Fortran order.
+    """Full QR of a float or complex matrix a: (Q, F) with R = triu(F).
 
-    Fortran order is the layout LAPACK's geqrf/orgqr hand back, and the
-    ported assignment's arithmetic follows it: on a C-ordered Q the YT
-    updates' products take other BLAS paths and round differently, and
-    the gains lose scipy.signal.place_poles' bits.
+    Runs LAPACK's geqrf and orgqr (zgeqrf and zungqr for complex a), the
+    routines numpy.linalg.qr(a, mode="complete") runs, through
+    numpy.linalg.lapack_lite, so Q and R carry its bits without the cost
+    of its wrapper.  Q is returned in Fortran order, the layout LAPACK
+    hands back: on a C-ordered Q the YT updates' products take other BLAS
+    paths and round differently, and the gains lose
+    scipy.signal.place_poles' bits.  F is the packed geqrf output, R on
+    and above its diagonal; only the QR of B needs R, so no call forms it.
+    A nonzero LAPACK info raises LinAlgError.
     """
-    Q, R = np.linalg.qr(a, mode="complete")
-    return np.asfortranarray(Q), np.asfortranarray(R)
+    m, n = a.shape
+    if a.dtype.kind == "c":
+        geqrf, orgqr = lapack_lite.zgeqrf, lapack_lite.zungqr
+    else:
+        geqrf, orgqr = lapack_lite.dgeqrf, lapack_lite.dorgqr
+    k = min(m, n)
+    # LAPACK reads column-major storage, so row c of a C-ordered buffer
+    # is column c of the matrix: these buffers hold a^T and Q^T
+    f = a.T.copy()
+    tau = np.empty(max(k, 1), f.dtype)
+    lwork = _QR_WORK_PER_COLUMN * max(m, n, 1)
+    work = np.empty(lwork, f.dtype)
+    info = geqrf(m, n, f, m, tau, work, lwork, 0)["info"]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"geqrf returned info {info}")
+    q = np.empty((m, m), f.dtype)
+    q[:k] = f[:k]
+    info = orgqr(m, m, k, q, m, tau, work, lwork, 0)["info"]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"orgqr returned info {info}")
+    return q.T, f.T
 
 
 def _close(a, b):
-    """np.allclose(a, b) for finite input, without its overhead."""
-    return bool((abs(a - b) <= 1e-8 + 1e-5 * abs(b)).all())
+    """np.allclose(a, b) for two finite floats, without its overhead."""
+    return abs(a - b) <= 1e-8 + 1e-5 * abs(b)
+
+
+def _negligible(x):
+    """np.allclose(x, 0) for a finite nonempty array, without its overhead."""
+    return abs(x).max() <= 1e-8
 
 
 def _order_poles(poles):
@@ -412,30 +454,31 @@ def _yt_loop(ker_pole, X, poles):
     n = X.shape[1]
     sweep = []
     for i, j in _yt_update_order(poles):
-        rest = [c for c in range(n) if c not in (i, j)]
+        rest = np.array([c for c in range(n) if c not in (i, j)])
         sweep.append((i, j, rest, bool(np.isreal(poles[i]))))
+    det_after = abs(np.linalg.det(X))
     for _ in range(_YT_MAXITER):
-        det_before = np.abs(np.linalg.det(X))
+        det_before = det_after
         for i, j, rest, real in sweep:
             if i == j:
                 _knv0(ker_pole, X, j, rest)
                 continue
-            Q, _ = _full_qr(X[:, rest])
+            Q, _ = _full_qr(X.take(rest, axis=1))
             if real:
                 _yt_real(ker_pole, Q, X, i, j)
             else:
                 _yt_complex(ker_pole, Q, X, i, j)
-        det_after = np.abs(np.linalg.det(X))
+        det_after = abs(np.linalg.det(X))
         # Tits & Yang's convergence test on the relative change of |det X|
-        if det_after > _SQRT_EPS and np.abs((det_after - det_before) / det_after) < _YT_RTOL:
+        if det_after > _SQRT_EPS and abs((det_after - det_before) / det_after) < _YT_RTOL:
             return
 
 
 def _knv0(ker_pole, X, j, rest):
     """KNV method 0: move x_j into its kernel, orthogonal to the rest."""
-    Q, _ = _full_qr(X[:, rest])
+    Q, _ = _full_qr(X.take(rest, axis=1))
     yj = np.dot(np.dot(ker_pole[j], ker_pole[j].T), Q[:, -1])
-    if not _close(yj, 0):
+    if not _negligible(yj):
         X[:, j] = yj / np.linalg.norm(yj)
 
 
@@ -448,7 +491,8 @@ def _yt_real(ker_pole, Q, X, i, j):
     mu1, mu2 = um.T[:2, :, np.newaxis]
     nu1, nu2 = vm[:2, :, np.newaxis]
     x_ij = np.concatenate((X[:, i, np.newaxis], X[:, j, np.newaxis]))
-    if not _close(sm[0], sm[1]):
+    s1, s2 = sm[:2].tolist()
+    if not _close(s1, s2):
         ker_mu_nu = np.concatenate((np.dot(ker_pole[i], mu1), np.dot(ker_pole[j], nu1)))
     else:
         ker_ij = np.vstack((
@@ -458,8 +502,8 @@ def _yt_real(ker_pole, Q, X, i, j):
         ker_mu_nu = np.dot(ker_ij, mu_nu)
     x_ij = np.dot(np.dot(ker_mu_nu, ker_mu_nu.T), x_ij)
     n = X.shape[0]
-    if not _close(x_ij, 0):
-        x_ij = np.sqrt(2) * x_ij / np.linalg.norm(x_ij)
+    if not _negligible(x_ij):
+        x_ij = _SQRT2 * x_ij / np.linalg.norm(x_ij)
         X[:, i] = x_ij[:n, 0]
         X[:, j] = x_ij[n:, 0]
     else:
@@ -469,8 +513,8 @@ def _yt_real(ker_pole, Q, X, i, j):
 
 def _yt_complex(ker_pole, Q, X, i, j):
     """YT update of the (Re, Im) columns of a complex pair (section 6.2)."""
-    ur = np.sqrt(2) * Q[:, -2, np.newaxis]
-    ui = np.sqrt(2) * Q[:, -1, np.newaxis]
+    ur = _SQRT2 * Q[:, -2, np.newaxis]
+    ui = _SQRT2 * Q[:, -1, np.newaxis]
     u = ur + 1j * ui
     ker_pole_ij = ker_pole[i]
     m = np.dot(np.dot(np.conj(ker_pole_ij.T), np.dot(u, np.conj(u).T)
@@ -480,12 +524,12 @@ def _yt_complex(ker_pole, Q, X, i, j):
     mu1 = e_vec[:, e_val_idx[-1], np.newaxis]
     mu2 = e_vec[:, e_val_idx[-2], np.newaxis]
     x_ij = X[:, i, np.newaxis] + 1j * X[:, j, np.newaxis]
-    if not _close(np.abs(e_val[e_val_idx[-1]]), np.abs(e_val[e_val_idx[-2]])):
+    if not _close(abs(e_val[e_val_idx[-1]]), abs(e_val[e_val_idx[-2]])):
         ker_mu = np.dot(ker_pole_ij, mu1)
     else:
         ker_mu = np.dot(ker_pole_ij, np.hstack((mu1, mu2)))
     x_ij = np.dot(np.dot(ker_mu, np.conj(ker_mu.T)), x_ij)
-    if not _close(x_ij, 0):
+    if not _negligible(x_ij):
         x_ij = x_ij / np.linalg.norm(x_ij)
         X[:, i] = np.real(x_ij[:, 0])
         X[:, j] = np.imag(x_ij[:, 0])
@@ -598,6 +642,15 @@ def mean_square_radius(maps, weights):
     return step
 
 
+class MeanSquareUnstable(ValueError):
+    """A switched recursion whose exact mean-square radius is at least one."""
+
+    def __init__(self, radius):
+        super().__init__(
+            f"mean-square unstable switching (second-moment radius {radius:.4f} >= 1)")
+        self.radius = radius
+
+
 def solve_switched_covariance(maps, weights, Psi):
     """Fixed point of W = sum_j w_j M_j W M_j^T + Psi.
 
@@ -606,7 +659,8 @@ def solve_switched_covariance(maps, weights, Psi):
     noise of covariance Psi.  Solved by vectorisation for moderate sizes,
     by fixed-point iteration beyond that.  Requires mean-square stability:
     a second-moment map of spectral radius >= 1 (or, for the iteration, too
-    close to 1 to converge) is rejected with ValueError before the solve.
+    close to 1 to converge) is rejected with ValueError before the solve;
+    for a radius >= 1 that error is MeanSquareUnstable, carrying the radius.
     """
     maps = [_as_matrix(M, "map") for M in maps]
     weights = np.asarray(weights, dtype=float)
@@ -618,8 +672,7 @@ def solve_switched_covariance(maps, weights, Psi):
 
     rho = mean_square_radius(maps, weights)
     if rho >= 1.0:
-        raise ValueError(
-            f"mean-square unstable switching (second-moment radius {rho:.4f} >= 1)")
+        raise MeanSquareUnstable(rho)
     if n <= _VEC_LIMIT:
         T = sum(w * np.kron(M, M) for w, M in zip(weights, maps))
         W = np.linalg.solve(np.eye(n * n) - T, Psi.flatten(order="F"))

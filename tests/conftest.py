@@ -6,10 +6,12 @@ inputs (observer tests that exercise operations on the published
 state-space matrix directly).
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from gridobs import grid, numerics, shs
+from gridobs import analysis, grid, numerics, observer, shs
 
 # pass/fail lines recorded by the acceptance tests, echoed after the run
 ACCEPTANCE_LINES = []
@@ -135,6 +137,28 @@ def open_loop_gain(obs, tau=None):
     t = obs.tau if tau is None else tau
     return numerics.operator_norm(
         obs.F @ numerics.matrix_exponential(obs.A, t) @ obs.Phi)
+
+
+def tradeoff_sweep(A, scenario_set, tau, base_poles, scales):
+    """Convergence speed versus noise floor across scaled pole sets.
+
+    Rebuilds the gains with every pole multiplied by each scale factor and
+    reports (scale, gamma_exact, mu_inf, mu_state); unstable designs get
+    NaN variances.
+    """
+    rows = []
+    for scale in scales:
+        poles = [p * scale for p in base_poles]
+        obs = observer.design(A, scenario_set, poles, tau)
+        rep = analysis.contraction(obs, scenario_set)
+        if rep.stable:
+            ss = analysis.steady_state(obs, scenario_set)
+            rows.append({"scale": scale, "gamma_exact": rep.gamma_exact,
+                         "mu_inf": ss.mu_inf, "mu_state": ss.mu_state})
+        else:
+            rows.append({"scale": scale, "gamma_exact": rep.gamma_exact,
+                         "mu_inf": math.nan, "mu_state": math.nan})
+    return rows
 
 
 @pytest.fixture(scope="session")

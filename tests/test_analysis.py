@@ -1,18 +1,39 @@
 """Convergence diagnostics, tau_max, steady-state variances."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from gridobs import analysis, experiments, grid, numerics, observer, shs
-from gridobs.analysis import (compute_tau_max, contraction, interval_variance,
-                              steady_state, tradeoff_sweep)
+from gridobs.analysis import compute_tau_max, contraction, steady_state
 from gridobs.observer import ObserverError, decompose, design
 
-from conftest import five_bus_scenarios, open_loop_gain
+from conftest import five_bus_scenarios, open_loop_gain, tradeoff_sweep
 
 POLES = [-4.8, -3.6, -4.0, -4.4]
+
+
+def interval_variance(Ac, L, sigma, tau):
+    """Per-interval filter error covariance V and its square root Q.
+
+    V integrates exp(Ac u) L sigma (L sigma)^T exp(Ac^T u) over one
+    sampling interval.  Ac is expected to be Hurwitz; if it is not the
+    integral still exists but the filter it describes will not settle, so
+    a warning is raised.
+    """
+    Ac = np.asarray(Ac, dtype=float)
+    if Ac.size and np.max(np.linalg.eigvals(Ac).real) >= 0:
+        warnings.warn("Ac is not Hurwitz; interval variance computed anyway",
+                      RuntimeWarning, stacklevel=2)
+    L = np.asarray(L, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.size == 0 or not np.any(sigma):
+        V = np.zeros_like(Ac)
+    else:
+        V = numerics.noise_gramian(Ac, L @ sigma, tau)
+    return V, numerics.psd_sqrt(V)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +78,18 @@ class TestIntervalVariance:
         floor = 0.01 * np.abs(V).max()
         rel = np.abs(Vemp - V) / np.maximum(np.abs(V), floor)
         assert rel.max() < 0.05
+
+    def test_equals_the_observer_noise_covariance(self, five_bus_design):
+        # a scenario that observes the whole state filters all of it
+        # through Ac, so its Q Q^T is this variance lifted by T
+        lin, scs, obs = five_bus_design
+        full = [s for s in scs if obs.decomps[s.index].n_i == lin.A.shape[0]]
+        assert len(full) == 3
+        for s in full:
+            d = obs.decomps[s.index]
+            V, _ = interval_variance(d.Ac, d.L, s.sigma, obs.tau)
+            QQ = obs.Q[s.index] @ obs.Q[s.index].T
+            assert np.allclose(QQ, d.T @ V @ d.T.T, rtol=1e-10, atol=1e-12 * np.abs(V).max())
 
     def test_warns_on_unstable_filter(self):
         with pytest.warns(RuntimeWarning, match="Hurwitz"):
@@ -278,6 +311,36 @@ class TestSteadyState:
         obs = design(ieee5_lin.A, scs, [-3.6, -2.7, -3.0, -3.3], tau=0.6261)
         with pytest.raises(ObserverError, match="undefined|unstable"):
             steady_state(obs, scs)
+
+    def test_switched_maps_take_one_radius_per_call(self, monkeypatch, ieee5_lin,
+                                                    five_bus_design):
+        # the exact solve's radius is the stability gate, so the n^2 x n^2
+        # operator of the switched maps is eigendecomposed once; the Stein
+        # recipe's single map S has a radius of its own
+        calls = []
+        radius = numerics.mean_square_radius
+
+        def counting(maps, weights):
+            calls.append(len(maps))
+            return radius(maps, weights)
+
+        monkeypatch.setattr(numerics, "mean_square_radius", counting)
+        _, scs, obs = five_bus_design
+        steady_state(obs, scs)
+        assert calls == [len(scs), 1]
+        calls.clear()
+        # rho(M) >= 1 here, so the Stein recipe is skipped
+        scs = five_bus_scenarios(rho1=0.99, rho2=0.99)
+        obs = design(ieee5_lin.A, scs, [-3.6, -2.7, -3.0, -3.3], tau=0.6261)
+        steady_state(obs, scs)
+        assert calls == [len(scs)]
+        calls.clear()
+        scs = five_bus_scenarios(rho1=0.8, rho2=0.8)
+        obs = design(ieee5_lin.A, scs, [-3.6, -2.7, -3.0, -3.3], tau=0.6261)
+        with pytest.raises(ObserverError, match=r"^error dynamics mean-square "
+                           r"unstable \(radius \d+\.\d{4}\); steady-state variance undefined$"):
+            steady_state(obs, scs)
+        assert calls == [len(scs)]
 
     def test_exact_radius_admits_what_the_bound_refuses(self, ieee5_lin):
         # both channels at delivery 0.99: rho(M) = 1.38 is only a bound, the

@@ -3,6 +3,7 @@
 import time
 import warnings
 from collections import OrderedDict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -247,7 +248,8 @@ class TestPlacePoles:
 def _scipy_gain(A22, C2, desired):
     """The gain scipy's place_poles gives for the request _assign_poles gets."""
     request = desired.real if np.all(desired.imag == 0) else desired
-    kwargs = {"rtol": 1e-11, "maxiter": 300} if C2.shape[0] > 1 else {}
+    kwargs = ({"rtol": numerics._YT_RTOL, "maxiter": numerics._YT_MAXITER}
+              if C2.shape[0] > 1 else {})
     with warnings.catch_warnings():
         # the capped two-output placements stop before scipy's tolerance
         warnings.filterwarnings("ignore", message="Convergence was not")
@@ -330,6 +332,10 @@ class TestAssignPolesMatchesScipy:
         rng.shuffle(p)
         return p
 
+    # the rows that mix real poles with conjugate pairs, (3, 2, 1),
+    # (4, 2, 1), (5, 2, 1), (5, 2, 2) and (5, 3, 1), guard the complex X:
+    # its entries have zero imaginary parts, and running the sweep's QRs on
+    # a float cast of it changes each of their gains
     @pytest.mark.parametrize("n,m,n_pairs", [
         (3, 2, 0), (4, 2, 0), (5, 3, 0), (6, 2, 0),      # real poles
         (4, 2, 2), (4, 2, 1), (6, 3, 3), (5, 2, 1),      # conjugate pairs
@@ -342,6 +348,44 @@ class TestAssignPolesMatchesScipy:
         for _ in range(3):
             A, C = self.random_pair(rng, n, m)
             self.assert_bitwise(A, C, self.pole_list(rng, n, n_pairs))
+
+
+class TestFullQr:
+    """The assignment's QR has numpy.linalg.qr(mode="complete")'s bits."""
+
+    # (70, 40) and (80, 70) reach LAPACK's blocked path
+    @pytest.mark.parametrize("shape", [(4, 2), (5, 3), (6, 2), (3, 3), (4, 4),
+                                       (70, 40), (80, 70)],
+                             ids=lambda shape: "%dx%d" % shape)
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_bitwise_equal_to_numpy(self, shape, kind):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        a = rng.normal(size=shape)
+        if kind is complex:
+            a = a + 1j * rng.normal(size=shape)
+        Q, F = numerics._full_qr(a)
+        want_q, want_r = np.linalg.qr(a, mode="complete")
+        assert Q.flags.f_contiguous and Q.dtype == a.dtype
+        assert Q.tobytes() == want_q.tobytes()
+        assert np.triu(F).tobytes() == want_r.tobytes()
+
+    @pytest.mark.parametrize("kind,routine,step", [
+        (float, "dgeqrf", "geqrf"), (float, "dorgqr", "orgqr"),
+        (complex, "zgeqrf", "geqrf"), (complex, "zungqr", "orgqr")])
+    def test_nonzero_lapack_info_raises(self, monkeypatch, kind, routine, step):
+        # a one-element workspace is an illegal argument to every routine
+        # here: LAPACK answers with a negative info instead of a result
+        real = getattr(numerics.lapack_lite, routine)
+
+        def starved(*args):
+            return real(*args[:-2], 1, args[-1])
+
+        fake = {name: getattr(numerics.lapack_lite, name)
+                for name in ("dgeqrf", "dorgqr", "zgeqrf", "zungqr")}
+        fake[routine] = starved
+        monkeypatch.setattr(numerics, "lapack_lite", SimpleNamespace(**fake))
+        with pytest.raises(np.linalg.LinAlgError, match=step + " returned info -"):
+            numerics._full_qr(np.ones((4, 2), dtype=kind))
 
 
 def _fig5_gains():
