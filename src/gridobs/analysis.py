@@ -151,7 +151,7 @@ def compute_tau_max(A, scenario_set, decomps):
 class SteadyState:
     M_matrix: np.ndarray          # E(Lam^T Lam)
     S: np.ndarray                 # M^(1/2)
-    Psi: np.ndarray               # E(Q^T Q) = sum p_j V_j
+    Psi: np.ndarray               # E(Q Q^T) = sum p_j V_j
     W_stein: np.ndarray           # solution of S W S - W + Psi = 0; None if rho(M) >= 1
     mu_inf: float                 # Trace(W_stein); None if rho(M) >= 1
     W_inf: np.ndarray             # exact stationary covariance of the error
@@ -168,6 +168,13 @@ class SteadyState:
         return out
 
 
+def _noise_covariance(obs, scenario_set):
+    """Psi = sum_j p_j Q_j Q_j^T, the mean covariance of the interval noise
+    w = Q_j xi that the simulation draws."""
+    return sum(s.probability * obs.Q[s.index] @ obs.Q[s.index].T
+               for s in scenario_set)
+
+
 def steady_state(obs, scenario_set):
     """Steady-state error variance of the coordinated observer.
 
@@ -178,8 +185,7 @@ def steady_state(obs, scenario_set):
     """
     maps = [obs.Lam[s.index] for s in scenario_set]
     weights = [s.probability for s in scenario_set]
-    Psi = sum(s.probability * obs.Q[s.index].T @ obs.Q[s.index]
-              for s in scenario_set)
+    Psi = _noise_covariance(obs, scenario_set)
     Psi = 0.5 * (Psi + Psi.T)
     # the exact solve decides mean-square stability on its own radius
     try:
@@ -209,8 +215,7 @@ def expected_err_sq(obs, scenario_set, e0, K):
     """
     p = np.array([s.probability for s in scenario_set])
     Lam = np.stack([obs.Lam[s.index] for s in scenario_set])
-    Psi = sum(s.probability * obs.Q[s.index].T @ obs.Q[s.index]
-              for s in scenario_set)
+    Psi = _noise_covariance(obs, scenario_set)
     e0 = np.asarray(e0, dtype=float)
     Sigma = np.outer(e0, e0)
     out = np.empty(K + 1)

@@ -1,14 +1,18 @@
 """Command-line front end.
 
-Commands
+Commands (and the flags each one reads)
     linearize   equilibrium + state-space matrices of a grid
     design      scenario set, decompositions, and observer gains
     analyze     convergence report and steady-state variances
+                (these three: --config, --grid, --out)
     simulate    Monte Carlo error trajectories (CSV + manifest)
+                (--config, --grid, --out, --seed, --replicas)
     reproduce   run a bundled benchmark experiment and check its claim
+                (NAME, --out, --seed, --replicas)
 
-Exit codes: 0 success, 1 usage error or unreadable --config, 2 model or
-numerical failure (grid, scenario, observer), 3 a reproduce check failed.
+Exit codes: 0 success, 1 usage error (a bad argument, an unreadable
+--config, a missing config field), 2 model or numerical failure (grid,
+scenario, observer), 3 a reproduce check failed.
 """
 
 from __future__ import annotations
@@ -37,8 +41,9 @@ def _load_config(args):
             raise UsageError(f"cannot read config {args.config}: {exc.strerror}")
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise UsageError(f"config {args.config} is not valid JSON: {exc}")
-    if getattr(args, "grid", None):
+    if args.grid:
         cfg["grid"] = args.grid
+    # only simulate takes --seed and --replicas
     if getattr(args, "seed", None) is not None:
         cfg.setdefault("sim", {})["seed"] = args.seed
     if getattr(args, "replicas", None) is not None:
@@ -284,29 +289,32 @@ def cmd_reproduce(args):
     return 0 if result["passed"] else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # usage errors exit 1; 2 is for model failures
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gridobs",
         description="Grid state estimation under randomly interrupted sensing.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--grid", help="builtin grid name or grid JSON path")
-        p.add_argument("--out", help="output directory (default: $GRIDOBS_OUT or ./out)")
-        p.add_argument("--seed", type=int, help="override the simulation seed")
-        p.add_argument("--replicas", type=int, help="override the replica count")
-
     for name, fn in (("linearize", cmd_linearize), ("design", cmd_design),
-                     ("analyze", cmd_analyze), ("simulate", cmd_simulate)):
+                     ("analyze", cmd_analyze), ("simulate", cmd_simulate),
+                     ("reproduce", cmd_reproduce)):
         p = sub.add_parser(name)
-        common(p)
         p.set_defaults(fn=fn)
-    p = sub.add_parser("reproduce", help="run a bundled benchmark experiment")
-    p.add_argument("name", choices=experiments.EXPERIMENTS)
-    common(p)
-    p.set_defaults(fn=cmd_reproduce)
+        if name == "reproduce":
+            p.add_argument("name", choices=experiments.EXPERIMENTS)
+        else:
+            p.add_argument("--config", help="JSON run configuration")
+            p.add_argument("--grid", help="builtin grid name or grid JSON path")
+        p.add_argument("--out", help="output directory (default: $GRIDOBS_OUT or ./out)")
+        if name in ("simulate", "reproduce"):
+            p.add_argument("--seed", type=int, help="override the simulation seed")
+            p.add_argument("--replicas", type=int, help="override the replica count")
 
     args = parser.parse_args(argv)
     if args.command in ("linearize",) and not (args.grid or args.config):

@@ -68,10 +68,14 @@ def build_pipeline(cfg):
 
 def run_simulation(cfg, lin, obs, scs, **overrides):
     scfg = dict(cfg["sim"])
+    states = [k for k in ("x0", "xhat0") if k in scfg]
+    if states:
+        raise ValueError(f"sim sets {' and '.join(states)}; the error recursion "
+                         "starts from the initial estimation error sim.e0 alone")
     scfg.update({k: v for k, v in overrides.items() if v is not None})
     simcfg = sim.SimConfig(
         K=scfg["K"], replicas=scfg.get("replicas", 1), seed=scfg.get("seed", 0),
-        x0=scfg.get("x0"), e0=scfg.get("e0"), xhat0=scfg.get("xhat0"))
+        e0=scfg.get("e0"))
     return simcfg, sim.monte_carlo(lin.A, obs, scs, simcfg)
 
 
@@ -79,8 +83,8 @@ def simulate_with_expectation(cfg, lin, obs, scs, **overrides):
     """run_simulation, with the exact mean squared error curve
     (`analysis.expected_err_sq`) set on the trajectory."""
     simcfg, traj = run_simulation(cfg, lin, obs, scs, **overrides)
-    x0, xhat0 = simcfg.initial_states(obs.n)
-    traj.expected_err_sq = analysis.expected_err_sq(obs, scs, xhat0 - x0, simcfg.K)
+    traj.expected_err_sq = analysis.expected_err_sq(
+        obs, scs, simcfg.initial_error(obs.n), simcfg.K)
     return simcfg, traj
 
 

@@ -91,7 +91,6 @@ class GridModel:
     buses: list
     lines: list
     base_mva: float = 100.0
-    base_kv: float = 230.0
     name: str = "grid"
     equilibrium_mode: str = "solve"   # "solve" or "anchored"
 
@@ -175,7 +174,6 @@ class NetworkSolution:
     angles: dict                  # bus id -> rad
     voltages: dict                # bus id -> pu
     injections: dict              # bus id -> net real power into the network, pu
-    q_injections: dict
     residual: float
     iterations: int
 
@@ -272,12 +270,11 @@ def _newton(grid, ang, mag, angles=None):
         th, V = th_t, V_t
         mis = mismatch(V, th)
         it += 1
-    P, Q = _injections(Y, V, th)
+    P, _ = _injections(Y, V, th)
     return NetworkSolution(
         angles={b.id: float(th[idx[b.id]]) for b in grid.buses},
         voltages={b.id: float(V[idx[b.id]]) for b in grid.buses},
         injections={b.id: float(P[idx[b.id]]) for b in grid.buses},
-        q_injections={b.id: float(Q[idx[b.id]]) for b in grid.buses},
         residual=float(np.max(np.abs(mis))) if mis.size else 0.0,
         iterations=it,
     )
@@ -414,13 +411,11 @@ def linearize(grid, eq=None):
 
 def load_grid(source):
     """Build a GridModel from a dict or a JSON file path."""
-    if isinstance(source, (str,)) and not source.lstrip().startswith("{"):
+    if isinstance(source, dict):
+        data = source
+    else:
         with open(source) as f:
             data = json.load(f)
-    elif isinstance(source, str):
-        data = json.loads(source)
-    else:
-        data = source
     buses = [
         Bus(
             id=b["id"],
@@ -445,7 +440,6 @@ def load_grid(source):
         buses,
         lines,
         base_mva=data.get("base_mva", 100.0),
-        base_kv=data.get("base_kv", 230.0),
         name=data.get("name", "grid"),
         equilibrium_mode=data.get("equilibrium_mode", "solve"),
     )
@@ -491,12 +485,10 @@ def read_matpower(path_or_text):
     for g in gen_rows:
         pg[int(g[0])] = pg.get(int(g[0]), 0.0) + g[1] / base_mva
     buses = []
-    base_kv = 230.0
     for row in bus_rows:
         bid, btype = int(row[0]), int(row[1])
         pd, qd = row[2] / base_mva, row[3] / base_mva
         vm, va = row[7], math.radians(row[8])
-        base_kv = row[9] if len(row) > 9 else base_kv
         kind = SLACK if btype == 3 else NON_DYNAMIC
         buses.append(
             Bus(
@@ -517,8 +509,7 @@ def read_matpower(path_or_text):
         if status == 0:
             continue
         lines.append(Line(int(row[0]), int(row[1]), row[2], row[3], row[4]))
-    return GridModel(buses, lines, base_mva=base_mva, base_kv=base_kv,
-                     name="matpower_import")
+    return GridModel(buses, lines, base_mva=base_mva, name="matpower_import")
 
 
 def _case_text(fname):
@@ -548,8 +539,8 @@ def builtin(name):
                 b = Bus(b.id, DYNAMIC, b.voltage, b.angle, False, False,
                         M, d, b.p_load, b.q_load, 0.0)
             buses.append(b)
-        return GridModel(buses, g.lines, g.base_mva, g.base_kv,
-                         name="ieee33_feeder", equilibrium_mode="solve")
+        return GridModel(buses, g.lines, g.base_mva, name="ieee33_feeder",
+                         equilibrium_mode="solve")
     raise GridError(f"unknown builtin grid {name!r}")
 
 

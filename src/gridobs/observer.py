@@ -158,7 +158,6 @@ class CoordinatedObserver:
     A: np.ndarray
     tau: float
     decomps: dict                 # scenario index -> SubsystemDecomposition
-    scenario_set: object
     F: np.ndarray                 # stacked F_i blocks, n_s x n
     Phi: np.ndarray               # (F^T F)^-1 F^T, n x n_s
     Lam: dict                     # scenario index -> realised n x n error map
@@ -249,9 +248,8 @@ def build(A, scenario_set, decomps, tau):
             Vs = np.zeros((n, n))
         Q[s.index] = numerics.psd_sqrt(0.5 * (Vs + Vs.T))
     return CoordinatedObserver(
-        A=A, tau=tau, decomps=decomps, scenario_set=scenario_set,
-        F=F, Phi=Phi, Lam=Lam, Q=Q, exp_Ac_tau=exp_Ac,
-        exp_A_tau=exp_A_tau, block_slices=slices)
+        A=A, tau=tau, decomps=decomps, F=F, Phi=Phi, Lam=Lam, Q=Q,
+        exp_Ac_tau=exp_Ac, exp_A_tau=exp_A_tau, block_slices=slices)
 
 
 def design(A, scenario_set, poles, tau, completion="orthonormal"):

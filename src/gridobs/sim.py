@@ -135,9 +135,7 @@ class SimConfig:
     K: int                        # number of sampling intervals
     replicas: int = 1
     seed: int = 0
-    x0: np.ndarray = None         # true initial deviation (defaults to 0)
-    e0: np.ndarray = None         # initial estimation error (xhat0 = x0 + e0)
-    xhat0: np.ndarray = None      # overrides e0 when given
+    e0: np.ndarray = None         # initial estimation error (defaults to 0)
 
     def __post_init__(self):
         for name in ("K", "replicas"):
@@ -150,17 +148,11 @@ class SimConfig:
     def roots(self):
         return derive_seed(self.seed, _SWITCH_TAG), derive_seed(self.seed, _NOISE_TAG)
 
-    def initial_states(self, n):
-        x0 = np.zeros(n) if self.x0 is None else np.asarray(self.x0, dtype=float)
-        if self.xhat0 is not None:
-            xh = np.asarray(self.xhat0, dtype=float)
-        elif self.e0 is not None:
-            xh = x0 + np.asarray(self.e0, dtype=float)
-        else:
-            xh = x0.copy()
-        if x0.shape != (n,) or xh.shape != (n,):
-            raise ValueError(f"initial states must have dimension {n}")
-        return x0, xh
+    def initial_error(self, n):
+        e0 = np.zeros(n) if self.e0 is None else np.asarray(self.e0, dtype=float)
+        if e0.shape != (n,):
+            raise ValueError(f"e0 must have dimension {n}")
+        return e0
 
 
 def run_replica(A, obs, scenario_set, cfg, replica_index=0):
@@ -178,9 +170,8 @@ def run_replica(A, obs, scenario_set, cfg, replica_index=0):
                                   derive_seed(sw_root, replica_index))
     xi = np.random.default_rng(derive_seed(nz_root, replica_index)).standard_normal(
         (cfg.K, n))
-    x0, xhat0 = cfg.initial_states(n)
     eps = np.empty((cfg.K + 1, n))
-    eps[0] = xhat0 - x0
+    eps[0] = cfg.initial_error(n)
     for k in range(cfg.K):
         a = int(alphas[k])
         eps[k + 1] = obs.Lam[a] @ eps[k] + obs.Q[a] @ xi[k]
@@ -239,14 +230,13 @@ def monte_carlo(A, obs, scenario_set, cfg):
     R = cfg.replicas
     K = cfg.K
     sw_root, nz_root = cfg.roots()
-    x0, xhat0 = cfg.initial_states(n)
     words = seed_sequence_words(np.concatenate(
         [derive_seeds(sw_root, R), derive_seeds(nz_root, R)]))
     bitgen = np.random.PCG64(0)            # each stream overwrites its state
     gen = np.random.Generator(bitgen)
     alphas = np.empty((R, K), dtype=int)
     eps = np.empty((R, K + 1, n))
-    eps[:, 0] = xhat0 - x0
+    eps[:, 0] = cfg.initial_error(n)
     for r in range(R):
         _load_stream(bitgen, words[r])
         alphas[r] = _shs.sample_skeleton(scenario_set, K, gen)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -48,7 +49,21 @@ class TestLinearize:
     def test_missing_grid_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["linearize"])
-        assert exc.value.code == 2   # argparse's usage-error exit
+        assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("command,options", [
+    ("linearize", {"--config", "--grid", "--out"}),
+    ("design", {"--config", "--grid", "--out"}),
+    ("analyze", {"--config", "--grid", "--out"}),
+    ("simulate", {"--config", "--grid", "--out", "--seed", "--replicas"}),
+    ("reproduce", {"--out", "--seed", "--replicas"}),
+])
+def test_each_command_takes_only_the_flags_it_reads(command, options, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z]+", capsys.readouterr().out)) - {"--help"} == options
 
 
 class TestAnalyze:
@@ -60,6 +75,14 @@ class TestAnalyze:
         assert conv["gamma_exact"] < 1.0
         assert abs(conv["tau_max"] - 0.7365) / 0.7365 < 0.05
         assert doc["steady_state"]["mu_state"] > 0
+
+    def test_mean_square_unstable_design_reports_no_steady_state(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(experiments.load_experiment("fig6")))
+        assert run(["analyze", "--config", str(path), "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "analysis.json").read_text())
+        assert doc["convergence"]["stable"] is False
+        assert doc["steady_state"] == {"unstable": True}
 
     def test_solver_residual_failure_exits_2(self, tmp_path, fig3_config,
                                              monkeypatch, capsys):
@@ -129,6 +152,19 @@ class TestSimulate:
         assert [float(line.split(",")[-1]) for line in lines[1:]] == pytest.approx(
             expected, rel=1e-9)
         assert manifest["mean_err_sq_max_abs_z"] >= 0.0
+
+    def test_gnuplot_script_only_when_asked(self, tmp_path, fig3_config):
+        cfg = json.loads(fig3_config.read_text())
+        cfg["outputs"] = {"gnuplot": True}
+        path = tmp_path / "plot_cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["simulate", "--config", str(path), "--out",
+                    str(tmp_path / "with")]) == 0
+        script = (tmp_path / "with" / "plot.gp").read_text()
+        assert "plot 'trajectory.csv' using 1:3" in script
+        assert run(["simulate", "--config", str(fig3_config), "--out",
+                    str(tmp_path / "without")]) == 0
+        assert not (tmp_path / "without" / "plot.gp").exists()
 
     def test_seed_override_changes_paths(self, tmp_path, fig3_config):
         run(["simulate", "--config", str(fig3_config), "--out",
@@ -250,6 +286,14 @@ def _two_bus_with(bus=None, line=None, mode=None):
     (["simulate", "--config", "cfg.json"], _fig3_with(sim={"K": True}), 2),
     (["simulate", "--config", "cfg.json"], _fig3_with(sim={"replicas": 3.5}), 2),
     (["simulate", "--config", "cfg.json"], _fig3_with(sim={"seed": 1.5}), 2),
+    # initial states other than the initial estimation error
+    (["simulate", "--config", "cfg.json"], _fig3_with(sim={"x0": [0.0] * 4}), 2),
+    (["simulate", "--config", "cfg.json"], _fig3_with(sim={"xhat0": [0.0] * 4}), 2),
+    (["simulate", "--config", "cfg.json"], _fig3_with(sim={"e0": [2.0, 0.0]}), 2),
+    # flags the command does not take, and a flag value of the wrong type
+    (["reproduce", "fig3", "--grid", "ieee33"], None, 1),
+    (["design", "--config", "cfg.json", "--seed", "1"], _fig3_with(), 1),
+    (["simulate", "--config", "cfg.json", "--seed", "x"], _fig3_with(), 1),
 ], ids=["unknown-override", "pruned-override", "rho-above-one", "rho-string",
         "sigma-null", "sigma-nan", "override-negative", "completion-unknown",
         "relative-grid-file", "missing-config", "malformed-config", "tau-overflow",
@@ -257,7 +301,8 @@ def _two_bus_with(bus=None, line=None, mode=None):
         "inertia-null", "inertia-nan", "damping-inf", "line-x-string",
         "line-x-nan", "mode-unknown", "voltage-fixed-string", "angle-fixed-int",
         "k-string", "k-fraction",
-        "k-bool", "replicas-fraction", "seed-fraction"])
+        "k-bool", "replicas-fraction", "seed-fraction", "sim-x0", "sim-xhat0",
+        "e0-short", "reproduce-grid", "design-seed", "seed-string"])
 def test_failures_exit_cleanly(tmp_path, argv, config, code):
     if config is not None:
         text = config if isinstance(config, str) else json.dumps(config)

@@ -58,6 +58,28 @@ def test_fig6_degraded_case_is_mean_square_unstable(run):
     assert res["report"]["gamma_exact"] > 1.0
 
 
+def test_degraded_check_on_a_mean_square_stable_case(monkeypatch):
+    # fig6's own case is unstable; at delivery 0.99 the check compares
+    # the two steady-state floors instead
+    cfg = experiments.load_experiment("fig6")
+    cfg["check"]["case"] = [0.99, 0.99]
+    monkeypatch.setattr(experiments, "load_experiment", lambda name: cfg)
+    res = experiments.run_experiment("fig6", replicas=4)
+    assert res["report"]["stable"] is True
+    mu = res["steady"]["mu_state"]
+    assert res["checks"]["diverges_or_much_larger_floor"] == (
+        mu > 10 * res["reference_steady"]["mu_state"])
+
+
+@pytest.mark.parametrize("key", ["x0", "xhat0"])
+def test_simulation_refuses_initial_states(key):
+    cfg = experiments.load_experiment("fig3")
+    cfg["sim"][key] = [0.0, 0.0, 0.0, 0.0]
+    _, lin, scs, obs = experiments.build_pipeline(cfg)
+    with pytest.raises(ValueError, match=rf"sim sets {key};.*sim\.e0"):
+        experiments.run_simulation(cfg, lin, obs, scs)
+
+
 def test_fig7_partial_observability_design(run):
     res = run("fig7")
     # single-PMU configuration pays a visibly different noise floor

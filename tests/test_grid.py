@@ -386,9 +386,9 @@ class TestMatpowerImport:
 
 
 class TestGridLoader:
-    def test_load_from_dict_and_json_text(self):
+    def test_load_from_dict(self):
         data = {
-            "name": "mini", "base_mva": 50.0, "base_kv": 11.0,
+            "name": "mini", "base_mva": 50.0,
             "buses": [
                 {"id": 1, "kind": "dynamic", "inertia": 1.0, "damping": 0.1,
                  "p_in": 0.5},
@@ -397,13 +397,14 @@ class TestGridLoader:
             ],
             "lines": [{"from": 1, "to": 2, "r": 0.01, "x": 0.1}],
         }
+        g = grid.load_grid(data)
+        assert g.name == "mini"
+        assert g.base_mva == 50.0
+        assert g.bus(1).kind == grid.DYNAMIC
+        assert not g.bus(2).voltage_fixed
         import json
-        for source in (data, json.dumps(data)):
-            g = grid.load_grid(source)
-            assert g.name == "mini"
-            assert g.base_mva == 50.0
-            assert g.bus(1).kind == grid.DYNAMIC
-            assert not g.bus(2).voltage_fixed
+        with pytest.raises(OSError):
+            grid.load_grid(json.dumps(data))   # JSON text is not a path
 
     def test_load_from_file(self, tmp_path):
         import json

@@ -141,7 +141,7 @@ class TestRunReplica:
         A, scs, obs = setup
         scs0 = five_bus_scenarios(sigma=0.0, overrides=None)
         obs0 = observer.design(A, scs0, POLES, tau=0.6261)
-        cfg = SimConfig(K=12, seed=5, x0=np.array([0.4, 0.0, -0.2, 0.1]))
+        cfg = SimConfig(K=12, seed=5)
         eps, err, alphas = run_replica(A, obs0, scs0, cfg)
         assert np.max(err) < 1e-16
 
@@ -172,24 +172,19 @@ class TestRunReplica:
 
 class TestMonteCarlo:
     def test_single_replica_matches_reference_engine(self, setup, four_channel):
-        # a nonzero x0 changes the errors only by the rounding of
-        # e0 = (x0 + e0) - x0: the recursion does not depend on the truth
         A, scs, obs = setup
         rho7 = five_bus_scenarios(rho1=0.7, rho2=0.7)
         designs = [(scs, obs), (rho7, observer.design(A, rho7, POLES, tau=0.6261)),
                    four_channel]
-        x0 = np.array([0.3, -0.2, 0.1, 0.4])
-        cfgs = [SimConfig(K=8, replicas=12, seed=99, x0=x, e0=[2.0, 0.0, 1.0, 0.0])
-                for x in (x0, np.zeros(4))]
+        cfg = SimConfig(K=8, replicas=12, seed=99, e0=[2.0, 0.0, 1.0, 0.0])
         visited = []
         for scs_i, obs_i in designs:
-            trajs = [monte_carlo(A, obs_i, scs_i, cfg) for cfg in cfgs]
-            assert np.allclose(trajs[0].err_sq, trajs[1].err_sq, rtol=1e-12, atol=0)
-            for r in range(cfgs[0].replicas):
-                _, err, alphas = run_replica(A, obs_i, scs_i, cfgs[0], replica_index=r)
-                assert np.array_equal(trajs[0].paths[r], alphas)
-                assert np.max(np.abs(trajs[0].err_sq[r] - err) / err) < 1e-9
-            visited.append(set(trajs[0].paths.ravel().tolist()))
+            traj = monte_carlo(A, obs_i, scs_i, cfg)
+            for r in range(cfg.replicas):
+                _, err, alphas = run_replica(A, obs_i, scs_i, cfg, replica_index=r)
+                assert np.array_equal(traj.paths[r], alphas)
+                assert np.max(np.abs(traj.err_sq[r] - err) / err) < 1e-9
+            visited.append(set(traj.paths.ravel().tolist()))
         assert 4 in visited[1]                 # rho 0.7: the no-sensor scenario
         assert len(visited[2]) > 4             # four channels, lanes down
 
@@ -288,7 +283,6 @@ class TestMonteCarlo:
     def test_fig3_mean_error_matches_exact_second_moment(self):
         lin, scs, obs, cfg = _figure("fig3")
         simcfg, traj = experiments.run_simulation(cfg, lin, obs, scs)
-        assert simcfg.x0 is None
         expect, var = _conditional_moments(obs, traj.paths, cfg["sim"]["e0"])
         R = simcfg.replicas
         mean = expect.mean(axis=0)
