@@ -11,8 +11,9 @@ Commands (and the flags each one reads)
                 (NAME, --out, --seed, --replicas)
 
 Exit codes: 0 success, 1 usage error (a bad argument, an unreadable
---config, a missing config field), 2 model or numerical failure (grid,
-scenario, observer), 3 a reproduce check failed.
+--config or one that is not a JSON object, a missing config field), 2
+model or numerical failure (grid, scenario, observer, a config section of
+the wrong JSON type), 3 a reproduce check failed.
 """
 
 from __future__ import annotations
@@ -41,13 +42,15 @@ def _load_config(args):
             raise UsageError(f"cannot read config {args.config}: {exc.strerror}")
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise UsageError(f"config {args.config} is not valid JSON: {exc}")
+        if not isinstance(cfg, dict):
+            raise UsageError(f"config {args.config} is not a JSON object")
     if args.grid:
         cfg["grid"] = args.grid
     # only simulate takes --seed and --replicas
-    if getattr(args, "seed", None) is not None:
-        cfg.setdefault("sim", {})["seed"] = args.seed
-    if getattr(args, "replicas", None) is not None:
-        cfg.setdefault("sim", {})["replicas"] = args.replicas
+    for key in ("seed", "replicas"):
+        if getattr(args, key, None) is not None:
+            sim = experiments.typed(cfg.setdefault("sim", {}), "sim", dict, "an object")
+            sim[key] = getattr(args, key)
     return cfg
 
 

@@ -26,6 +26,15 @@ def load_experiment(name):
     return json.loads(text)
 
 
+def typed(value, key, kinds, want):
+    """`value`, read from config key `key`, if it is one of the types
+    `kinds`; else a ValueError naming the key and `want`, the JSON type
+    the key takes."""
+    if not isinstance(value, kinds):
+        raise ValueError(f"config {key!r} must be {want}, got {type(value).__name__}")
+    return value
+
+
 def channel_row(labels, measure):
     """Selector row for a '<bus>.<delta|omega>' measurement spec."""
     bus, quantity = measure.split(".")
@@ -38,16 +47,19 @@ def channel_row(labels, measure):
 
 
 def build_scenarios(cfg, lin):
-    channels = [
-        shs.SensorChannel(
-            name=c.get("name", c["measure"]),
-            row=channel_row(lin.state_labels, c["measure"]),
+    channels = []
+    for i, c in enumerate(typed(cfg["channels"], "channels", list, "a list")):
+        c = typed(c, f"channels[{i}]", dict, "an object")
+        measure = typed(c["measure"], f"channels[{i}].measure", str, "a string")
+        channels.append(shs.SensorChannel(
+            name=c.get("name", measure),
+            row=channel_row(lin.state_labels, measure),
             delivery_ratio=c["rho"],
             noise_std=c.get("sigma", 0.0),
-        )
-        for c in cfg["channels"]
-    ]
-    overrides = {int(k): v for k, v in cfg.get("scenario_sigma_overrides", {}).items()}
+        ))
+    overrides = typed(cfg.get("scenario_sigma_overrides", {}),
+                      "scenario_sigma_overrides", dict, "an object")
+    overrides = {int(k): v for k, v in overrides.items()}
     return shs.scenarios_from_channels(channels, overrides or None)
 
 
@@ -56,8 +68,8 @@ def build_pipeline(cfg):
     g = grid.resolve_grid(cfg["grid"])
     lin = grid.linearize(g)
     scs = build_scenarios(cfg, lin)
-    ocfg = cfg["observer"]
-    poles = ocfg["poles"]
+    ocfg = typed(cfg["observer"], "observer", dict, "an object")
+    poles = typed(ocfg["poles"], "observer.poles", (list, dict), "a list or an object")
     if isinstance(poles, dict):
         poles = {int(k): v for k, v in poles.items()}
     obs = observer.design(
@@ -67,7 +79,7 @@ def build_pipeline(cfg):
 
 
 def run_simulation(cfg, lin, obs, scs, **overrides):
-    scfg = dict(cfg["sim"])
+    scfg = dict(typed(cfg["sim"], "sim", dict, "an object"))
     states = [k for k in ("x0", "xhat0") if k in scfg]
     if states:
         raise ValueError(f"sim sets {' and '.join(states)}; the error recursion "

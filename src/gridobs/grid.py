@@ -410,12 +410,16 @@ def linearize(grid, eq=None):
 # model loading
 
 def load_grid(source):
-    """Build a GridModel from a dict or a JSON file path."""
+    """Build a GridModel from a dict or a JSON file path (a str or an
+    os.PathLike); any other source is a GridError, so an int is never
+    opened as a file descriptor."""
     if isinstance(source, dict):
         data = source
-    else:
+    elif isinstance(source, (str, os.PathLike)):
         with open(source) as f:
             data = json.load(f)
+    else:
+        raise GridError(f"a grid is a dict or a JSON file path, not {type(source).__name__}")
     buses = [
         Bus(
             id=b["id"],
@@ -461,18 +465,15 @@ def _matpower_matrix(text, name):
     return rows
 
 
-def read_matpower(path_or_text):
-    """Import a MATPOWER-style case file into a GridModel.
+def read_matpower(text):
+    """Import the text of a MATPOWER-style case file into a GridModel.
 
     Reads baseMVA and the bus/branch/gen tables; only bus type, Pd, Qd,
     Vm, Va and branch R, X, B, status (plus gen Pg) are consumed.  All
     buses come back non-dynamic except the slack; callers promote buses
-    to dynamic as needed.
+    to dynamic as needed.  It takes the text, not a path: read a file
+    first, as `builtin` does for the bundled case.
     """
-    text = path_or_text
-    if "\n" not in str(path_or_text):
-        with open(path_or_text) as f:
-            text = f.read()
     m = re.search(r"mpc\.baseMVA\s*=\s*([0-9.eE+-]+)", text)
     base_mva = float(m.group(1)) if m else 100.0
     bus_rows = _matpower_matrix(text, "bus")
@@ -546,7 +547,11 @@ def builtin(name):
 
 def resolve_grid(spec):
     """Grid from a config value: an existing grid JSON file, a dict, or
-    else a bundled name (GridError if it is none)."""
-    if isinstance(spec, str) and not os.path.isfile(spec):
-        return builtin(spec)
-    return load_grid(spec)
+    else a bundled name (GridError if it is none).  A value that is not a
+    string or an object is a ValueError naming the config key."""
+    if isinstance(spec, str):
+        return load_grid(spec) if os.path.isfile(spec) else builtin(spec)
+    if isinstance(spec, dict):
+        return load_grid(spec)
+    raise ValueError(f"config 'grid' must be a string or an object, "
+                     f"got {type(spec).__name__}")

@@ -235,7 +235,8 @@ def place_poles(A22, C2, desired):
         raise ValueError(f"need exactly {p} poles, got {len(desired)}")
     if not np.allclose(np.sort_complex(desired), np.sort_complex(desired.conj())):
         raise ValueError("pole list must be closed under conjugation")
-    if len(np.unique(np.round(desired, 10))) != len(desired):
+    # a set, not np.unique, which imports numpy.ma
+    if len(set(np.round(desired, 10).tolist())) != len(desired):
         raise ValueError("repeated poles are not supported; request distinct poles")
     W = observability_stack(C2, A22)
     if np.linalg.matrix_rank(W, tol=RANK_TOL * max(operator_norm(W), 1.0)) < p:

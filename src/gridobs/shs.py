@@ -91,9 +91,9 @@ class ScenarioSet:
         """Scenario index of each uniform in `u` (any shape): the first
         scenario whose cumulative probability exceeds it.  A uniform past
         the last edge, which rounding of the sum can leave, picks the last
-        scenario."""
-        pos = np.searchsorted(self._edges, u, side="right")
-        return self._indices[np.minimum(pos, len(self._indices) - 1)]
+        scenario.  That is the clipped take: a position past the end, which
+        is also where NaN sorts, clips to the last index."""
+        return self._indices.take(self._edges.searchsorted(u, side="right"), mode="clip")
 
     def by_index(self, index):
         for s in self.scenarios:

@@ -12,8 +12,9 @@ master seed through a splitmix64 hash of the replica index.
 Each stream is numpy's `np.random.default_rng(seed)` stream for its
 derived seed.  `monte_carlo` derives all PCG64 states in bulk (a
 vectorised port of numpy's SeedSequence hash, then PCG64's seeding step
-in 128-bit integers) and loads them into one reused Generator; a test pins
-the states to `np.random.PCG64(seed).state`.  `run_replica` seeds through
+in 128-bit integers) and loads them, through one reused state document,
+into one reused Generator; a test pins the states to
+`np.random.PCG64(seed).state`.  `run_replica` seeds through
 `default_rng` itself and stays the independent oracle.
 """
 
@@ -117,12 +118,23 @@ def pcg64_state(w0, w1, w2, w3):
     return ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _M128, inc
 
 
-def _load_stream(bitgen, words):
-    """Put `bitgen` at the start of the stream that default_rng(seed)
-    gives, with `words` = seed_sequence_words([seed])[0]."""
-    state, inc = pcg64_state(*words.tolist())
-    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                    "has_uint32": 0, "uinteger": 0}
+def _stream_loader(bitgen):
+    """A function load(words) that puts `bitgen` at the start of the
+    stream that default_rng(seed) gives, with `words` =
+    seed_sequence_words([seed])[0].
+
+    Every load refills one state document: only its `state` and `inc`
+    change, and `has_uint32` and `uinteger` stay 0, so no buffered 32-bit
+    half of the previous stream carries over."""
+    doc = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
+           "has_uint32": 0, "uinteger": 0}
+    pcg = doc["state"]
+
+    def load(words):
+        pcg["state"], pcg["inc"] = pcg64_state(*words.tolist())
+        bitgen.state = doc
+
+    return load
 
 
 # stream tags for the two independent random sources
@@ -219,8 +231,9 @@ def monte_carlo(A, obs, scenario_set, cfg):
     (K, n) block of normals in one call into rows 1..K of its slice of
     the error array, which doubles as the noise buffer.  Interval k
     overwrites row k+1, xi_k, with e_{k+1} = [e_k, xi_k] [Lam_a^T; Q_a^T],
-    gathering one (2n, n) block per replica, so the engine holds the
-    error array and the paths and never a copy of the draws.  Replica
+    gathering one (2n, n) block per replica with one `take` along the
+    scenario axis, so the engine holds the error array, the paths and one
+    interval's gathered blocks, and never a copy of the draws.  Replica
     streams depend only on (master seed, replica index), so each replica
     follows `run_replica` for its index.  Aggregation runs in replica
     order.  `A` is not used: the error recursion does not depend on the
@@ -234,13 +247,14 @@ def monte_carlo(A, obs, scenario_set, cfg):
         [derive_seeds(sw_root, R), derive_seeds(nz_root, R)]))
     bitgen = np.random.PCG64(0)            # each stream overwrites its state
     gen = np.random.Generator(bitgen)
+    load = _stream_loader(bitgen)
     alphas = np.empty((R, K), dtype=int)
     eps = np.empty((R, K + 1, n))
     eps[:, 0] = cfg.initial_error(n)
     for r in range(R):
-        _load_stream(bitgen, words[r])
+        load(words[r])
         alphas[r] = _shs.sample_skeleton(scenario_set, K, gen)
-        _load_stream(bitgen, words[R + r])
+        load(words[R + r])
         gen.standard_normal(out=eps[r, 1:])
     # M[a] = [Lam_a^T; Q_a^T] in row form, indexed by scenario: an interval
     # maps a replica's error and its draws, adjacent rows of eps, to the
@@ -251,7 +265,7 @@ def monte_carlo(A, obs, scenario_set, cfg):
         M[a, n:] = obs.Q[a].T
     for k in range(K):
         eps[:, k + 1] = np.einsum("ri,rij->rj", eps[:, k:k + 2].reshape(R, 2 * n),
-                                  M[alphas[:, k]])
+                                  M.take(alphas[:, k], axis=0))
     sq = np.square(eps, out=eps)
     err_sq = sq.sum(axis=2)                    # (R, K+1)
     mean_err_sq = err_sq.mean(axis=0)

@@ -232,6 +232,12 @@ def _fig3_with(overrides=None, channel2=None, sim=None, **observer):
     return cfg
 
 
+def _fig3_replacing(**sections):
+    cfg = experiments.load_experiment("fig3")
+    cfg.update(sections)
+    return cfg
+
+
 def _two_bus_with(bus=None, line=None, mode=None):
     g = json.loads(resources.files("gridobs").joinpath("cases", "two_bus.json").read_text())
     g["buses"][0].update(bus or {})
@@ -290,6 +296,19 @@ def _two_bus_with(bus=None, line=None, mode=None):
     (["simulate", "--config", "cfg.json"], _fig3_with(sim={"x0": [0.0] * 4}), 2),
     (["simulate", "--config", "cfg.json"], _fig3_with(sim={"xhat0": [0.0] * 4}), 2),
     (["simulate", "--config", "cfg.json"], _fig3_with(sim={"e0": [2.0, 0.0]}), 2),
+    # config sections of the wrong JSON type
+    (["simulate", "--config", "cfg.json"], _fig3_replacing(sim=5), 2),
+    (["design", "--config", "cfg.json"], _fig3_replacing(channels=5), 2),
+    (["design", "--config", "cfg.json"], _fig3_replacing(channels=[5]), 2),
+    (["design", "--config", "cfg.json"], _fig3_with(channel2={"measure": 5}), 2),
+    (["design", "--config", "cfg.json"], _fig3_replacing(observer=[]), 2),
+    (["design", "--config", "cfg.json"], _fig3_with(poles=5), 2),
+    (["design", "--config", "cfg.json"], _fig3_with(overrides=[1]), 2),
+    (["design", "--config", "cfg.json"], _fig3_replacing(grid=[1]), 2),
+    (["design", "--config", "cfg.json"], _fig3_replacing(grid=5), 2),
+    (["simulate", "--config", "cfg.json", "--seed", "1"], _fig3_replacing(sim=5), 2),
+    # a config document that is not an object
+    (["simulate", "--config", "cfg.json", "--seed", "1"], "[1]", 1),
     # flags the command does not take, and a flag value of the wrong type
     (["reproduce", "fig3", "--grid", "ieee33"], None, 1),
     (["design", "--config", "cfg.json", "--seed", "1"], _fig3_with(), 1),
@@ -302,7 +321,9 @@ def _two_bus_with(bus=None, line=None, mode=None):
         "line-x-nan", "mode-unknown", "voltage-fixed-string", "angle-fixed-int",
         "k-string", "k-fraction",
         "k-bool", "replicas-fraction", "seed-fraction", "sim-x0", "sim-xhat0",
-        "e0-short", "reproduce-grid", "design-seed", "seed-string"])
+        "e0-short", "sim-int", "channels-int", "channel-int", "measure-int",
+        "observer-list", "poles-int", "overrides-list", "grid-list", "grid-int", "sim-int-seed-flag",
+        "config-list", "reproduce-grid", "design-seed", "seed-string"])
 def test_failures_exit_cleanly(tmp_path, argv, config, code):
     if config is not None:
         text = config if isinstance(config, str) else json.dumps(config)
@@ -319,14 +340,16 @@ def test_failures_exit_cleanly(tmp_path, argv, config, code):
 
 
 def test_run_leaves_scipy_unloaded(tmp_path, fig3_config):
-    # gridobs runs on numpy alone; scipy is only the tests' oracle
+    # gridobs runs on numpy alone; scipy is only the tests' oracle.  Nor
+    # does it load numpy.ma, which numpy imports lazily (np.unique does)
     out = str(tmp_path / "out")
     code = (
         "import sys, gridobs.cli\n"
         "for cmd in (['analyze'], ['simulate', '--replicas', '2']):\n"
         f"    rc = gridobs.cli.main(cmd + ['--config', {str(fig3_config)!r}, '--out', {out!r}])\n"
         "    assert rc == 0, cmd\n"
-        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+        "print([m for m in sys.modules if m in ('scipy', 'numpy.ma')\n"
+        "       or m.startswith(('scipy.', 'numpy.ma.'))])")
     env = dict(os.environ, PYTHONPATH=str(Path(gridobs.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)

@@ -417,6 +417,18 @@ class TestGridLoader:
         g = grid.load_grid(str(path))   # isolated generator is legal
         eq = find_equilibrium(g)
         assert eq.angles[1] == 0.0
+        assert grid.load_grid(path).buses == g.buses   # an os.PathLike
+
+    @pytest.mark.parametrize("source", [5, [1], None, b"g.json"])
+    def test_load_refuses_other_sources(self, source):
+        # an int would otherwise be opened as a file descriptor
+        with pytest.raises(GridError, match="dict or a JSON file path"):
+            grid.load_grid(source)
+
+    @pytest.mark.parametrize("spec", [5, [1], None, True])
+    def test_resolve_names_the_config_key(self, spec):
+        with pytest.raises(ValueError, match="config 'grid' must be a string or an object"):
+            grid.resolve_grid(spec)
 
     def test_unknown_builtin(self):
         with pytest.raises(GridError, match="unknown builtin"):

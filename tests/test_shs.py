@@ -5,8 +5,8 @@ import pytest
 from scipy.stats import chi2_contingency
 
 from gridobs import shs
-from gridobs.shs import (ScenarioError, SensorChannel, sample_skeleton,
-                         scenarios_from_channels)
+from gridobs.shs import (Scenario, ScenarioError, ScenarioSet, SensorChannel,
+                         sample_skeleton, scenarios_from_channels)
 
 
 def chans(*specs):
@@ -80,6 +80,49 @@ class TestScenarioEnumeration:
         # channel 2 at delivery 1.0 prunes scenarios 2 and 4 before renumbering
         with pytest.raises(ScenarioError, match=r"index 3; the scenarios are \[1, 2\]"):
             scenarios_from_channels(chans((0.9, 0.0), (1.0, 0.0)), {3: 0.002})
+
+
+def _scenario_set(indices, probabilities):
+    """A set over the given scenario indices, with zero output matrices."""
+    return ScenarioSet([Scenario(i, np.zeros((0, 2)), np.zeros((0, 0)), p)
+                        for i, p in zip(indices, probabilities)], 2)
+
+
+def _searchsorted_minimum(scs, u):
+    """The inverse CDF as a searchsorted followed by np.minimum."""
+    pos = np.searchsorted(scs._edges, u, side="right")
+    return scs._indices[np.minimum(pos, len(scs._indices) - 1)]
+
+
+class TestInverseCdf:
+    def test_uniform_past_a_short_sum_picks_the_last_scenario(self):
+        # rounding can leave the probabilities summing to just below 1
+        scs = _scenario_set([1, 2, 3], [0.5, 0.25, 0.25 - 1e-13])
+        total = scs._edges[-1]
+        assert total < 1.0
+        u = np.concatenate([[total, np.nextafter(total, 1.0), np.nextafter(1.0, 0.0)],
+                            np.linspace(total, 1.0, 50, endpoint=False)])
+        assert np.all(scs.inverse_cdf(u) == 3)
+
+    def test_uniform_on_an_inner_edge_picks_the_next_scenario(self):
+        scs = _scenario_set([1, 2, 3], [0.5, 0.25, 0.25])
+        assert scs.inverse_cdf(np.array([0.5, 0.75])).tolist() == [2, 3]
+        assert scs.inverse_cdf(np.array([np.nextafter(0.5, 0.0), 0.0])).tolist() == [1, 1]
+
+    def test_scenario_indices_map_through_the_index_table(self):
+        scs = _scenario_set([2, 5, 9], [0.2, 0.3, 0.5])
+        u = np.array([0.1, 0.2, 0.45, 0.5, 0.99])
+        assert scs.inverse_cdf(u).tolist() == [2, 5, 5, 9, 9]
+
+    def test_equals_searchsorted_then_minimum(self):
+        u = np.concatenate([np.random.default_rng(3).random(1_000_000),
+                            [0.0, np.nextafter(1.0, 0.0), 1.0, 1.5, -0.5, np.nan]])
+        for scs in (scenarios_from_channels(chans(*[(0.8, 0.0)] * 4)),
+                    _scenario_set([1, 2, 3], [0.5, 0.25, 0.25 - 1e-13]),
+                    _scenario_set([2, 5, 9], [0.2, 0.3, 0.5])):
+            got = scs.inverse_cdf(u)
+            assert np.array_equal(got, _searchsorted_minimum(scs, u))
+            assert got.dtype == scs._indices.dtype
 
 
 class TestSkeleton:
