@@ -37,7 +37,7 @@ def typed(value, key, kinds, want):
 
 def channel_row(labels, measure):
     """Selector row for a '<bus>.<delta|omega>' measurement spec."""
-    bus, quantity = measure.split(".")
+    bus, _, quantity = measure.partition(".")
     label = f"{quantity}_{bus}"
     if label not in labels:
         raise ValueError(f"no state {label!r}; states are {labels}")

@@ -256,11 +256,20 @@ def place_poles(A22, C2, desired):
     return L.copy(order="K")
 
 
-# stopping rule and budget of the robust assignment: the optimiser runs
-# only for two or more outputs, and scipy's default budget stops there
-# well short of the achievable accuracy
-_YT_RTOL = 1e-11
-_YT_MAXITER = 300
+# Tits & Yang's test on the relative change of |det X| over one sweep
+_DET_RTOL = 1e-11
+# norm of the Riemannian gradient of log|det X| that, with a definite
+# Hessian, certifies a strict local maximum
+_GRAD_TOL = 1e-12
+# Newton steps one phase may take before the sweeps resume; a phase that
+# converges takes about five
+_NEWTON_STEPS = 20
+# a Newton step predicted to raise log|det X| by less than this, relative
+# to max(1, |log det X|), is below the rounding of its value
+_RISE_FLOOR = 64 * _UNIT_ROUNDOFF
+# sweeps after which a placement is declared not to converge, a failure
+# path only: every bundled placement stops within a few sweeps
+_SWEEP_BOUND = 5000
 _SQRT_EPS = np.sqrt(np.spacing(1))
 _SQRT2 = math.sqrt(2.0)
 # LAPACK work per matrix column in _full_qr: room for blocks of 64
@@ -277,16 +286,14 @@ def _assign_poles(A22, C2, desired):
     (1996) as scipy.signal.place_poles runs it, cut down to what
     place_poles asks of it.  Single-output pairs get their unique gain,
     pairs with rank(B) = n a least-squares gain, and the rest start from
-    the kernel-sum transfer matrix X and take YT rank-2 updates of X in
-    scipy's order (a KNV0 step for a lone real pole) until |det X| settles
-    to _YT_RTOL or _YT_MAXITER sweeps have run.  Every floating-point
-    operation is scipy's, in scipy's order, so the gain has scipy's bits.
-    Each full QR (of B, of each pole's space, of X without the columns
-    being updated) is _full_qr's direct LAPACK call.  X is complex when
-    any requested pole is, its real-pole columns included, and its QRs
-    run in complex arithmetic as scipy's do: a float QR of those columns
-    rounds differently and moves the gain.  A sweep takes |det X| once,
-    after its updates; the previous sweep's value is its starting point.
+    the kernel-sum transfer matrix X, which _yt_loop moves to a maximum of
+    |det X|.  Its sweeps are scipy's YT rank-2 updates, operation for
+    operation in scipy's order (a KNV0 step for a lone real pole); each
+    full QR (of B, of each pole's space, of X without the columns being
+    updated) is _full_qr's direct LAPACK call.  X is complex when any
+    requested pole is, its real-pole columns included, and its QRs run in
+    complex arithmetic as scipy's do: a float QR of those columns rounds
+    differently and moves the gain.
     """
     A = A22.T
     B = C2.T
@@ -450,29 +457,213 @@ def _yt_update_order(poles):
     return [(i - 1, j - 1) for i, j in zip(first, second)]
 
 
-def _yt_loop(ker_pole, X, poles):
-    """Sweep the YT updates over X in place until |det X| settles."""
-    n = X.shape[1]
-    sweep = []
+def _yt_sweep_plan(poles):
+    """One YT sweep as (i, j, other columns, real pole) per update."""
+    n = len(poles)
+    plan = []
     for i, j in _yt_update_order(poles):
         rest = np.array([c for c in range(n) if c not in (i, j)])
-        sweep.append((i, j, rest, bool(np.isreal(poles[i]))))
+        plan.append((i, j, rest, bool(np.isreal(poles[i]))))
+    return plan
+
+
+def _yt_sweep(ker_pole, X, plan):
+    """One sweep of YT updates over X in place."""
+    for i, j, rest, real in plan:
+        if i == j:
+            _knv0(ker_pole, X, j, rest)
+            continue
+        Q, _ = _full_qr(X.take(rest, axis=1))
+        if real:
+            _yt_real(ker_pole, Q, X, i, j)
+        else:
+            _yt_complex(ker_pole, Q, X, i, j)
+
+
+def _yt_loop(ker_pole, X, poles):
+    """Move X in place to a maximum of |det X| over unit kernel vectors.
+
+    Each round runs one YT sweep and stops if Tits & Yang's test finds
+    |det X| settled to _DET_RTOL.  Otherwise Newton steps on the product of
+    spheres (_newton) take over where the Hessian is definite, until the
+    gradient certifies a strict local maximum; if they cannot get there,
+    the sweeps resume from where they were.  A certified maximum is kept
+    if the next sweep does not raise |det X| beyond _DET_RTOL: a YT update
+    maximises over two whole kernels and can reach a higher maximum than
+    the Newton steps found.  Returns how the loop stopped ("tits-yang" or "certificate"),
+    the sweeps run and the Newton steps taken.  A placement still open
+    after _SWEEP_BOUND sweeps raises ValueError.
+    """
+    plan = _yt_sweep_plan(poles)
+    frame = _kernel_frame(ker_pole, poles)
     det_after = abs(np.linalg.det(X))
-    for _ in range(_YT_MAXITER):
+    newton_steps = 0
+    certified = None
+    for sweeps in range(1, _SWEEP_BOUND + 1):
         det_before = det_after
-        for i, j, rest, real in sweep:
-            if i == j:
-                _knv0(ker_pole, X, j, rest)
-                continue
-            Q, _ = _full_qr(X.take(rest, axis=1))
-            if real:
-                _yt_real(ker_pole, Q, X, i, j)
-            else:
-                _yt_complex(ker_pole, Q, X, i, j)
+        _yt_sweep(ker_pole, X, plan)
         det_after = abs(np.linalg.det(X))
-        # Tits & Yang's convergence test on the relative change of |det X|
-        if det_after > _SQRT_EPS and abs((det_after - det_before) / det_after) < _YT_RTOL:
-            return
+        if certified is not None:
+            if det_after <= det_before * (1.0 + _DET_RTOL):
+                X[:] = certified
+                return "certificate", sweeps, newton_steps
+        elif det_after > _SQRT_EPS and abs((det_after - det_before) / det_after) < _DET_RTOL:
+            return "tits-yang", sweeps, newton_steps
+        found, steps = _newton(frame, X)
+        newton_steps += steps
+        certified = X.copy() if found else None
+        if found:
+            det_after = abs(np.linalg.det(X))
+    raise ValueError(f"pole placement did not converge in {_SWEEP_BOUND} sweeps")
+
+
+def _kernel_frame(ker_pole, poles):
+    """Real coordinates of X over the pole kernels: (U, cols, blocks).
+
+    A real pole's column is x = K z with K its real kernel basis; a
+    conjugate pair's columns (Re w, Im w) come from w = K (a + i b), and
+    its coordinates are (a, b).  Coordinate p adds s_p U[0, :, p] to
+    column cols[0, p] of X and s_p U[1, :, p] to column cols[1, p]; a real
+    pole's second slot is zero.  `blocks` holds each pole's or pair's
+    slice of the coordinates and whether it is a pair.
+    """
+    n = len(poles)
+    d = ker_pole[0].shape[1]
+    U = np.zeros((2, n, n * d))
+    cols = np.zeros((2, n * d), dtype=np.intp)
+    blocks = []
+    c = 0
+    while c < n:
+        K = ker_pole[c]
+        pair = not np.isreal(poles[c])
+        width = 2 if pair else 1
+        sl = slice(c * d, (c + width) * d)
+        if pair:
+            U[0, :, sl] = np.hstack((K.real, -K.imag))
+            U[1, :, sl] = np.hstack((K.imag, K.real))
+            cols[0, sl] = c
+            cols[1, sl] = c + 1
+        else:
+            U[0, :, sl] = K.real
+            cols[:, sl] = c
+        blocks.append((sl, pair))
+        c += width
+    return U, cols, blocks
+
+
+def _transfer(frame, s):
+    """The transfer matrix X at coordinates s."""
+    U, cols, _ = frame
+    return np.einsum("anp,apc->nc", U * s, np.eye(U.shape[1])[cols])
+
+
+def _coordinates(frame, X):
+    """X's kernel coordinates, each block scaled to unit norm."""
+    U, cols, blocks = frame
+    X = X.real
+    return _on_spheres(np.einsum("anp,nap->p", U, X[:, cols]), blocks)
+
+
+def _on_spheres(s, blocks):
+    """s with each block scaled to unit norm, in place."""
+    for sl, _ in blocks:
+        s[sl] /= np.linalg.norm(s[sl])
+    return s
+
+
+def _log_det_derivatives(frame, s):
+    """log|det X| at coordinates s, with its gradient and Hessian in s.
+
+    With Y = X^-1 and D_p the change of X along coordinate p, the
+    gradient is tr(Y D_p) and the Hessian -tr(Y D_p Y D_q).  D_p puts
+    U[a, :, p] in column cols[a, p], so with Z_a = Y U[a] the trace is
+    the sum over slots a, b of Z_b[cols[a, p], q] Z_a[cols[b, q], p].
+    """
+    U, cols, _ = frame
+    X = _transfer(frame, s)
+    Z = np.linalg.inv(X) @ U
+    # R[b, a, p, q] = Z_b[cols[a, p], q]
+    R = Z[:, cols]
+    g = np.einsum("aapp->p", R)
+    H = -np.einsum("bapq,abqp->pq", R, R)
+    return np.linalg.slogdet(X)[1], g, H
+
+
+def _riemannian(frame, s):
+    """log|det X| at coordinates s, with its Riemannian derivatives.
+
+    Returns (f, grad, T, lam, V): T is an orthonormal basis of the tangent
+    space at s, one block per sphere, orthogonal to s_b and, for a pair,
+    to its phase direction i w; grad is the gradient in that basis; and
+    lam, V are the eigenpairs of minus the Riemannian Hessian there, the
+    Euclidean Hessian on the tangent space minus (s_b . g_b) I per block.
+    """
+    blocks = frame[2]
+    f, g, H = _log_det_derivatives(frame, s)
+    T = np.zeros((len(s), len(s) - sum(2 if pair else 1 for _, pair in blocks)))
+    shift = np.empty(T.shape[1])
+    col = 0
+    for sl, pair in blocks:
+        sb = s[sl]
+        if pair:
+            half = len(sb) // 2
+            normal = np.column_stack((sb, np.concatenate((-sb[half:], sb[:half]))))
+        else:
+            normal = sb[:, np.newaxis]
+        Q, _ = _full_qr(normal)
+        k = Q.shape[1] - normal.shape[1]
+        T[sl, col:col + k] = Q[:, normal.shape[1]:]
+        shift[col:col + k] = sb @ g[sl]
+        col += k
+    lam, V = np.linalg.eigh(np.diag(shift) - T.T @ H @ T)
+    return f, g @ T, T, lam, V
+
+
+def _definite(lam):
+    """Whether ascending eigenvalues lam are numerically positive definite."""
+    return lam[-1] > 0.0 and lam[0] >= _SQRT_EPS * lam[-1]
+
+
+def _newton(frame, X):
+    """Riemannian Newton steps on log|det X| from X: (certified, steps).
+
+    The kernel coordinates of X, each block scaled to unit norm, live on a
+    product of spheres (Absil, Mahony & Sepulchre 2008), with each pair's
+    phase quotiented out, since |det X| does not see it.  Steps, retracted
+    to the spheres, start only where -H is numerically definite (smallest
+    eigenvalue at least _SQRT_EPS times the largest).  A step is kept if
+    -H stays definite where it lands and log|det X| rises; a rise
+    predicted below the rounding of log|det X| cannot show in it, and such
+    a step is kept if it lowers the gradient instead.  A gradient of norm _GRAD_TOL or less certifies a
+    strict local maximum, and so does a refused step whose predicted rise
+    is below that rounding: the gradient is then at its rounding floor.
+    At most _NEWTON_STEPS steps are taken.  X is overwritten in place only
+    with a certified point: steps that end elsewhere are dropped, so the
+    sweeps resume from their own iterate.
+    """
+    blocks = frame[2]
+    s = _coordinates(frame, X)
+    f, grad, T, lam, V = _riemannian(frame, s)
+    if not _definite(lam):
+        return False, 0
+    steps = 0
+    certified = np.linalg.norm(grad) <= _GRAD_TOL
+    while not certified and steps < _NEWTON_STEPS:
+        step = V @ ((grad @ V) / lam)
+        trial = _on_spheres(s + T @ step, blocks)
+        point = _riemannian(frame, trial)
+        unresolved = 0.5 * grad @ step <= _RISE_FLOOR * max(1.0, abs(f))
+        if not (_definite(point[3]) and (point[0] > f or unresolved and
+                                         np.linalg.norm(point[1]) < np.linalg.norm(grad))):
+            certified = unresolved
+            break
+        s = trial
+        f, grad, T, lam, V = point
+        steps += 1
+        certified = np.linalg.norm(grad) <= _GRAD_TOL
+    if certified:
+        X[:] = _transfer(frame, s)
+    return certified, steps
 
 
 def _knv0(ker_pole, X, j, rest):

@@ -301,6 +301,7 @@ def _two_bus_with(bus=None, line=None, mode=None):
     (["design", "--config", "cfg.json"], _fig3_replacing(channels=5), 2),
     (["design", "--config", "cfg.json"], _fig3_replacing(channels=[5]), 2),
     (["design", "--config", "cfg.json"], _fig3_with(channel2={"measure": 5}), 2),
+    (["design", "--config", "cfg.json"], _fig3_with(channel2={"measure": "1delta"}), 2),
     (["design", "--config", "cfg.json"], _fig3_replacing(observer=[]), 2),
     (["design", "--config", "cfg.json"], _fig3_with(poles=5), 2),
     (["design", "--config", "cfg.json"], _fig3_with(overrides=[1]), 2),
@@ -321,7 +322,7 @@ def _two_bus_with(bus=None, line=None, mode=None):
         "line-x-nan", "mode-unknown", "voltage-fixed-string", "angle-fixed-int",
         "k-string", "k-fraction",
         "k-bool", "replicas-fraction", "seed-fraction", "sim-x0", "sim-xhat0",
-        "e0-short", "sim-int", "channels-int", "channel-int", "measure-int",
+        "e0-short", "sim-int", "channels-int", "channel-int", "measure-int", "measure-no-dot",
         "observer-list", "poles-int", "overrides-list", "grid-list", "grid-int", "sim-int-seed-flag",
         "config-list", "reproduce-grid", "design-seed", "seed-string"])
 def test_failures_exit_cleanly(tmp_path, argv, config, code):

@@ -131,6 +131,9 @@ def test_channel_row_parsing():
     assert np.array_equal(row, [0, 0, 0, 1])
     with pytest.raises(ValueError, match="no state"):
         experiments.channel_row(labels, "7.delta")
+    for measure in ("1delta", "1.delta.x", ""):
+        with pytest.raises(ValueError, match="no state .*; states are"):
+            experiments.channel_row(labels, measure)
 
 
 def test_per_scenario_pole_map_in_config():

@@ -1,5 +1,6 @@
 """Numerics kernels against closed forms and independent oracles."""
 
+import json
 import time
 import warnings
 from collections import OrderedDict
@@ -9,12 +10,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridobs import experiments, grid, numerics
+from gridobs import cli, experiments, grid, numerics
 from gridobs.numerics import (kernel_base, matrix_exponential, mean_square_radius,
                               noise_gramian, operator_norm, place_poles, psd_sqrt,
                               solve_switched_covariance, solve_symmetric_stein)
 
+from capped_yt import YT_MAXITER, YT_RTOL, capped_assign, capped_loop, placement, unit_det
 from conftest import A5_PRINTED, W3_PRINTED
 
 
@@ -245,16 +249,20 @@ class TestPlacePoles:
             place_poles(A, C, [-2.0, -2.0])
 
 
-def _scipy_gain(A22, C2, desired):
-    """The gain scipy's place_poles gives for the request _assign_poles gets."""
+def _scipy_placement(A22, C2, desired, rtol=YT_RTOL, maxiter=YT_MAXITER):
+    """scipy's place_poles result for the request _assign_poles gets; the
+    stopping rule applies to two or more outputs."""
     request = desired.real if np.all(desired.imag == 0) else desired
-    kwargs = ({"rtol": numerics._YT_RTOL, "maxiter": numerics._YT_MAXITER}
-              if C2.shape[0] > 1 else {})
+    kwargs = {"rtol": rtol, "maxiter": maxiter} if C2.shape[0] > 1 else {}
     with warnings.catch_warnings():
         # the capped two-output placements stop before scipy's tolerance
         warnings.filterwarnings("ignore", message="Convergence was not")
-        res = scipy.signal.place_poles(A22.T, C2.T, request, **kwargs)
-    return res.gain_matrix.T
+        return scipy.signal.place_poles(A22.T, C2.T, request, **kwargs)
+
+
+def _scipy_gain(A22, C2, desired):
+    """The gain scipy's place_poles gives at the capped oracle's budget."""
+    return _scipy_placement(A22, C2, desired).gain_matrix.T
 
 
 def _recorded_placements(monkeypatch, designs):
@@ -292,14 +300,19 @@ ALPHABET16 = {
 
 
 class TestAssignPolesMatchesScipy:
-    """The port gives scipy.signal.place_poles' gain bit for bit."""
+    """Production's assignment under scipy's capped driver (the capped_yt
+    oracle) gives scipy.signal.place_poles' gain bit for bit."""
 
     def assert_bitwise(self, A22, C2, desired):
         desired = np.asarray(desired, dtype=complex)
-        got = numerics._assign_poles(A22, C2, desired)
+        got = capped_assign(A22, C2, desired)
         want = _scipy_gain(A22, C2, desired)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes(), np.max(np.abs(got - want))
+        if not 1 < C2.shape[0] < A22.shape[0]:
+            # no optimiser runs for one output or for m = n: the production
+            # gain is the oracle's
+            assert numerics._assign_poles(A22, C2, desired).tobytes() == want.tobytes()
 
     def test_every_figure_placement(self, monkeypatch):
         placements = _recorded_placements(monkeypatch, _reproduce_figures)
@@ -348,6 +361,168 @@ class TestAssignPolesMatchesScipy:
         for _ in range(3):
             A, C = self.random_pair(rng, n, m)
             self.assert_bitwise(A, C, self.pole_list(rng, n, n_pairs))
+
+
+def _frame_point(X, poles, ker_pole):
+    """Production's Riemannian view of a transfer matrix: (frame, s, f,
+    grad, T, lam, V), with s X's kernel coordinates on the unit spheres."""
+    frame = numerics._kernel_frame(ker_pole, poles)
+    s = numerics._coordinates(frame, X)
+    return (frame, s) + numerics._riemannian(frame, s)
+
+
+def _pole_error(A22, C2, L, desired):
+    got = np.sort_complex(np.linalg.eigvals(A22 - L @ C2))
+    return np.max(np.abs(got - np.sort_complex(np.asarray(desired, dtype=complex))))
+
+
+# scipy's budget for a converged two-output placement: the bundled designs
+# need 54 to 3518 sweeps to meet rtol 1e-15
+CONVERGED = {"rtol": 1e-15, "maxiter": 20000}
+
+
+@pytest.fixture(scope="module")
+def bundled():
+    """Distinct optimised placements (2 <= outputs < states) of fig3..fig8
+    and of ALPHABET16, each as (A22, C2, poles, scipy's converged result)."""
+    with pytest.MonkeyPatch.context() as mp:
+        seen = (_recorded_placements(mp, _reproduce_figures)
+                + _recorded_placements(mp, lambda: experiments.build_pipeline(ALPHABET16)))
+    distinct = {}
+    for A22, C2, desired in seen:
+        if 1 < C2.shape[0] < A22.shape[0]:
+            key = (A22.tobytes(), C2.tobytes(), desired.tobytes())
+            distinct.setdefault(key, (A22, C2, desired))
+    return [(A22, C2, desired, _scipy_placement(A22, C2, desired, **CONVERGED))
+            for A22, C2, desired in distinct.values()]
+
+
+class TestConvergedPlacement:
+    """Production's YT sweeps with a Newton finish, against scipy run to
+    convergence and against the certificate they stop on."""
+
+    def test_two_output_placements_are_certified_maxima(self, bundled):
+        two = [p for p in bundled if p[1].shape[0] == 2]
+        assert len(two) == 10
+        for A22, C2, desired, res in two:
+            # every bundled pole list is real, so scipy's X is real too
+            assert np.all(desired.imag == 0)
+            L, X, poles, ker_pole, stop = placement(A22, C2, desired)
+            assert stop[0] == "certificate", stop
+            want = res.gain_matrix.T
+            assert np.max(np.abs(L - want)) <= 1e-4 * np.max(np.abs(want))
+            assert unit_det(X, poles) >= unit_det(res.X.real, poles) * (1 - 1e-12)
+            *_, grad, T, lam, V = _frame_point(X, poles, ker_pole)
+            assert np.linalg.norm(grad) <= 1e-10
+            assert lam[0] > 0.0, lam                 # -H positive definite
+            assert _pole_error(A22, C2, L, desired) <= 1e-10 * max(1.0, operator_norm(A22))
+
+    def test_three_output_maxima_are_not_isolated(self, bundled):
+        # the four three-output ALPHABET16 placements have a direction along
+        # which |det X| stays at its maximum (a Hessian eigenvalue of about
+        # 1e-14), so the maximising gain is not unique: where on that ridge
+        # a run stops depends on its path and stopping rule.  Only |det X|
+        # and the poles are pinned; the Newton finish takes no step, and
+        # Tits & Yang's test ends them
+        three = [p for p in bundled if p[1].shape[0] == 3]
+        assert len(three) == 4
+        for A22, C2, desired, res in three:
+            L, X, poles, ker_pole, stop = placement(A22, C2, desired)
+            assert stop[0] == "tits-yang" and stop[1] <= 10 and stop[2] == 0, stop
+            want = unit_det(res.X.real, poles)
+            assert abs(unit_det(X, poles) - want) <= 1e-10 * want
+            *_, lam, V = _frame_point(X, poles, ker_pole)
+            assert lam[0] <= 1e-10 * lam[-1], lam
+            assert _pole_error(A22, C2, L, desired) <= 1e-10 * max(1.0, operator_norm(A22))
+
+    def test_sweep_and_newton_counts_of_the_figures(self, monkeypatch):
+        # each two-output figure placement takes one sweep, three to five
+        # Newton steps and one sweep that confirms the maximum; the counts
+        # repeat exactly, so a slide back toward hundreds of sweeps fails
+        stops = []
+        loop = numerics._yt_loop
+
+        def counting(*args):
+            stops.append(loop(*args))
+            return stops[-1]
+
+        monkeypatch.setattr(numerics, "_gain_memo", OrderedDict())
+        monkeypatch.setattr(numerics, "_yt_loop", counting)
+        _reproduce_figures()
+        assert [how for how, _, _ in stops] == ["certificate"] * 5
+        assert sum(sweeps for _, sweeps, _ in stops) == 10
+        assert sum(steps for _, _, steps in stops) == 20
+
+    def test_sweep_bound_fails_the_placement(self, monkeypatch, tmp_path):
+        # the bound is a failure path: a placement that reaches it raises
+        # instead of returning the gain the sweeps got to
+        A22, C2, desired = next(
+            p for p in _recorded_placements(
+                monkeypatch, lambda: experiments.build_pipeline(ALPHABET16))
+            if p[1].shape[0] == 3)
+        monkeypatch.setattr(numerics, "_gain_memo", OrderedDict())
+        monkeypatch.setattr(numerics, "_SWEEP_BOUND", 2)
+        with pytest.raises(ValueError, match="did not converge in 2 sweeps"):
+            place_poles(A22, C2, desired)
+        config = tmp_path / "alphabet16.json"
+        config.write_text(json.dumps(ALPHABET16))
+        assert cli.main(["design", "--config", str(config), "--out", str(tmp_path)]) == 2
+
+    def test_riemannian_derivatives_match_finite_differences(self):
+        # along the retraction c(t) = normalised(s + t T v), whose second
+        # derivative is -|v_b|^2 s_b per block, f(c(t)) has slope grad . v
+        # and curvature -v^T V diag(lam) V^T v
+        rng = np.random.default_rng(2008)
+        for n, m, n_pairs in [(4, 2, 0), (5, 2, 2), (5, 3, 1), (6, 3, 3)]:
+            A, C = TestAssignPolesMatchesScipy.random_pair(rng, n, m)
+            desired = TestAssignPolesMatchesScipy.pole_list(rng, n, n_pairs)
+            _, X, poles, ker_pole, _ = placement(A, C, desired, loop=capped_loop(maxiter=1))
+            frame, s, f, grad, T, lam, V = _frame_point(X, poles, ker_pole)
+            blocks = frame[2]
+            # the coordinates rebuild X up to the scale of each block
+            rebuilt = numerics._transfer(frame, s)
+            assert abs(unit_det(rebuilt, poles) - unit_det(X, poles)) <= 1e-14
+            assert np.max(np.abs(rebuilt - X.real @ np.diag(
+                np.linalg.norm(rebuilt, axis=0) / np.linalg.norm(X.real, axis=0)))) <= 1e-14
+            for _ in range(3):
+                v = rng.normal(size=T.shape[1])
+                h = 1e-4
+                up, down = (numerics._log_det_derivatives(
+                    frame, numerics._on_spheres(s + t * (T @ v), blocks))[0] for t in (h, -h))
+                slope = (up - down) / (2 * h)
+                curvature = (up - 2 * f + down) / h ** 2
+                assert abs(slope - grad @ v) <= 1e-6 * max(1.0, abs(slope))
+                want = -(v @ V) @ (lam * (V.T @ v))
+                assert abs(curvature - want) <= 1e-5 * max(1.0, abs(want))
+            # a pair's phase does not move |det X|: its direction i w is
+            # left out of T, and the gradient is zero along it
+            g = numerics._log_det_derivatives(frame, s)[1]
+            for sl, pair in blocks:
+                if pair:
+                    half = (sl.stop - sl.start) // 2
+                    phase = np.zeros_like(s)
+                    phase[sl] = np.concatenate((-s[sl][half:], s[sl][:half]))
+                    assert abs(g @ phase) <= 1e-12 * np.linalg.norm(g)
+                    assert np.max(np.abs(T.T @ phase)) <= 1e-14
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(3, 10), data=st.data())
+    def test_random_pairs_end_by_certificate_or_test(self, n, data):
+        m = data.draw(st.integers(2, n - 1), label="m")
+        n_pairs = data.draw(st.integers(0, n // 2), label="n_pairs")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        A, C = TestAssignPolesMatchesScipy.random_pair(rng, n, m)
+        while True:
+            desired = TestAssignPolesMatchesScipy.pole_list(rng, n, n_pairs)
+            gaps = np.abs(desired[:, None] - desired[None, :]) + np.eye(n)
+            if gaps.min() >= 0.1:
+                break
+        L, X, poles, _, stop = placement(A, C, desired)
+        assert stop[0] in ("certificate", "tits-yang"), stop
+        assert _pole_error(A, C, L, desired) <= 1e-8 * max(1.0, operator_norm(A))
+        # the oracle sweeps to Tits & Yang's test or its 300-sweep budget
+        _, X_oracle, _, _, _ = placement(A, C, desired, loop=capped_loop())
+        assert unit_det(X, poles) >= unit_det(X_oracle, poles) * (1 - 1e-12)
 
 
 class TestFullQr:
