@@ -63,19 +63,26 @@ def build_scenarios(cfg, lin):
     return shs.scenarios_from_channels(channels, overrides or None)
 
 
+def design_observer(cfg, lin, scs, poles_key="observer.poles"):
+    """The observer of `cfg` for the linearization `lin` and scenarios
+    `scs`: its `observer` section's tau and completion, with the poles at
+    the config key `poles_key` ("<section>.<key>"), a list or an object
+    of per-scenario lists."""
+    ocfg = typed(cfg["observer"], "observer", dict, "an object")
+    section, key = poles_key.split(".")
+    poles = typed(cfg[section][key], poles_key, (list, dict), "a list or an object")
+    if isinstance(poles, dict):
+        poles = {int(k): v for k, v in poles.items()}
+    return observer.design(lin.A, scs, poles, ocfg["tau"],
+                           completion=ocfg.get("completion", "orthonormal"))
+
+
 def build_pipeline(cfg):
     """grid -> linearization -> scenarios -> designed observer."""
     g = grid.resolve_grid(cfg["grid"])
     lin = grid.linearize(g)
     scs = build_scenarios(cfg, lin)
-    ocfg = typed(cfg["observer"], "observer", dict, "an object")
-    poles = typed(ocfg["poles"], "observer.poles", (list, dict), "a list or an object")
-    if isinstance(poles, dict):
-        poles = {int(k): v for k, v in poles.items()}
-    obs = observer.design(
-        lin.A, scs, poles, ocfg["tau"],
-        completion=ocfg.get("completion", "orthonormal"))
-    return g, lin, scs, obs
+    return g, lin, scs, design_observer(cfg, lin, scs)
 
 
 def run_simulation(cfg, lin, obs, scs, **overrides):
@@ -140,8 +147,7 @@ def run_experiment(name, seed=None, replicas=None):
 
     elif kind == "tradeoff":
         g, lin, scs, obs = build_pipeline(cfg)
-        base_poles = cfg["check"]["baseline_poles"]
-        base_obs = observer.design(lin.A, scs, base_poles, cfg["observer"]["tau"])
+        base_obs = design_observer(cfg, lin, scs, "check.baseline_poles")
         rep = analysis.contraction(obs, scs)
         rep0 = analysis.contraction(base_obs, scs)
         ss = analysis.steady_state(obs, scs)

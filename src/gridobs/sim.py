@@ -10,12 +10,13 @@ leaves the other stream untouched).  Replica streams derive from the
 master seed through a splitmix64 hash of the replica index.
 
 Each stream is numpy's `np.random.default_rng(seed)` stream for its
-derived seed.  `monte_carlo` derives all PCG64 states in bulk (a
-vectorised port of numpy's SeedSequence hash, then PCG64's seeding step
-in 128-bit integers) and loads them, through one reused state document,
-into one reused Generator; a test pins the states to
-`np.random.PCG64(seed).state`.  `run_replica` seeds through
-`default_rng` itself and stays the independent oracle.
+derived seed.  `monte_carlo` takes all 2R derived seeds to PCG64
+`(state, inc)` pairs in one vectorised pass: a port of numpy's
+SeedSequence hash on one (4, 2R) uint32 pool, then PCG64's 128-bit
+seeding step on uint64 halves.  Per stream only the load of its pair,
+through one reused state document, into one reused Generator remains; a
+test pins the pairs to `np.random.PCG64(seed).state`.  `run_replica`
+seeds through `default_rng` itself and stays the independent oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from . import shs as _shs
 
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
-_M128 = (1 << 128) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -60,68 +60,91 @@ def derive_seeds(root, count):
 
 
 def _hash_constants(init, mult, count):
-    """The hash constant and its count successors under multiplication."""
+    """The hash constant and its count successors under multiplication,
+    as a (count + 1, 1) uint32 column."""
     h = [init]
     for _ in range(count):
         h.append(h[-1] * mult & _M32)
-    return [np.uint32(c) for c in h]
+    return np.array(h, dtype=np.uint32)[:, None]
+
+
+# SeedSequence's constants: pool hashing and mixing, then output hashing
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_OUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 
 
 def seed_sequence_words(seeds):
     """`np.random.SeedSequence(s).generate_state(4, np.uint64)` for each
     seed s < 2**64, as a (len(seeds), 4) uint64 array.
 
-    A vectorised port of numpy's SeedSequence (O'Neill's seed_seq hash):
-    the seed's two 32-bit words, zero-padded to the pool size of four, are
-    hashed into the pool and cross-mixed, then eight output words are
-    hashed from the pool.  A seed below 2**32 has one entropy word, which
-    numpy pads with the same zero hash.
+    A vectorised port of numpy's SeedSequence (O'Neill's seed_seq hash)
+    on one (4, N) uint32 pool: the seed's two 32-bit words, zero-padded to
+    the pool size of four, are hashed into the pool, then each source
+    word is hashed three times and mixed into the other three words in
+    one (3, N) step, then eight output words are hashed from the pool.  A
+    seed below 2**32 has one entropy word, which numpy pads with the same
+    zero hash.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    zero = np.zeros(seeds.shape, dtype=np.uint32)
-    entropy = [(seeds & np.uint64(_M32)).astype(np.uint32),
-               (seeds >> np.uint64(32)).astype(np.uint32), zero, zero]
-    shift = np.uint32(16)
-    consts = iter(_hash_constants(0x43B0D7E5, 0x931E8875, 16))
-    h = next(consts)
-
-    def hashmix(v):
-        nonlocal h
-        v = v ^ h
-        h = next(consts)
-        v = v * h
-        return v ^ (v >> shift)
-
-    def mix(x, y):
-        v = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
-        return v ^ (v >> shift)
-
-    pool = [hashmix(w) for w in entropy]
+    h, shift = _POOL_HASH, np.uint32(16)
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[0] = seeds & np.uint64(_M32)
+    pool[1] = seeds >> np.uint64(32)
+    pool ^= h[0:4]
+    pool *= h[1:5]
+    pool ^= pool >> shift
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    hb = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-    words = np.empty((8, seeds.size), dtype=np.uint64)
-    for i in range(8):
-        v = (pool[i % 4] ^ hb[i]) * hb[i + 1]
-        words[i] = v ^ (v >> shift)
-    return (words[0::2] | (words[1::2] << np.uint64(32))).T
+        dst = [d for d in range(4) if d != src]
+        c = 4 + 3 * src                    # the hash constants of this source
+        v = (pool[src] ^ h[c:c + 3]) * h[c + 1:c + 4]
+        v ^= v >> shift
+        v = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * v
+        pool[dst] = v ^ (v >> shift)
+    out = (np.tile(pool, (2, 1)) ^ _OUT_HASH[:8]) * _OUT_HASH[1:]
+    out ^= out >> shift
+    out = out.astype(np.uint64)
+    return (out[0::2] | (out[1::2] << np.uint64(32))).T
 
 
-def pcg64_state(w0, w1, w2, w3):
-    """(state, inc) of the PCG64 that numpy seeds from the four
-    generate_state words: initstate = w0:w1 and initseq = w2:w3 as 128-bit
-    numbers, inc = 2 initseq + 1, and two LCG steps from state 0 with
-    initstate added between them."""
-    inc = ((w2 << 64 | w3) << 1 | 1) & _M128
-    return ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _M128, inc
+def _mulhi64(a, b):
+    """The high 64 bits of the 128-bit products a * b, from 32-bit limbs;
+    `a` is a uint64 array and `b` a uint64 scalar."""
+    m, s = np.uint64(_M32), np.uint64(32)
+    a0, a1, b0, b1 = a & m, a >> s, b & m, b >> s
+    mid = a1 * b0 + (a0 * b0 >> s)
+    return a1 * b1 + (mid >> s) + ((a0 * b1 + (mid & m)) >> s)
+
+
+def pcg64_states(words):
+    """(state, inc) of the PCG64 that numpy seeds from each row of
+    generate_state words, as a list of Python-int pairs.
+
+    With a row w0..w3, initstate = w0:w1 and initseq = w2:w3 as 128-bit
+    numbers, inc = 2 initseq + 1, and the state is two LCG steps from 0
+    with initstate added between them:
+    ((inc + initstate) * MULT + inc) mod 2**128.  The step runs on uint64
+    high and low halves for all rows at once; only the final pairs are
+    Python ints, as numpy's `state` setter takes them.
+    """
+    w0, w1, w2, w3 = np.asarray(words, dtype=np.uint64).T
+    one, top = np.uint64(1), np.uint64(63)
+    mult_hi, mult_lo = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & _M64)
+    inc_hi = (w2 << one) | (w3 >> top)
+    inc_lo = (w3 << one) | one
+    lo = inc_lo + w1
+    hi = inc_hi + w0 + (lo < inc_lo)
+    hi = _mulhi64(lo, mult_lo) + lo * mult_hi + hi * mult_lo
+    lo = lo * mult_lo
+    state_lo = lo + inc_lo
+    state_hi = hi + inc_hi + (state_lo < lo)
+    return [(sh << 64 | sl, ih << 64 | il) for sh, sl, ih, il in zip(
+        state_hi.tolist(), state_lo.tolist(), inc_hi.tolist(), inc_lo.tolist())]
 
 
 def _stream_loader(bitgen):
-    """A function load(words) that puts `bitgen` at the start of the
-    stream that default_rng(seed) gives, with `words` =
-    seed_sequence_words([seed])[0].
+    """A function load(stream) that puts `bitgen` at the start of the
+    stream that default_rng(seed) gives, with `stream` =
+    pcg64_states(seed_sequence_words([seed]))[0].
 
     Every load refills one state document: only its `state` and `inc`
     change, and `has_uint32` and `uinteger` stay 0, so no buffered 32-bit
@@ -130,8 +153,8 @@ def _stream_loader(bitgen):
            "has_uint32": 0, "uinteger": 0}
     pcg = doc["state"]
 
-    def load(words):
-        pcg["state"], pcg["inc"] = pcg64_state(*words.tolist())
+    def load(stream):
+        pcg["state"], pcg["inc"] = stream
         bitgen.state = doc
 
     return load
@@ -225,15 +248,17 @@ def monte_carlo(A, obs, scenario_set, cfg):
 
     Each interval of scenario a maps the error e_k to
     e_{k+1} = Lam_a e_k + Q_a xi_k with xi_k standard normal, the exact
-    interval law of the continuous-time filter (`observer.build`).  One
-    Generator is loaded with each replica's switching state and then its
-    noise state: it samples the replica's switching path, then draws its
-    (K, n) block of normals in one call into rows 1..K of its slice of
-    the error array, which doubles as the noise buffer.  Interval k
-    overwrites row k+1, xi_k, with e_{k+1} = [e_k, xi_k] [Lam_a^T; Q_a^T],
-    gathering one (2n, n) block per replica with one `take` along the
-    scenario axis, so the engine holds the error array, the paths and one
-    interval's gathered blocks, and never a copy of the draws.  Replica
+    interval law of the continuous-time filter (`observer.build`).  The
+    PCG64 states of all 2R streams come from one vectorised pass
+    (`seed_sequence_words`, `pcg64_states`).  One Generator is loaded with
+    each replica's switching state and then its noise state: it samples
+    the replica's switching path, then draws its (K, n) block of normals
+    in one call into rows 1..K of its slice of the error array, which
+    doubles as the noise buffer.  Interval k overwrites row k+1, xi_k,
+    with e_{k+1} = [e_k, xi_k] [Lam_a^T; Q_a^T], gathering one (2n, n)
+    block per replica with one `take` along the scenario axis, so the
+    engine holds the error array, the paths and one interval's gathered
+    blocks, and never a copy of the draws.  Replica
     streams depend only on (master seed, replica index), so each replica
     follows `run_replica` for its index.  Aggregation runs in replica
     order.  `A` is not used: the error recursion does not depend on the
@@ -243,8 +268,8 @@ def monte_carlo(A, obs, scenario_set, cfg):
     R = cfg.replicas
     K = cfg.K
     sw_root, nz_root = cfg.roots()
-    words = seed_sequence_words(np.concatenate(
-        [derive_seeds(sw_root, R), derive_seeds(nz_root, R)]))
+    streams = pcg64_states(seed_sequence_words(np.concatenate(
+        [derive_seeds(sw_root, R), derive_seeds(nz_root, R)])))
     bitgen = np.random.PCG64(0)            # each stream overwrites its state
     gen = np.random.Generator(bitgen)
     load = _stream_loader(bitgen)
@@ -252,10 +277,11 @@ def monte_carlo(A, obs, scenario_set, cfg):
     eps = np.empty((R, K + 1, n))
     eps[:, 0] = cfg.initial_error(n)
     for r in range(R):
-        load(words[r])
+        load(streams[r])
         alphas[r] = _shs.sample_skeleton(scenario_set, K, gen)
-        load(words[R + r])
+        load(streams[R + r])
         gen.standard_normal(out=eps[r, 1:])
+    del streams                    # frees the 2R pairs before the aggregation peak
     # M[a] = [Lam_a^T; Q_a^T] in row form, indexed by scenario: an interval
     # maps a replica's error and its draws, adjacent rows of eps, to the
     # next error

@@ -52,6 +52,33 @@ def test_fig4_tradeoff_numbers(run):
     assert res["report"]["gamma_exact"] < res["baseline_report"]["gamma_exact"]
 
 
+def test_tradeoff_baseline_uses_the_configured_completion(monkeypatch):
+    # fig4 designs its baseline next to its observer; both follow the
+    # observer section, completion included
+    cfg = experiments.load_experiment("fig4")
+    cfg["observer"]["completion"] = "paper_identity"
+    monkeypatch.setattr(experiments, "load_experiment", lambda name: cfg)
+    calls = []
+    design = experiments.observer.design
+
+    def recording(A, scs, poles, tau, completion="orthonormal"):
+        calls.append((list(poles), completion))
+        return design(A, scs, poles, tau, completion=completion)
+
+    monkeypatch.setattr(experiments.observer, "design", recording)
+    experiments.run_experiment("fig4", replicas=2)
+    assert calls == [(cfg["observer"]["poles"], "paper_identity"),
+                     (cfg["check"]["baseline_poles"], "paper_identity")]
+
+
+def test_tradeoff_baseline_poles_are_type_checked(monkeypatch):
+    cfg = experiments.load_experiment("fig4")
+    cfg["check"]["baseline_poles"] = -4.8
+    monkeypatch.setattr(experiments, "load_experiment", lambda name: cfg)
+    with pytest.raises(ValueError, match="'check.baseline_poles' must be a list or an object"):
+        experiments.run_experiment("fig4", replicas=2)
+
+
 def test_fig6_degraded_case_is_mean_square_unstable(run):
     res = run("fig6")
     assert res["report"]["stable"] is False

@@ -20,6 +20,7 @@ from gridobs.numerics import (kernel_base, matrix_exponential, mean_square_radiu
 
 from capped_yt import YT_MAXITER, YT_RTOL, capped_assign, capped_loop, placement, unit_det
 from conftest import A5_PRINTED, W3_PRINTED
+from write_placements import PLACEMENTS, load_placements, placement_key
 
 
 def rk4_expm(A, t, steps):
@@ -376,25 +377,33 @@ def _pole_error(A22, C2, L, desired):
     return np.max(np.abs(got - np.sort_complex(np.asarray(desired, dtype=complex))))
 
 
-# scipy's budget for a converged two-output placement: the bundled designs
-# need 54 to 3518 sweeps to meet rtol 1e-15
-CONVERGED = {"rtol": 1e-15, "maxiter": 20000}
-
-
-@pytest.fixture(scope="module")
-def bundled():
+def _bundled_inputs(monkeypatch):
     """Distinct optimised placements (2 <= outputs < states) of fig3..fig8
-    and of ALPHABET16, each as (A22, C2, poles, scipy's converged result)."""
-    with pytest.MonkeyPatch.context() as mp:
-        seen = (_recorded_placements(mp, _reproduce_figures)
-                + _recorded_placements(mp, lambda: experiments.build_pipeline(ALPHABET16)))
+    and of ALPHABET16, each as (A22, C2, poles)."""
+    seen = (_recorded_placements(monkeypatch, _reproduce_figures)
+            + _recorded_placements(monkeypatch,
+                                   lambda: experiments.build_pipeline(ALPHABET16)))
     distinct = {}
     for A22, C2, desired in seen:
         if 1 < C2.shape[0] < A22.shape[0]:
             key = (A22.tobytes(), C2.tobytes(), desired.tobytes())
             distinct.setdefault(key, (A22, C2, desired))
-    return [(A22, C2, desired, _scipy_placement(A22, C2, desired, **CONVERGED))
-            for A22, C2, desired in distinct.values()]
+    return list(distinct.values())
+
+
+@pytest.fixture(scope="module")
+def bundled():
+    """The bundled placements, each as (A22, C2, poles, scipy's converged
+    result), the result as write_placements.py pins it."""
+    with pytest.MonkeyPatch.context() as mp:
+        inputs = _bundled_inputs(mp)
+    pinned = load_placements()
+    keys = [placement_key(*p) for p in inputs]
+    if sorted(keys) != sorted(pinned):
+        pytest.fail(f"the bundled placements no longer match {PLACEMENTS.name}: "
+                    f"{len(set(keys) - set(pinned))} new, {len(set(pinned) - set(keys))} "
+                    "stale; rerun `PYTHONPATH=src python tests/write_placements.py`")
+    return [(*p, pinned[key]) for p, key in zip(inputs, keys)]
 
 
 class TestConvergedPlacement:

@@ -8,7 +8,7 @@ import pytest
 
 from gridobs import analysis, experiments, observer, shs
 from gridobs.sim import (SimConfig, _stream_loader, derive_seed, derive_seeds, monte_carlo,
-                        pcg64_state, run_replica, seed_sequence_words, splitmix64)
+                        pcg64_states, run_replica, seed_sequence_words, splitmix64)
 
 from conftest import delta_channels, five_bus_scenarios
 from substep import (basis_row_maps, closed_form_maps, exact_floor, simulate_truth,
@@ -92,16 +92,18 @@ class TestSeeding:
         seeds += np.random.default_rng(8).integers(0, 2**64, 200, dtype=np.uint64).tolist()
         words = seed_sequence_words(seeds)
         assert words.shape == (len(seeds), 4)
-        for seed, w in zip(seeds, words):
+        states = pcg64_states(words)
+        assert len(states) == len(seeds)
+        for seed, w, got in zip(seeds, words, states):
             assert np.array_equal(w, np.random.SeedSequence(seed).generate_state(4, np.uint64))
             want = np.random.PCG64(seed).state["state"]
-            assert pcg64_state(*w.tolist()) == (want["state"], want["inc"])
+            assert got == (want["state"], want["inc"])
 
     def test_reused_state_document_starts_each_stream_fresh(self):
         # the loader refills one document; a stream left mid-way, with a
         # buffered 32-bit half, must not leak into the next one
         seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-        words = seed_sequence_words(seeds)
+        streams = pcg64_states(seed_sequence_words(seeds))
         bitgen = np.random.PCG64(0)
         gen = np.random.Generator(bitgen)
         load = _stream_loader(bitgen)
@@ -112,10 +114,10 @@ class TestSeeding:
 
         for a in range(len(seeds)):
             b = (a + 1) % len(seeds)
-            load(words[a])
+            load(streams[a])
             draws(gen)
             assert bitgen.state["has_uint32"] == 1
-            load(words[b])
+            load(streams[b])
             assert bitgen.state == np.random.PCG64(seeds[b]).state
             assert draws(gen) == draws(np.random.default_rng(seeds[b]))
 
