@@ -98,10 +98,10 @@ def run_simulation(cfg, lin, obs, scs, **overrides):
     return simcfg, sim.monte_carlo(lin.A, obs, scs, simcfg)
 
 
-def simulate_with_expectation(cfg, lin, obs, scs, **overrides):
+def simulate_with_expectation(cfg, lin, obs, scs):
     """run_simulation, with the exact mean squared error curve
     (`analysis.expected_err_sq`) set on the trajectory."""
-    simcfg, traj = run_simulation(cfg, lin, obs, scs, **overrides)
+    simcfg, traj = run_simulation(cfg, lin, obs, scs)
     traj.expected_err_sq = analysis.expected_err_sq(
         obs, scs, simcfg.initial_error(obs.n), simcfg.K)
     return simcfg, traj
@@ -127,9 +127,14 @@ def run_experiment(name, seed=None, replicas=None):
     """Execute one bundled experiment; returns (result dict, checks dict).
 
     `checks` maps check names to booleans; the experiment passes when all
-    are true.  `result` carries the trajectory and analysis numbers used.
+    are true.  `result` carries the trajectory and analysis numbers used,
+    and the config it ran with: `seed` and `replicas`, when given, replace
+    the bundled `sim` values there.
     """
     cfg = load_experiment(name)
+    for key, value in (("seed", seed), ("replicas", replicas)):
+        if value is not None:
+            cfg["sim"][key] = value
     kind = cfg["check"]["type"]
     result = {"name": name, "config": cfg}
     checks = {}
@@ -137,8 +142,7 @@ def run_experiment(name, seed=None, replicas=None):
     if kind == "convergence":
         g, lin, scs, obs = build_pipeline(cfg)
         rep = analysis.contraction(obs, scs)
-        simcfg, traj = simulate_with_expectation(cfg, lin, obs, scs,
-                                                 seed=seed, replicas=replicas)
+        simcfg, traj = simulate_with_expectation(cfg, lin, obs, scs)
         result.update(report=rep.as_dict(), trajectory=traj,
                       steady=analysis.steady_state(obs, scs).as_dict())
         checks["gamma_below_one"] = rep.gamma_exact < 1.0
@@ -152,8 +156,7 @@ def run_experiment(name, seed=None, replicas=None):
         rep0 = analysis.contraction(base_obs, scs)
         ss = analysis.steady_state(obs, scs)
         ss0 = analysis.steady_state(base_obs, scs)
-        simcfg, traj = simulate_with_expectation(cfg, lin, obs, scs,
-                                                 seed=seed, replicas=replicas)
+        simcfg, traj = simulate_with_expectation(cfg, lin, obs, scs)
         result.update(report=rep.as_dict(), baseline_report=rep0.as_dict(),
                       steady=ss.as_dict(), baseline_steady=ss0.as_dict(),
                       trajectory=traj)
@@ -168,8 +171,7 @@ def run_experiment(name, seed=None, replicas=None):
             case_cfg = _with_rhos(cfg, rhos)
             g, lin, scs, obs = build_pipeline(case_cfg)
             rep = analysis.contraction(obs, scs)
-            simcfg, traj = simulate_with_expectation(case_cfg, lin, obs, scs,
-                                                     seed=seed, replicas=replicas)
+            simcfg, traj = simulate_with_expectation(case_cfg, lin, obs, scs)
             times.append(mean_crossing_time(traj.err_sq))
             gammas.append(rep.gamma_exact)
             trajs.append(traj)
@@ -197,8 +199,7 @@ def run_experiment(name, seed=None, replicas=None):
         else:
             result["steady"] = {"unstable": True}
             checks["diverges_or_much_larger_floor"] = True
-        simcfg, traj = simulate_with_expectation(case_cfg, lin, obs, scs,
-                                                 seed=seed, replicas=replicas)
+        simcfg, traj = simulate_with_expectation(case_cfg, lin, obs, scs)
         result["trajectory"] = traj
 
     elif kind == "sensor_selection":
@@ -207,8 +208,7 @@ def run_experiment(name, seed=None, replicas=None):
         gb, linb, scsb, obsb = build_pipeline(base)
         ss = analysis.steady_state(obs, scs)
         ssb = analysis.steady_state(obsb, scsb)
-        simcfg, traj = simulate_with_expectation(cfg, lin, obs, scs,
-                                                 seed=seed, replicas=replicas)
+        simcfg, traj = simulate_with_expectation(cfg, lin, obs, scs)
         result.update(steady=ss.as_dict(), baseline_steady=ssb.as_dict(),
                       trajectory=traj)
         ratio = ss.mu_state / ssb.mu_state
@@ -219,8 +219,7 @@ def run_experiment(name, seed=None, replicas=None):
         g, lin, scs, obs = build_pipeline(cfg)
         rep = analysis.contraction(obs, scs)
         ss = analysis.steady_state(obs, scs)
-        simcfg, traj = simulate_with_expectation(cfg, lin, obs, scs,
-                                                 seed=seed, replicas=replicas)
+        simcfg, traj = simulate_with_expectation(cfg, lin, obs, scs)
         result.update(report=rep.as_dict(), steady=ss.as_dict(), trajectory=traj)
         k0 = cfg["check"]["floor_window_start"]
         floor = float(np.mean(traj.mean_err_sq[k0:]))

@@ -11,16 +11,19 @@ master seed through a splitmix64 hash of the replica index.
 
 Each stream is numpy's `np.random.default_rng(seed)` stream for its
 derived seed.  `monte_carlo` takes all 2R derived seeds to PCG64
-`(state, inc)` pairs in one vectorised pass: a port of numpy's
+`(state, inc)` words in one vectorised pass: a port of numpy's
 SeedSequence hash on one (4, 2R) uint32 pool, then PCG64's 128-bit
-seeding step on uint64 halves.  Per stream only the load of its pair,
-through one reused state document, into one reused Generator remains; a
-test pins the pairs to `np.random.PCG64(seed).state`.  `run_replica`
-seeds through `default_rng` itself and stays the independent oracle.
+seeding step on uint64 halves.  Per stream only the load of its four
+words remains, written straight into the state struct of one reused
+PCG64 behind one reused Generator; the loader first checks that struct's
+layout against numpy's public `state` setter.  Tests pin the words to
+`np.random.PCG64(seed).state`.  `run_replica` seeds through
+`default_rng` itself and stays the independent oracle.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,15 +119,17 @@ def _mulhi64(a, b):
 
 
 def pcg64_states(words):
-    """(state, inc) of the PCG64 that numpy seeds from each row of
-    generate_state words, as a list of Python-int pairs.
+    """The PCG64 state that numpy seeds from each row of generate_state
+    words, as an (N, 4) uint64 table of rows
+    [state_lo, state_hi, inc_lo, inc_hi].
 
     With a row w0..w3, initstate = w0:w1 and initseq = w2:w3 as 128-bit
     numbers, inc = 2 initseq + 1, and the state is two LCG steps from 0
     with initstate added between them:
     ((inc + initstate) * MULT + inc) mod 2**128.  The step runs on uint64
-    high and low halves for all rows at once; only the final pairs are
-    Python ints, as numpy's `state` setter takes them.
+    high and low halves for all rows at once.  A row is the in-memory
+    image of numpy's `pcg64_random_t` struct (two little-endian 128-bit
+    words), which `_stream_loader` writes.
     """
     w0, w1, w2, w3 = np.asarray(words, dtype=np.uint64).T
     one, top = np.uint64(1), np.uint64(63)
@@ -137,25 +142,51 @@ def pcg64_states(words):
     lo = lo * mult_lo
     state_lo = lo + inc_lo
     state_hi = hi + inc_hi + (state_lo < lo)
-    return [(sh << 64 | sl, ih << 64 | il) for sh, sl, ih, il in zip(
-        state_hi.tolist(), state_lo.tolist(), inc_hi.tolist(), inc_lo.tolist())]
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
+
+
+# a state whose four 64-bit words and buffered half all differ, for the
+# layout probe
+_PROBE = {"bit_generator": "PCG64",
+          "state": {"state": 0x0123456789ABCDEF_FEDCBA9876543210,
+                    "inc": 0x13579BDF02468ACE_ECA86420FDB97531},
+          "has_uint32": 1, "uinteger": 0xA5C3E187}
 
 
 def _stream_loader(bitgen):
-    """A function load(stream) that puts `bitgen` at the start of the
-    stream that default_rng(seed) gives, with `stream` =
+    """A function load(row) that puts `bitgen` at the start of the stream
+    that default_rng(seed) gives, with `row` =
     pcg64_states(seed_sequence_words([seed]))[0].
 
-    Every load refills one state document: only its `state` and `inc`
-    change, and `has_uint32` and `uinteger` stay 0, so no buffered 32-bit
-    half of the previous stream carries over."""
-    doc = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
-           "has_uint32": 0, "uinteger": 0}
-    pcg = doc["state"]
+    `bitgen` must be exactly an `np.random.PCG64`.  Its `ctypes.state_address`
+    points at numpy's `pcg64_state` header: the `pcg64_random_t *` that
+    holds (state, inc), then `int has_uint32` and `uint32_t uinteger`.  The
+    loader keeps a uint64 view of the (state, inc) struct and of the
+    has_uint32/uinteger word, and a load writes the row into the first and
+    zeroes the second, so no buffered 32-bit half of the previous stream
+    carries over.  Before that, a probe state set through the public
+    `state` setter must read back through both views as expected; a
+    different layout raises RuntimeError instead of seeding a wrong stream.
+    """
+    if type(bitgen) is not np.random.PCG64:
+        raise TypeError(f"stream loading needs an np.random.PCG64, "
+                        f"got {type(bitgen).__name__}")
+    header = bitgen.ctypes.state_address
+    pcg = ctypes.c_void_p.from_address(header).value
+    words = np.frombuffer((ctypes.c_uint64 * 4).from_address(pcg), dtype=np.uint64)
+    buffered = np.frombuffer((ctypes.c_uint64 * 1).from_address(
+        header + ctypes.sizeof(ctypes.c_void_p)), dtype=np.uint64)
+    bitgen.state = _PROBE
+    st = _PROBE["state"]
+    want = [st["state"] & _M64, st["state"] >> 64, st["inc"] & _M64, st["inc"] >> 64]
+    if (words.tolist() != want
+            or buffered.tolist() != [_PROBE["has_uint32"] | _PROBE["uinteger"] << 32]):
+        raise RuntimeError("numpy's PCG64 state struct does not have the "
+                           "layout the stream loader writes")
 
-    def load(stream):
-        pcg["state"], pcg["inc"] = stream
-        bitgen.state = doc
+    def load(row):
+        words[:] = row
+        buffered[0] = 0
 
     return load
 
@@ -177,8 +208,10 @@ class SimConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or not 0 <= self.seed <= _M64):
+            # derive_seed keeps 64 bits, so a wider seed would alias another
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
     def roots(self):
         return derive_seed(self.seed, _SWITCH_TAG), derive_seed(self.seed, _NOISE_TAG)
@@ -235,6 +268,9 @@ class ErrorTrajectory:
     def max_abs_z(self):
         """Largest |mean_err_sq - expected_err_sq| in standard errors of
         the mean, over the intervals whose squared errors vary."""
+        if self.expected_err_sq is None:
+            raise ValueError("this trajectory has no exact mean curve; "
+                             "simulate_with_expectation sets expected_err_sq")
         se = np.sqrt(self.var_err_sq / self.replicas)
         live = se > 0
         if not live.any():
@@ -250,19 +286,20 @@ def monte_carlo(A, obs, scenario_set, cfg):
     e_{k+1} = Lam_a e_k + Q_a xi_k with xi_k standard normal, the exact
     interval law of the continuous-time filter (`observer.build`).  The
     PCG64 states of all 2R streams come from one vectorised pass
-    (`seed_sequence_words`, `pcg64_states`).  One Generator is loaded with
-    each replica's switching state and then its noise state: it samples
-    the replica's switching path, then draws its (K, n) block of normals
-    in one call into rows 1..K of its slice of the error array, which
-    doubles as the noise buffer.  Interval k overwrites row k+1, xi_k,
-    with e_{k+1} = [e_k, xi_k] [Lam_a^T; Q_a^T], gathering one (2n, n)
-    block per replica with one `take` along the scenario axis, so the
-    engine holds the error array, the paths and one interval's gathered
-    blocks, and never a copy of the draws.  Replica
-    streams depend only on (master seed, replica index), so each replica
-    follows `run_replica` for its index.  Aggregation runs in replica
-    order.  `A` is not used: the error recursion does not depend on the
-    true state.
+    (`seed_sequence_words`, `pcg64_states`) as one table of words.  One
+    Generator's PCG64 is loaded with each replica's switching words and
+    then its noise words, each a four-word write into its state struct
+    (`_stream_loader`): it samples the replica's switching path, then
+    draws its (K, n) block of normals in one call into rows 1..K of its
+    slice of the error array, which doubles as the noise buffer.
+    Interval k overwrites row k+1, xi_k, with
+    e_{k+1} = [e_k, xi_k] [Lam_a^T; Q_a^T], gathering one (2n, n) block
+    per replica with one `take` along the scenario axis, so the engine
+    holds the error array, the paths and one interval's gathered blocks,
+    and never a copy of the draws.  Replica streams depend only on
+    (master seed, replica index), so each replica follows `run_replica`
+    for its index.  Aggregation runs in replica order.  `A` is not used:
+    the error recursion does not depend on the true state.
     """
     n = obs.n
     R = cfg.replicas
@@ -281,7 +318,6 @@ def monte_carlo(A, obs, scenario_set, cfg):
         alphas[r] = _shs.sample_skeleton(scenario_set, K, gen)
         load(streams[R + r])
         gen.standard_normal(out=eps[r, 1:])
-    del streams                    # frees the 2R pairs before the aggregation peak
     # M[a] = [Lam_a^T; Q_a^T] in row form, indexed by scenario: an interval
     # maps a replica's error and its draws, adjacent rows of eps, to the
     # next error

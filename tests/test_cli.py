@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gridobs
-from gridobs import cli, experiments, numerics
+from gridobs import cli, experiments, numerics, sim
 
 
 def run(argv):
@@ -210,6 +210,18 @@ class TestReproduce:
             == paths.tolist()
         assert lines[start + 4].rstrip(",") == "    ]"
 
+    def test_manifest_records_the_overrides_it_ran_with(self, tmp_path):
+        assert run(["reproduce", "fig3", "--out", str(tmp_path), "--seed", "5",
+                    "--replicas", "4"]) == 0
+        doc = json.loads((tmp_path / "fig3_manifest.json").read_text())
+        bundled = experiments.load_experiment("fig3")["sim"]
+        assert doc["config"]["sim"] == {**bundled, "seed": 5, "replicas": 4}
+        result = doc["result"]
+        assert len(result["switching_paths"]) == 4
+        switch_root, noise_root = sim.SimConfig(K=1, seed=5).roots()
+        assert (result["seeds"]["switch_root"], result["seeds"]["noise_root"]) \
+            == (switch_root, noise_root)
+
     def test_failing_check_exit_code(self, tmp_path, monkeypatch):
         def fake(name, seed=None, replicas=None):
             return {"name": name, "config": {}, "checks": {"x": False},
@@ -292,6 +304,10 @@ def _two_bus_with(bus=None, line=None, mode=None):
     (["simulate", "--config", "cfg.json"], _fig3_with(sim={"K": True}), 2),
     (["simulate", "--config", "cfg.json"], _fig3_with(sim={"replicas": 3.5}), 2),
     (["simulate", "--config", "cfg.json"], _fig3_with(sim={"seed": 1.5}), 2),
+    # seeds outside [0, 2**64), which would alias seeds inside it
+    (["simulate", "--config", "cfg.json", "--seed", "-1"], _fig3_with(), 2),
+    (["simulate", "--config", "cfg.json"], _fig3_with(sim={"seed": 2**64}), 2),
+    (["reproduce", "fig3", "--seed", str(2**64)], None, 2),
     # initial states other than the initial estimation error
     (["simulate", "--config", "cfg.json"], _fig3_with(sim={"x0": [0.0] * 4}), 2),
     (["simulate", "--config", "cfg.json"], _fig3_with(sim={"xhat0": [0.0] * 4}), 2),
@@ -321,7 +337,8 @@ def _two_bus_with(bus=None, line=None, mode=None):
         "inertia-null", "inertia-nan", "damping-inf", "line-x-string",
         "line-x-nan", "mode-unknown", "voltage-fixed-string", "angle-fixed-int",
         "k-string", "k-fraction",
-        "k-bool", "replicas-fraction", "seed-fraction", "sim-x0", "sim-xhat0",
+        "k-bool", "replicas-fraction", "seed-fraction", "seed-negative", "seed-2-64",
+        "reproduce-seed-2-64", "sim-x0", "sim-xhat0",
         "e0-short", "sim-int", "channels-int", "channel-int", "measure-int", "measure-no-dot",
         "observer-list", "poles-int", "overrides-list", "grid-list", "grid-int", "sim-int-seed-flag",
         "config-list", "reproduce-grid", "design-seed", "seed-string"])

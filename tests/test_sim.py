@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gridobs import analysis, experiments, observer, shs
+from gridobs import analysis, experiments, observer, shs, sim
 from gridobs.sim import (SimConfig, _stream_loader, derive_seed, derive_seeds, monte_carlo,
                         pcg64_states, run_replica, seed_sequence_words, splitmix64)
 
@@ -70,6 +70,10 @@ def _conditional_moments(obs, paths, e0):
     return expect, var
 
 
+class _PCG64Subclass(np.random.PCG64):
+    """Same state struct as PCG64, but not PCG64 itself."""
+
+
 class TestSeeding:
     def test_splitmix_deterministic_and_spread(self):
         vals = {splitmix64(k) for k in range(1000)}
@@ -79,6 +83,16 @@ class TestSeeding:
     def test_derive_seed_changes_with_every_index(self):
         assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
         assert derive_seed(1, 2) != derive_seed(2, 2)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, np.int64(-5)])
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        # derive_seed keeps 64 bits, so -1 would run 2**64 - 1's streams
+        with pytest.raises(ValueError, match=str(seed)):
+            SimConfig(K=1, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
+    def test_seed_edges_are_accepted(self, seed):
+        assert SimConfig(K=1, seed=seed).seed == seed
 
     @pytest.mark.parametrize("root", [0, 1, 0x5157, 2**63, 2**64 - 1])
     def test_bulk_seeds_match_derive_seed(self, root):
@@ -93,15 +107,17 @@ class TestSeeding:
         words = seed_sequence_words(seeds)
         assert words.shape == (len(seeds), 4)
         states = pcg64_states(words)
-        assert len(states) == len(seeds)
+        assert states.dtype == np.uint64 and states.shape == (len(seeds), 4)
+        m = 2**64 - 1
         for seed, w, got in zip(seeds, words, states):
             assert np.array_equal(w, np.random.SeedSequence(seed).generate_state(4, np.uint64))
             want = np.random.PCG64(seed).state["state"]
-            assert got == (want["state"], want["inc"])
+            assert got.tolist() == [want["state"] & m, want["state"] >> 64,
+                                    want["inc"] & m, want["inc"] >> 64]
 
     def test_reused_state_document_starts_each_stream_fresh(self):
-        # the loader refills one document; a stream left mid-way, with a
-        # buffered 32-bit half, must not leak into the next one
+        # the loader writes into one PCG64's state struct; a stream left
+        # mid-way, with a buffered 32-bit half, must not leak into the next
         seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
         streams = pcg64_states(seed_sequence_words(seeds))
         bitgen = np.random.PCG64(0)
@@ -120,6 +136,23 @@ class TestSeeding:
             load(streams[b])
             assert bitgen.state == np.random.PCG64(seeds[b]).state
             assert draws(gen) == draws(np.random.default_rng(seeds[b]))
+
+    @pytest.mark.parametrize("kind", [np.random.SFC64, np.random.MT19937,
+                                      np.random.PCG64DXSM, _PCG64Subclass])
+    def test_loader_refuses_other_bit_generators_before_writing(self, kind):
+        bitgen = kind(3)
+        with pytest.raises(TypeError, match=f"PCG64, got {kind.__name__}"):
+            _stream_loader(bitgen)
+        assert np.array_equal(np.random.Generator(bitgen).integers(0, 2**63, 8),
+                              np.random.Generator(kind(3)).integers(0, 2**63, 8))
+
+    def test_loader_probe_catches_a_wrong_layout(self, monkeypatch):
+        # a header whose buffered-half word sat 8 bytes further on: that
+        # view reads the wrong word, and the probe must refuse it before
+        # any stream is written
+        monkeypatch.setattr(sim.ctypes, "sizeof", lambda t: 16)
+        with pytest.raises(RuntimeError, match="layout"):
+            _stream_loader(np.random.PCG64(0))
 
 
 class TestSimulateTruth:
@@ -335,6 +368,12 @@ class TestExpectedCurve:
         traj = monte_carlo(A, obs, scs, cfg)
         traj.expected_err_sq = analysis.expected_err_sq(obs, scs, cfg.e0, cfg.K)
         assert traj.max_abs_z() < 4.5
+
+    def test_max_abs_z_needs_the_exact_curve(self, setup):
+        A, scs, obs = setup
+        traj = monte_carlo(A, obs, scs, SimConfig(K=4, replicas=3, seed=1))
+        with pytest.raises(ValueError, match="simulate_with_expectation"):
+            traj.max_abs_z()
 
 
 class TestSubstepOracle:
