@@ -13,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import analysis, grid, observer, shs, sim
+from . import analysis, grid, numerics, observer, shs, sim
 
 EXPERIMENTS = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 
@@ -166,6 +166,7 @@ def run_experiment(name, seed=None, replicas=None):
     elif kind == "reliability_sweep":
         times = []
         gammas = []
+        radii = []
         trajs = []
         for rhos in cfg["check"]["cases"]:
             case_cfg = _with_rhos(cfg, rhos)
@@ -174,11 +175,16 @@ def run_experiment(name, seed=None, replicas=None):
             simcfg, traj = simulate_with_expectation(case_cfg, lin, obs, scs)
             times.append(mean_crossing_time(traj.err_sq))
             gammas.append(rep.gamma_exact)
+            radii.append(numerics.mean_square_radius(
+                [obs.Lam[s.index] for s in scs], [s.probability for s in scs]))
             trajs.append(traj)
-        result.update(times_to_1pct=times, gammas=gammas, trajectory=trajs[0],
-                      all_trajectories=trajs)
+        result.update(times_to_1pct=times, gammas=gammas, ms_radii=radii,
+                      trajectory=trajs[0], all_trajectories=trajs)
         checks["faster_with_higher_delivery"] = all(
             times[i] < times[i + 1] for i in range(len(times) - 1))
+        # the exact companion of the sampled order above
+        checks["ms_radius_rises_as_delivery_falls"] = all(
+            radii[i] < radii[i + 1] for i in range(len(radii) - 1))
 
     elif kind == "degraded":
         case_cfg = _with_rhos(cfg, cfg["check"]["case"])

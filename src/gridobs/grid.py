@@ -148,10 +148,6 @@ class GridModel:
     def dynamic_buses(self):
         return [b for b in self.buses if b.kind == DYNAMIC]
 
-    @property
-    def n_states(self):
-        return 2 * len(self.dynamic_buses)
-
     def bus(self, bus_id):
         return self.buses[self._index[bus_id]]
 

@@ -247,8 +247,9 @@ class TestMonteCarlo:
 
     def test_peak_memory_stays_within_draw_budget(self, four_channel, ieee5_lin):
         # mc_alphabet16's sizes: the engine holds the error array (which
-        # doubles as the draw buffer), the paths and one interval's gathered
-        # maps, and never a copy of the draws or an (R, K, n, n) temporary
+        # doubles as the draw buffer), the paths and one block's product
+        # with the stacked maps, and never a copy of the draws or an
+        # (R, K, n, n) temporary
         scs, obs = four_channel
         cfg = SimConfig(K=60, replicas=200, seed=0, e0=[2.0, 0.0, 1.0, 0.0])
         R, K, n = cfg.replicas, cfg.K, obs.n
@@ -264,14 +265,55 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < budget
 
-    @pytest.mark.parametrize("r", [0, 1, 37, 123])
+    @pytest.mark.parametrize("r", [0, 1, 2, 37, 123, 198])
     def test_replica_independent_of_replica_count(self, four_channel, ieee5_lin, r):
+        # r = 0 runs alone beside the spare zero row, r = 198 is the last of
+        # an odd count
         scs, obs = four_channel
         cfg = SimConfig(K=20, replicas=200, seed=5, e0=[1.0, 0.0, 0.5, 0.0])
         full = monte_carlo(ieee5_lin.A, obs, scs, cfg)
         alone = monte_carlo(ieee5_lin.A, obs, scs, dataclasses.replace(cfg, replicas=r + 1))
         assert np.array_equal(alone.paths[r], full.paths[r])
         assert np.array_equal(alone.err_sq[r], full.err_sq[r])
+
+    def test_large_alphabet_runs_in_blocks(self, four_channel, ieee5_lin):
+        # 9 channels at delivery 0.5: 512 equally likely scenarios with
+        # random maps, so a block holds two replicas and an odd count ends
+        # on a lone replica beside the spare row
+        _, obs = four_channel
+        rng = np.random.default_rng(512)
+        chans = [shs.SensorChannel(f"c{j}", np.eye(4)[j % 4], 0.5, 0.01) for j in range(9)]
+        scs = shs.scenarios_from_channels(chans)
+        S = len(scs) + 1                       # scenario indices run 1..512
+        big = dataclasses.replace(
+            obs, Lam={s.index: 0.3 * rng.standard_normal((4, 4)) for s in scs},
+            Q={s.index: 0.1 * rng.standard_normal((4, 4)) for s in scs})
+        cfg = SimConfig(K=5, replicas=40, seed=8, e0=[1.0, -0.5, 0.25, 2.0])
+        R, K, n = cfg.replicas, cfg.K, obs.n
+        monte_carlo(ieee5_lin.A, big, scs, SimConfig(K=2, replicas=2))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            full = monte_carlo(ieee5_lin.A, big, scs, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the error array and the paths with their spare rows, the stacked
+        # maps, one two-row block's product, the (2R, 4) stream table and
+        # 16 KiB for the generator and per-interval indices; without blocks
+        # the product alone would take 8 * R * S * n bytes, more than all
+        budget = (8 * (R + 1) * (K + 1) * n + 8 * (R + 1) * K + 8 * 2 * n * S * n
+                  + 8 * 2 * S * n + 8 * 2 * R * 4 + 16384)
+        assert peak < budget < 8 * R * S * n
+        assert len(set(full.paths.ravel().tolist())) > 100
+        for count in (1, 2, 3, 7, 39):
+            part = monte_carlo(ieee5_lin.A, big, scs, dataclasses.replace(cfg, replicas=count))
+            assert np.array_equal(part.paths, full.paths[:count])
+            assert np.array_equal(part.err_sq, full.err_sq[:count])
+        for r in range(R):
+            _, err, alphas = run_replica(ieee5_lin.A, big, scs, cfg, replica_index=r)
+            assert np.array_equal(full.paths[r], alphas)
+            assert np.max(np.abs(full.err_sq[r] - err) / err) < 1e-9
 
     def test_deterministic_under_fixed_seed(self, setup):
         A, scs, obs = setup

@@ -5,12 +5,14 @@
 writes tests/golden/<name>.json for the named experiments (all six by
 default).  With --check it writes nothing: it reruns the experiments,
 prints every pinned value that moved at all (floats with their relative
-change) and exits 1 if any did.  Each file holds what `gridobs reproduce
-<name>` prints and writes: the check lines, every column of every CSV file, the manifest's
-result payload and a sha256 of each trajectory's switching paths (which
-replace the path table itself).  `test_experiments` compares each run with
-its file, floats to 1e-9 relative and everything else exactly; a change
-that moves a pinned number reruns this script and lists the moved values.
+change), ends each experiment with its count of moves and its largest
+relative move with its key, and exits 1 if any value moved.  Each file
+holds what `gridobs reproduce <name>` prints and writes: the check lines,
+every column of every CSV file, the manifest's result payload and a
+sha256 of each trajectory's switching paths (which replace the path table
+itself).  `test_experiments` compares each run with its file, floats to
+1e-9 relative and everything else exactly; a change that moves a pinned
+number reruns this script and lists the moved values.
 """
 
 import hashlib
@@ -43,27 +45,32 @@ def snapshot(name, result):
     return json.loads(json.dumps(doc, default=cli._jsonable))
 
 
-def mismatches(got, want, where="", rtol=RTOL):
-    """Places where `got` differs from `want`: floats beyond `rtol`
-    relative, anything else not exactly equal."""
+def moves(got, want, where="", rtol=RTOL):
+    """(key, description, relative change) of each place where `got`
+    differs from `want`: floats beyond `rtol` relative, anything else not
+    exactly equal, whose relative change is None."""
     if isinstance(want, float) and isinstance(got, float):
         if got == want or abs(got - want) <= rtol * abs(want):
             return []
         rel = abs(got - want) / abs(want) if want else math.inf
-        return [f"{where}: {got!r} != {want!r} (relative change {rel:.3g})"]
+        return [(where, f"{got!r} != {want!r} (relative change {rel:.3g})", rel)]
     if type(got) is not type(want):
-        return [f"{where}: {got!r} != {want!r}"]
+        return [(where, f"{got!r} != {want!r}", None)]
     if isinstance(want, dict):
         if got.keys() != want.keys():
-            return [f"{where}: keys {sorted(got)} != {sorted(want)}"]
-        return [m for k in want
-                for m in mismatches(got[k], want[k], f"{where}.{k}", rtol)]
+            return [(where, f"keys {sorted(got)} != {sorted(want)}", None)]
+        return [m for k in want for m in moves(got[k], want[k], f"{where}.{k}", rtol)]
     if isinstance(want, list):
         if len(got) != len(want):
-            return [f"{where}: length {len(got)} != {len(want)}"]
+            return [(where, f"length {len(got)} != {len(want)}", None)]
         return [m for i, (g, w) in enumerate(zip(got, want))
-                for m in mismatches(g, w, f"{where}[{i}]", rtol)]
-    return [] if got == want else [f"{where}: {got!r} != {want!r}"]
+                for m in moves(g, w, f"{where}[{i}]", rtol)]
+    return [] if got == want else [(where, f"{got!r} != {want!r}", None)]
+
+
+def mismatches(got, want, where="", rtol=RTOL):
+    """`moves` as one "key: description" line each."""
+    return [f"{key}: {text}" for key, text, _ in moves(got, want, where, rtol)]
 
 
 def _dumps(obj, pad=""):
@@ -85,11 +92,16 @@ def check(names):
     moved = 0
     for name in names:
         want = json.loads((GOLDEN / f"{name}.json").read_text())
-        diffs = mismatches(snapshot(name, experiments.run_experiment(name)), want,
-                           name, rtol=0.0)
-        for line in diffs:
-            print(line)
-        print(f"{name}: {len(diffs)} moved")
+        diffs = moves(snapshot(name, experiments.run_experiment(name)), want,
+                      name, rtol=0.0)
+        for key, text, _ in diffs:
+            print(f"{key}: {text}")
+        summary = f"{name}: {len(diffs)} moved"
+        floats = [(rel, key) for key, _, rel in diffs if rel is not None]
+        if floats:
+            rel, key = max(floats)
+            summary += f", largest relative move {rel:.3g} at {key}"
+        print(summary)
         moved += len(diffs)
     return 1 if moved else 0
 
