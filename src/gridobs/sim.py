@@ -20,16 +20,34 @@ layout against numpy's public `state` setter.  Tests pin the words to
 `np.random.PCG64(seed).state`.  `run_replica` seeds through
 `default_rng` itself and stays the independent oracle.
 
+That Generator and its loader are built once per thread, at the thread's
+first `monte_carlo` call (`_engine`), and reused by every later call in
+the same thread.  Reuse carries nothing from one call to the next: every
+stream use starts with a write of all four state words and a zeroed
+buffered half, so a call that raised partway leaves no trace either.
+Each thread has its own record, so results do not depend on scheduling,
+and the record keeps the Generator, which owns the PCG64 whose struct the
+loader writes, so the struct lives as long as the loader.
+
 Each interval advances a block of replicas with one matrix product
 against every scenario's map side by side, [Lam_a^T; Q_a^T] for all a,
 and keeps each replica's own scenario with one `take`
 (`_run_intervals`): two numpy calls per block and interval, whatever the
 paths, for arithmetic that grows with the number of scenarios.
+
+The squared errors are summed over the state one column at a time
+(`_moments`), since numpy's reduction over a short last axis is its slow
+case, and the variance reuses the mean already computed.  For n < 8
+numpy's sum over that axis is the same sequential loop, so the bits are
+those of `sum(axis=2)`.  At large n the column sum costs more (1.10
+against 0.60 ms at n = 60, R = 200, K = 50, where the normals alone take
+about 12 ms) and rounds differently from numpy's pairwise sum.
 """
 
 from __future__ import annotations
 
 import ctypes
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,6 +215,21 @@ def _stream_loader(bitgen):
     return load
 
 
+_local = threading.local()
+
+
+def _engine():
+    """This thread's (Generator, load): one PCG64 behind one Generator,
+    and `_stream_loader`'s load for its state struct, built at the thread's
+    first call.  The record keeps the Generator, and with it the PCG64
+    that owns the struct the loader's views point into."""
+    engine = getattr(_local, "engine", None)
+    if engine is None:
+        bitgen = np.random.PCG64(0)        # each stream overwrites its state
+        engine = _local.engine = (np.random.Generator(bitgen), _stream_loader(bitgen))
+    return engine
+
+
 # stream tags for the two independent random sources
 _SWITCH_TAG = 0x5157
 _NOISE_TAG = 0x4E5A
@@ -313,6 +346,29 @@ def _run_intervals(eps, alphas, M, block):
             rows[:, k + 1] = picks.take(paths[:, k] + at, axis=0)
 
 
+def _moments(sq):
+    """(err_sq, mean_err_sq, per_state_mean_sq, var_err_sq) of the squared
+    errors `sq` (R, K+1, n).
+
+    err_sq sums the n columns in order, ((c_0 + c_1) + c_2) + ..., the
+    same bits as numpy's `sq.sum(axis=2)` for n < 8, without numpy's slow
+    reduction over a short last axis.  The variance is numpy's
+    `var(axis=0, ddof=1)` taken from the mean already computed; a single
+    replica has zero variance.
+    """
+    R = sq.shape[0]
+    err_sq = sq[..., 0].copy()
+    for j in range(1, sq.shape[2]):
+        err_sq += sq[..., j]
+    mean_err_sq = err_sq.mean(axis=0)
+    if R > 1:
+        dev = np.subtract(err_sq, mean_err_sq)
+        var = np.square(dev, out=dev).sum(axis=0) / (R - 1)
+    else:
+        var = np.zeros(sq.shape[1])
+    return err_sq, mean_err_sq, sq.mean(axis=0), var
+
+
 def monte_carlo(A, obs, scenario_set, cfg):
     """Monte Carlo of the one-interval error recursion over independent replicas.
 
@@ -320,10 +376,13 @@ def monte_carlo(A, obs, scenario_set, cfg):
     e_{k+1} = Lam_a e_k + Q_a xi_k with xi_k standard normal, the exact
     interval law of the continuous-time filter (`observer.build`).  The
     PCG64 states of all 2R streams come from one vectorised pass
-    (`seed_sequence_words`, `pcg64_states`) as one table of words.  One
-    Generator's PCG64 is loaded with each replica's switching words and
-    then its noise words, each a four-word write into its state struct
-    (`_stream_loader`): it samples the replica's switching path, then
+    (`seed_sequence_words`, `pcg64_states`) as one table of words.  The
+    calling thread's Generator (`_engine`, built at its first call and
+    kept with the PCG64 it owns) is loaded with each replica's switching
+    words and then its noise words, each a write of all four words into
+    its state struct and a zeroed buffered half (`_stream_loader`), so
+    nothing carries over from an earlier call, even one that raised, or
+    from another thread: it samples the replica's switching path, then
     draws its (K, n) block of normals in one call into rows 1..K of its
     slice of the error array, which doubles as the noise buffer.
     Interval k overwrites row k+1, xi_k, with
@@ -341,8 +400,11 @@ def monte_carlo(A, obs, scenario_set, cfg):
     (2.1 ms; 6.2 ms at S = 256).  At S = 4 it gains with n: 3.3 against
     14 ms at n = 22, 12 against 83 ms at n = 60.  Replica streams depend
     only on (master seed, replica index), so each replica follows
-    `run_replica` for its index.  Aggregation runs in replica order.  `A`
-    is not used: the error recursion does not depend on the true state.
+    `run_replica` for its index.  Aggregation runs in replica order and
+    sums the squared errors one state column at a time (`_moments`): the
+    bits of `sum(axis=2)` for n < 8, at the same cost at n = 22 and at
+    about twice numpy's at n = 60.  `A` is not used: the error recursion
+    does not depend on the true state.
     """
     n = obs.n
     R = cfg.replicas
@@ -350,9 +412,7 @@ def monte_carlo(A, obs, scenario_set, cfg):
     sw_root, nz_root = cfg.roots()
     streams = pcg64_states(seed_sequence_words(np.concatenate(
         [derive_seeds(sw_root, R), derive_seeds(nz_root, R)])))
-    bitgen = np.random.PCG64(0)            # each stream overwrites its state
-    gen = np.random.Generator(bitgen)
-    load = _stream_loader(bitgen)
+    gen, load = _engine()
     # row R of the paths and of the error array is a spare zero replica,
     # never sampled, that a lone last replica runs beside
     alphas = np.zeros((R + 1, K), dtype=int)
@@ -374,11 +434,7 @@ def monte_carlo(A, obs, scenario_set, cfg):
     _run_intervals(eps, alphas, M.reshape(2 * n, S * n), block)
     alphas = alphas[:R]
     eps = eps[:R]
-    sq = np.square(eps, out=eps)
-    err_sq = sq.sum(axis=2)                    # (R, K+1)
-    mean_err_sq = err_sq.mean(axis=0)
-    per_state = sq.mean(axis=0)
-    var = err_sq.var(axis=0, ddof=1) if R > 1 else np.zeros(K + 1)
+    err_sq, mean_err_sq, per_state, var = _moments(np.square(eps, out=eps))
     return ErrorTrajectory(
         tau=obs.tau, mean_err_sq=mean_err_sq, per_state_mean_sq=per_state,
         var_err_sq=var, paths=alphas, err_sq=err_sq, replicas=cfg.replicas,

@@ -1,7 +1,9 @@
 """Monte Carlo engine, its replica oracle, the substep oracle, determinism."""
 
 import dataclasses
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -389,6 +391,116 @@ class TestMonteCarlo:
         assert traj.mean_err_sq[0] == pytest.approx(mean[0], rel=1e-15)
         z = (traj.mean_err_sq[1:] - mean[1:]) / sd[1:]
         assert np.max(np.abs(z)) < 4.5
+
+
+def _in_fresh_thread(fn, *args):
+    """fn(*args) in a new thread, which has no Monte Carlo engine yet."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result()
+
+
+def _same_bits(got, want):
+    return all(np.array_equal(getattr(got, f), getattr(want, f))
+               for f in ("paths", "err_sq", "mean_err_sq", "per_state_mean_sq",
+                         "var_err_sq"))
+
+
+class TestMoments:
+    @pytest.mark.parametrize("R", [1, 2, 200])
+    def test_column_sum_is_numpys_reduction_bit_for_bit(self, R):
+        # squared errors whose magnitudes span 60 decades, n = 4 as in every
+        # bundled and benchmarked design
+        rng = np.random.default_rng(R)
+        sq = 10.0 ** rng.uniform(-30, 30, (R, 51, 4)) * rng.random((R, 51, 4))
+        err_sq, mean, per_state, var = sim._moments(sq.copy())
+        want = sq.sum(axis=2)
+        assert np.array_equal(err_sq, want)
+        assert np.array_equal(mean, want.mean(axis=0))
+        assert np.array_equal(per_state, sq.mean(axis=0))
+        if R > 1:
+            assert np.array_equal(var, want.var(axis=0, ddof=1))
+        else:
+            assert np.array_equal(var, np.zeros(51))
+
+    @pytest.mark.parametrize("n", [9, 22])
+    def test_column_sum_rounds_close_to_numpys_at_larger_n(self, n):
+        # from n = 8 on numpy sums pairwise, so only rounding differs
+        rng = np.random.default_rng(n)
+        sq = 10.0 ** rng.uniform(-12, 12, (200, 51, n))
+        got = sim._moments(sq.copy())
+        total = sq.sum(axis=2)
+        want = (total, total.mean(axis=0), sq.mean(axis=0), total.var(axis=0, ddof=1))
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w) / w) <= 1e-15
+
+
+class TestEngineReuse:
+    """Each thread builds its Generator and stream loader once and reuses
+    them; no call may see anything of an earlier one."""
+
+    @pytest.fixture
+    def runs(self, setup, four_channel, ieee5_lin):
+        A, scs, obs = setup
+        cfg = SimConfig(K=20, replicas=30, seed=61, e0=[2.0, 0.0, 1.0, 0.0])
+        return [(A, obs, scs, cfg),
+                (ieee5_lin.A, four_channel[1], four_channel[0],
+                 dataclasses.replace(cfg, replicas=17, seed=2**64 - 1))]
+
+    def test_calls_in_one_thread_match_fresh_threads(self, runs):
+        fresh = [_in_fresh_thread(monte_carlo, *run) for run in runs]
+        for _ in range(2):
+            again = _in_fresh_thread(lambda: [monte_carlo(*run) for run in runs * 2])
+            assert all(_same_bits(got, want) for got, want in zip(again, fresh * 2))
+
+    def test_threads_started_together_match_fresh_threads(self, runs):
+        fresh = [_in_fresh_thread(monte_carlo, *run) for run in runs]
+        start = threading.Barrier(len(runs))
+
+        def together(run):
+            start.wait()
+            return [monte_carlo(*run) for _ in range(3)]
+
+        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+            results = list(pool.map(together, runs))
+        for got, want in zip(results, fresh):
+            assert all(_same_bits(g, want) for g in got)
+
+    def test_call_that_raised_leaves_the_next_unchanged(self, runs, monkeypatch):
+        fresh = _in_fresh_thread(monte_carlo, *runs[0])
+        real = shs.sample_skeleton
+        calls = []
+
+        def third_call_raises(scenario_set, horizon, gen):
+            calls.append(horizon)
+            out = real(scenario_set, horizon, gen)
+            if len(calls) == 3:
+                # leave the stream mid-way, with a buffered 32-bit half
+                gen.random(dtype=np.float32)
+                raise RuntimeError("third skeleton")
+            return out
+
+        monkeypatch.setattr(shs, "sample_skeleton", third_call_raises)
+
+        def raise_then_rerun():
+            with pytest.raises(RuntimeError, match="third skeleton"):
+                monte_carlo(*runs[0])
+            return monte_carlo(*runs[0])
+
+        assert _same_bits(_in_fresh_thread(raise_then_rerun), fresh)
+        assert len(calls) == 3 + runs[0][3].replicas
+
+    def test_stream_loader_runs_once_per_thread(self, runs, monkeypatch):
+        built = []
+        real = sim._stream_loader
+
+        def counted(bitgen):
+            built.append(bitgen)
+            return real(bitgen)
+
+        monkeypatch.setattr(sim, "_stream_loader", counted)
+        for _ in range(2):
+            _in_fresh_thread(lambda: [monte_carlo(*run) for run in runs * 2])
+        assert len(built) == 2
 
 
 class TestExpectedCurve:
