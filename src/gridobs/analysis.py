@@ -28,7 +28,8 @@ class ConvergenceReport:
     gamma1: float                 # || diag[p_i exp(Ac_i tau)] ||
     gamma2: float                 # || diag[(1-p_i) I] F exp(A tau) Phi ||
     tau_max: float
-    stable: bool                  # mean-square stable: exact radius below one
+    stable: bool                  # mean-square stable: ms_radius below one
+    ms_radius: float              # rho(sum p_j Lam(j) kron Lam(j)), the exact radius
     second_moment_radius: float   # rho(M), a sufficient bound only
     scenario_norms: dict = field(default_factory=dict)
 
@@ -39,6 +40,7 @@ class ConvergenceReport:
             "gamma2": self.gamma2,
             "tau_max": self.tau_max,
             "stable": self.stable,
+            "ms_radius": self.ms_radius,
             "second_moment_radius": self.second_moment_radius,
             "scenario_norms": {str(k): v for k, v in self.scenario_norms.items()},
         }
@@ -74,8 +76,8 @@ def contraction(obs, scenario_set):
     tmax = compute_tau_max(obs.A, scenario_set, obs.decomps)
     return ConvergenceReport(
         gamma_exact=float(gamma), gamma1=float(gamma1), gamma2=float(gamma2),
-        tau_max=tmax, stable=exact < 1.0, second_moment_radius=radius,
-        scenario_norms=norms)
+        tau_max=tmax, stable=exact < 1.0, ms_radius=exact,
+        second_moment_radius=radius, scenario_norms=norms)
 
 
 _TAU_SCAN_LIMIT = 100.0
@@ -204,6 +206,21 @@ def steady_state(obs, scenario_set):
     return SteadyState(M, S, Psi, W_stein, mu_inf, W_inf, float(np.trace(W_inf)))
 
 
+def _second_moment_traces(obs, scenario_set, e0, K, Psi):
+    """tr Sigma_k for k = 0..K, where Sigma_0 = e0 e0^T and
+    Sigma_{k+1} = sum_j p_j Lam_j Sigma_k Lam_j^T + Psi."""
+    p = np.array([s.probability for s in scenario_set])
+    Lam = np.stack([obs.Lam[s.index] for s in scenario_set])
+    e0 = np.asarray(e0, dtype=float)
+    Sigma = np.outer(e0, e0)
+    out = np.empty(K + 1)
+    out[0] = np.trace(Sigma)
+    for k in range(K):
+        Sigma = np.tensordot(p, Lam @ Sigma @ Lam.transpose(0, 2, 1), axes=1) + Psi
+        out[k + 1] = np.trace(Sigma)
+    return out
+
+
 def expected_err_sq(obs, scenario_set, e0, K):
     """Exact mean of ||e_k||^2 for k = 0..K from the initial error e0.
 
@@ -213,14 +230,12 @@ def expected_err_sq(obs, scenario_set, e0, K):
     tr Sigma_k.  Under mean-square stability Sigma_k tends to the
     steady state's W_inf, so the curve ends at mu_state.
     """
-    p = np.array([s.probability for s in scenario_set])
-    Lam = np.stack([obs.Lam[s.index] for s in scenario_set])
-    Psi = _noise_covariance(obs, scenario_set)
-    e0 = np.asarray(e0, dtype=float)
-    Sigma = np.outer(e0, e0)
-    out = np.empty(K + 1)
-    out[0] = np.trace(Sigma)
-    for k in range(K):
-        Sigma = np.tensordot(p, Lam @ Sigma @ Lam.transpose(0, 2, 1), axes=1) + Psi
-        out[k + 1] = np.trace(Sigma)
-    return out
+    return _second_moment_traces(obs, scenario_set, e0, K,
+                                 _noise_covariance(obs, scenario_set))
+
+
+def noise_free_err_sq(obs, scenario_set, e0, K):
+    """Exact mean of ||e_k||^2 for k = 0..K with the noise left out:
+    tr T^k(e0 e0^T) with T(W) = sum_j p_j Lam_j W Lam_j^T, the decay of
+    the initial error alone, which the mean-square radius governs."""
+    return _second_moment_traces(obs, scenario_set, e0, K, 0.0)

@@ -13,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import analysis, grid, numerics, observer, shs, sim
+from . import analysis, grid, observer, shs, sim
 
 EXPERIMENTS = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 
@@ -167,6 +167,7 @@ def run_experiment(name, seed=None, replicas=None):
         times = []
         gammas = []
         radii = []
+        decays = []
         trajs = []
         for rhos in cfg["check"]["cases"]:
             case_cfg = _with_rhos(cfg, rhos)
@@ -175,8 +176,9 @@ def run_experiment(name, seed=None, replicas=None):
             simcfg, traj = simulate_with_expectation(case_cfg, lin, obs, scs)
             times.append(mean_crossing_time(traj.err_sq))
             gammas.append(rep.gamma_exact)
-            radii.append(numerics.mean_square_radius(
-                [obs.Lam[s.index] for s in scs], [s.probability for s in scs]))
+            radii.append(rep.ms_radius)
+            decays.append(analysis.noise_free_err_sq(
+                obs, scs, simcfg.initial_error(obs.n), simcfg.K)[1:])
             trajs.append(traj)
         result.update(times_to_1pct=times, gammas=gammas, ms_radii=radii,
                       trajectory=trajs[0], all_trajectories=trajs)
@@ -185,6 +187,9 @@ def run_experiment(name, seed=None, replicas=None):
         # the exact companion of the sampled order above
         checks["ms_radius_rises_as_delivery_falls"] = all(
             radii[i] < radii[i + 1] for i in range(len(radii) - 1))
+        # and of the noise-free second moment, at every interval k = 1..K
+        checks["noise_free_moment_rises_as_delivery_falls"] = all(
+            np.all(decays[i] < decays[i + 1]) for i in range(len(decays) - 1))
 
     elif kind == "degraded":
         case_cfg = _with_rhos(cfg, cfg["check"]["case"])

@@ -131,6 +131,17 @@ class TestContraction:
         assert gammas[0.8].gamma_exact > gammas[0.994].gamma_exact
         assert not gammas[0.8].stable
 
+    @pytest.mark.parametrize("rho", [0.998, 0.8])
+    def test_reports_the_exact_radius_it_decides_on(self, ieee5_lin, rho):
+        scs = five_bus_scenarios(rho1=rho, rho2=rho)
+        obs = design(ieee5_lin.A, scs, [-3.6, -2.7, -3.0, -3.3], tau=0.6261)
+        rep = contraction(obs, scs)
+        want = numerics.mean_square_radius([obs.Lam[s.index] for s in scs],
+                                           [s.probability for s in scs])
+        assert rep.ms_radius == want
+        assert rep.stable == (want < 1.0)
+        assert rep.as_dict()["ms_radius"] == want
+
     def test_gamma_monotone_in_delivery(self, ieee5_lin):
         poles = [-3.6, -2.7, -3.0, -3.3]
         prev = None
@@ -350,6 +361,7 @@ class TestSteadyState:
         rep = contraction(obs, scs)
         assert rep.second_moment_radius == pytest.approx(1.382, abs=1e-3)
         assert rep.stable
+        assert rep.ms_radius == pytest.approx(0.1509, abs=1e-4)
         T = sum(s.probability * np.kron(obs.Lam[s.index], obs.Lam[s.index])
                 for s in scs)
         assert max(np.abs(np.linalg.eigvals(T))) == pytest.approx(0.1509, abs=1e-4)

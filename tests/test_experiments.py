@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from gridobs import experiments
+from gridobs import experiments, numerics
 
 from write_golden import GOLDEN, mismatches, snapshot
 
@@ -44,6 +44,10 @@ def test_golden_comparison_is_strict():
     assert mismatches({"a": [1.0, 2.0, "x"], "b": {"c": True}}, want)
     assert mismatches({"a": [1.0, 2, "x"], "b": {"c": 1}}, want)
     assert mismatches({"a": [1.0, 2], "b": {"c": True}}, want)
+    # a key added and another removed do not hide a move in the shared keys
+    diffs = mismatches({"a": [1.5, 2, "x"], "b": {"d": True}, "e": 0}, want)
+    assert sorted(diffs) == [".a[0]: 1.5 != 1.0 (relative change 0.5)",
+                             ".b.c: removed", ".b.d: added", ".e: added"]
 
 
 def test_fig4_tradeoff_numbers(run):
@@ -150,6 +154,31 @@ def test_mean_crossing_time_equals_replica_loop_on_fig5(run):
             censored.append(n_censored)
     # all, some and none of the 600 replicas censored
     assert {0, 600} <= set(censored) and any(0 < c < 600 for c in censored)
+
+
+def test_fig5_reads_each_radius_from_its_report(monkeypatch):
+    # one mean-square radius per delivery case, the one `contraction` reports
+    calls = []
+    radius = numerics.mean_square_radius
+
+    def counting(maps, weights):
+        calls.append(len(maps))
+        return radius(maps, weights)
+
+    monkeypatch.setattr(numerics, "mean_square_radius", counting)
+    res = experiments.run_experiment("fig5")
+    assert len(calls) == len(res["config"]["check"]["cases"]) == len(res["ms_radii"])
+    assert res["checks"]["ms_radius_rises_as_delivery_falls"]
+    assert res["checks"]["noise_free_moment_rises_as_delivery_falls"]
+
+
+def test_fig5_exact_checks_fail_on_reversed_cases(monkeypatch):
+    cfg = experiments.load_experiment("fig5")
+    cfg["check"]["cases"] = cfg["check"]["cases"][::-1]
+    monkeypatch.setattr(experiments, "load_experiment", lambda name: cfg)
+    checks = experiments.run_experiment("fig5")["checks"]
+    assert not checks["ms_radius_rises_as_delivery_falls"]
+    assert not checks["noise_free_moment_rises_as_delivery_falls"]
 
 
 def test_channel_row_parsing():

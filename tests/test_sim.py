@@ -1,6 +1,8 @@
 """Monte Carlo engine, its replica oracle, the substep oracle, determinism."""
 
 import dataclasses
+import itertools
+import math
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -522,6 +524,25 @@ class TestExpectedCurve:
         traj = monte_carlo(A, obs, scs, cfg)
         traj.expected_err_sq = analysis.expected_err_sq(obs, scs, cfg.e0, cfg.K)
         assert traj.max_abs_z() < 4.5
+
+    def test_noise_free_curve_averages_every_switching_path(self, setup):
+        # K = 3 on the four-scenario alphabet: E ||Lam_a3 Lam_a2 Lam_a1 e0||^2
+        # summed over all 64 paths with their probabilities
+        _, scs, obs = setup
+        e0 = np.array([2.0, 0.0, 1.0, 0.0])
+        got = analysis.noise_free_err_sq(obs, scs, e0, 3)
+        want = [float(e0 @ e0)]
+        for k in (1, 2, 3):
+            total = 0.0
+            for path in itertools.product(list(scs), repeat=k):
+                e = e0
+                for s in path:
+                    e = obs.Lam[s.index] @ e
+                total += math.prod(s.probability for s in path) * float(e @ e)
+            want.append(total)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        # the noise only adds to the exact mean curve
+        assert np.all(got[1:] < analysis.expected_err_sq(obs, scs, e0, 3)[1:])
 
     def test_max_abs_z_needs_the_exact_curve(self, setup):
         A, scs, obs = setup

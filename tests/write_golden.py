@@ -5,8 +5,9 @@
 writes tests/golden/<name>.json for the named experiments (all six by
 default).  With --check it writes nothing: it reruns the experiments,
 prints every pinned value that moved at all (floats with their relative
-change), ends each experiment with its count of moves and its largest
-relative move with its key, and exits 1 if any value moved.  Each file
+change) and every key added or removed, ends each experiment with its
+count of moves and its largest relative move with its key, and exits 1
+if anything moved.  Each file
 holds what `gridobs reproduce <name>` prints and writes: the check lines,
 every column of every CSV file, the manifest's result payload and a
 sha256 of each trajectory's switching paths (which replace the path table
@@ -48,7 +49,9 @@ def snapshot(name, result):
 def moves(got, want, where="", rtol=RTOL):
     """(key, description, relative change) of each place where `got`
     differs from `want`: floats beyond `rtol` relative, anything else not
-    exactly equal, whose relative change is None."""
+    exactly equal, whose relative change is None.  A dict key that only
+    one side has is reported as added or removed, and the keys both sides
+    have are still compared."""
     if isinstance(want, float) and isinstance(got, float):
         if got == want or abs(got - want) <= rtol * abs(want):
             return []
@@ -57,9 +60,10 @@ def moves(got, want, where="", rtol=RTOL):
     if type(got) is not type(want):
         return [(where, f"{got!r} != {want!r}", None)]
     if isinstance(want, dict):
-        if got.keys() != want.keys():
-            return [(where, f"keys {sorted(got)} != {sorted(want)}", None)]
-        return [m for k in want for m in moves(got[k], want[k], f"{where}.{k}", rtol)]
+        added = [(f"{where}.{k}", "added", None) for k in got if k not in want]
+        removed = [(f"{where}.{k}", "removed", None) for k in want if k not in got]
+        return added + removed + [m for k in want if k in got
+                                  for m in moves(got[k], want[k], f"{where}.{k}", rtol)]
     if isinstance(want, list):
         if len(got) != len(want):
             return [(where, f"length {len(got)} != {len(want)}", None)]
