@@ -39,9 +39,10 @@ The squared errors are summed over the state one column at a time
 (`_moments`), since numpy's reduction over a short last axis is its slow
 case, and the variance reuses the mean already computed.  For n < 8
 numpy's sum over that axis is the same sequential loop, so the bits are
-those of `sum(axis=2)`.  At large n the column sum costs more (1.10
-against 0.60 ms at n = 60, R = 200, K = 50, where the normals alone take
-about 12 ms) and rounds differently from numpy's pairwise sum.
+those of `sum(axis=2)`.  At large n the column sum costs more (1.63
+against 0.98 ms at n = 60, R = 200, K = 50 on a 2-vCPU host, where the
+normals alone take about 11 ms) and rounds differently from numpy's
+pairwise sum.
 """
 
 from __future__ import annotations
@@ -362,7 +363,7 @@ def _moments(sq):
         err_sq += sq[..., j]
     mean_err_sq = err_sq.mean(axis=0)
     if R > 1:
-        dev = np.subtract(err_sq, mean_err_sq)
+        dev = err_sq - mean_err_sq
         var = np.square(dev, out=dev).sum(axis=0) / (R - 1)
     else:
         var = np.zeros(sq.shape[1])
@@ -402,8 +403,8 @@ def monte_carlo(A, obs, scenario_set, cfg):
     only on (master seed, replica index), so each replica follows
     `run_replica` for its index.  Aggregation runs in replica order and
     sums the squared errors one state column at a time (`_moments`): the
-    bits of `sum(axis=2)` for n < 8, at the same cost at n = 22 and at
-    about twice numpy's at n = 60.  `A` is not used: the error recursion
+    bits of `sum(axis=2)` for n < 8, at about the same cost at n = 22
+    and at 1.7 times numpy's at n = 60.  `A` is not used: the error recursion
     does not depend on the true state.
     """
     n = obs.n
