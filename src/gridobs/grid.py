@@ -173,12 +173,6 @@ class NetworkSolution:
     residual: float
     iterations: int
 
-    def slack_power(self, grid):
-        sl = [b for b in grid.buses if b.kind == SLACK]
-        if not sl:
-            raise GridError("grid has no slack bus")
-        return self.injections[sl[0].id]
-
 
 def _injections(Y, V, th):
     Vc = V * np.exp(1j * th)

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import OrderedDict
 
 import numpy as np
-from numpy.linalg import lapack_lite
 
 
 # Numerical cutoffs used across the package, read at call time.  RANK_TOL
@@ -204,11 +202,6 @@ def noise_gramian(Ac, N, tau):
     return 0.5 * (V + V.T)
 
 
-# verified gains kept by place_poles, keyed by the exact bytes of its inputs
-_GAIN_MEMO_SIZE = 64
-_gain_memo = OrderedDict()
-
-
 def place_poles(A22, C2, desired):
     """Observer gain L with eig(A22 - L C2) equal to `desired`.
 
@@ -216,12 +209,6 @@ def place_poles(A22, C2, desired):
     Uses the robust eigenstructure-assignment algorithm.  Requested poles
     must be closed under conjugation and, per the design rules of this
     package, distinct.
-
-    Gains are memoised by input content (the bytes and shapes of A22, C2
-    and the requested poles; the last _GAIN_MEMO_SIZE distinct inputs), so
-    a repeated design skips only the assignment algorithm: validation, the
-    observability check and the pole-accuracy check run on every call, and
-    every caller gets its own copy of the gain.
     """
     A22 = _as_matrix(A22, "A22")
     C2 = _as_matrix(C2, "C2")
@@ -241,18 +228,12 @@ def place_poles(A22, C2, desired):
     W = observability_stack(C2, A22)
     if np.linalg.matrix_rank(W, tol=RANK_TOL * max(operator_norm(W), 1.0)) < p:
         raise ValueError("(C2, A22) is not observable; poles cannot be placed")
-    key = (A22.shape, A22.tobytes(), C2.shape, C2.tobytes(), desired.tobytes())
-    L = _gain_memo.get(key)
-    if L is None:
-        L = _assign_poles(A22, C2, desired)
+    L = _assign_poles(A22, C2, desired)
     got = np.linalg.eigvals(A22 - L @ C2)
     if np.max(np.abs(np.sort_complex(got) - np.sort_complex(desired))) > 1e-6:
         raise ValueError("placement did not reach the requested poles")
-    _gain_memo[key] = L
-    _gain_memo.move_to_end(key)
-    if len(_gain_memo) > _GAIN_MEMO_SIZE:
-        _gain_memo.popitem(last=False)
-    # order K keeps the transposed layout the assignment returns
+    # a complex pole list's gain is a strided view; order K keeps its
+    # transposed layout, on which the bits of each error map depend
     return L.copy(order="K")
 
 
@@ -272,11 +253,6 @@ _RISE_FLOOR = 64 * _UNIT_ROUNDOFF
 _SWEEP_BOUND = 5000
 _SQRT_EPS = np.sqrt(np.spacing(1))
 _SQRT2 = math.sqrt(2.0)
-# LAPACK work per matrix column in _full_qr: room for blocks of 64
-# columns, twice the block size OpenBLAS asks for geqrf and orgqr, so the
-# blocked or unblocked path LAPACK takes is the one numpy's queried
-# workspace gives
-_QR_WORK_PER_COLUMN = 64
 
 
 def _assign_poles(A22, C2, desired):
@@ -290,7 +266,8 @@ def _assign_poles(A22, C2, desired):
     |det X|.  Its sweeps are scipy's YT rank-2 updates, operation for
     operation in scipy's order (a KNV0 step for a lone real pole); each
     full QR (of B, of each pole's space, of X without the columns being
-    updated) is _full_qr's direct LAPACK call.  X is complex when any
+    updated) is _full_qr's, numpy's complete QR with Q in the Fortran
+    order scipy's LAPACK binding returns.  X is complex when any
     requested pole is, its real-pole columns included, and its QRs run in
     complex arithmetic as scipy's do: a float QR of those columns rounds
     differently and moves the gain.
@@ -302,11 +279,11 @@ def _assign_poles(A22, C2, desired):
     # complex branch pairs poles up and is noticeably less accurate
     request = desired.real if np.all(desired.imag == 0) else desired
     poles = _order_poles(request)
-    u, qr_b = _full_qr(B)
+    u, r_b = _full_qr(B)
     rank_b = np.linalg.matrix_rank(B)
     u0 = u[:, :rank_b]
     u1 = u[:, rank_b:]
-    z = np.triu(qr_b)[:rank_b, :]
+    z = r_b[:rank_b, :]
     if rank_b == n:
         # X = I; complex pairs enter as real 2x2 blocks [[a, -b], [b, a]]
         diag_poles = np.zeros(A.shape)
@@ -363,39 +340,11 @@ def _assign_poles(A22, C2, desired):
 
 
 def _full_qr(a):
-    """Full QR of a float or complex matrix a: (Q, F) with R = triu(F).
-
-    Runs LAPACK's geqrf and orgqr (zgeqrf and zungqr for complex a), the
-    routines numpy.linalg.qr(a, mode="complete") runs, through
-    numpy.linalg.lapack_lite, so Q and R carry its bits without the cost
-    of its wrapper.  Q is returned in Fortran order, the layout LAPACK
-    hands back: on a C-ordered Q the YT updates' products take other BLAS
-    paths and round differently, and the gains lose
-    scipy.signal.place_poles' bits.  F is the packed geqrf output, R on
-    and above its diagonal; only the QR of B needs R, so no call forms it.
-    A nonzero LAPACK info raises LinAlgError.
-    """
-    m, n = a.shape
-    if a.dtype.kind == "c":
-        geqrf, orgqr = lapack_lite.zgeqrf, lapack_lite.zungqr
-    else:
-        geqrf, orgqr = lapack_lite.dgeqrf, lapack_lite.dorgqr
-    k = min(m, n)
-    # LAPACK reads column-major storage, so row c of a C-ordered buffer
-    # is column c of the matrix: these buffers hold a^T and Q^T
-    f = a.T.copy()
-    tau = np.empty(max(k, 1), f.dtype)
-    lwork = _QR_WORK_PER_COLUMN * max(m, n, 1)
-    work = np.empty(lwork, f.dtype)
-    info = geqrf(m, n, f, m, tau, work, lwork, 0)["info"]
-    if info != 0:
-        raise np.linalg.LinAlgError(f"geqrf returned info {info}")
-    q = np.empty((m, m), f.dtype)
-    q[:k] = f[:k]
-    info = orgqr(m, m, k, q, m, tau, work, lwork, 0)["info"]
-    if info != 0:
-        raise np.linalg.LinAlgError(f"orgqr returned info {info}")
-    return q.T, f.T
+    """numpy.linalg.qr(a, mode="complete") as (Q, R), Q in Fortran order:
+    on a C-ordered Q the YT updates' products take other BLAS paths, round
+    differently, and the gains lose scipy.signal.place_poles' bits."""
+    q, r = np.linalg.qr(a, mode="complete")
+    return np.asfortranarray(q), r
 
 
 def _close(a, b):

@@ -112,6 +112,13 @@ def physical_ieee5_network():
                           equilibrium_mode="anchored")
 
 
+def slack_power(network, g):
+    """Net real power the slack bus of grid g injects in a network
+    solution, pu: what the slack covers of load and losses."""
+    (slack,) = [b for b in g.buses if b.kind == grid.SLACK]
+    return network.injections[slack.id]
+
+
 def delta_channels(labels, specs):
     """SensorChannel list from (measure, rho, sigma) triples."""
     chans = []

@@ -43,11 +43,14 @@ def test_golden_comparison_is_strict():
     assert mismatches({"a": [1.0 + 5e-10, 2, "x"], "b": {"c": True}}, want) == []
     assert mismatches({"a": [1.0, 2.0, "x"], "b": {"c": True}}, want)
     assert mismatches({"a": [1.0, 2, "x"], "b": {"c": 1}}, want)
-    assert mismatches({"a": [1.0, 2], "b": {"c": True}}, want)
+    assert mismatches({"a": [1.0, 2], "b": {"c": True}}, want) == [".a[2]: removed"]
     # a key added and another removed do not hide a move in the shared keys
     diffs = mismatches({"a": [1.5, 2, "x"], "b": {"d": True}, "e": 0}, want)
     assert sorted(diffs) == [".a[0]: 1.5 != 1.0 (relative change 0.5)",
                              ".b.c: removed", ".b.d: added", ".e: added"]
+    # nor does a list that grows hide a move in the entries both sides have
+    diffs = mismatches({"a": [1.0, 3, "x", "y"], "b": {"c": True}}, want)
+    assert diffs == [".a[1]: 3 != 2", ".a[3]: added"]
 
 
 def test_fig4_tradeoff_numbers(run):

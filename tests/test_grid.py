@@ -12,7 +12,7 @@ from gridobs.grid import (Bus, GridError, GridModel, Line, builtin,
                           read_matpower, solve_network)
 
 from conftest import (A2BUS_PRINTED, A5_PRINTED, A5_EIGENVALUES, A33_PRINTED,
-                      IEEE5_TABLE, physical_ieee5_network)
+                      IEEE5_TABLE, physical_ieee5_network, slack_power)
 
 
 def line_flow(vi, di, vj, dj, line):
@@ -141,7 +141,7 @@ class TestFindEquilibrium:
         g = builtin("ieee33_feeder")
         eq = find_equilibrium(g)
         # canonical distribution-feeder solution: slack covers load+loss
-        assert eq.network.slack_power(g) == pytest.approx(3.9177, abs=2e-3)
+        assert slack_power(eq.network, g) == pytest.approx(3.9177, abs=2e-3)
         assert min(eq.network.voltages.values()) == pytest.approx(0.9131, abs=1e-3)
 
     def test_inconsistent_dispatch_rejected(self):
@@ -308,7 +308,7 @@ class TestLinearizationInvariants:
         # generation + slack - loads
         losses = sum(eq.network.injections.values())
         loads = sum(b.p_load for b in g.buses)
-        supplied = eq.network.slack_power(g) + sum(eq.p_in.values())
+        supplied = slack_power(eq.network, g) + sum(eq.p_in.values())
         assert losses > 0
         assert losses == pytest.approx(0.2027, abs=2e-3)
         assert supplied == pytest.approx(loads + losses, abs=1e-6)

@@ -3,8 +3,6 @@
 import json
 import time
 import warnings
-from collections import OrderedDict
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -199,6 +197,9 @@ def ackermann_oracle(A, C, poles):
 
 
 class TestPlacePoles:
+    A = np.array([[0.0, 1.0], [-2.0, -3.0]])
+    C = np.array([[1.0, 0.0]])
+
     def test_scalar(self):
         L = place_poles(np.array([[0.0]]), np.array([[1.0]]), [-4.0])
         assert np.allclose(L, [[4.0]])
@@ -249,6 +250,21 @@ class TestPlacePoles:
         with pytest.raises(ValueError, match="distinct"):
             place_poles(A, C, [-2.0, -2.0])
 
+    def test_returned_gain_is_a_private_copy(self):
+        want = place_poles(self.A, self.C, [-1.0, -2.0])
+        ref = want.copy()
+        want[:] = 99.0
+        again = place_poles(self.A, self.C, [-1.0, -2.0])
+        assert np.array_equal(again, ref)
+
+    def test_invalid_requests_raise_on_every_call(self):
+        place_poles(self.A, self.C, [-2.0, -3.0])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="distinct"):
+                place_poles(self.A, self.C, [-2.0, -2.0])
+            with pytest.raises(ValueError, match="not observable"):
+                place_poles(np.diag([-1.0, -2.0]), self.C, [-3.0, -4.0])
+
 
 def _scipy_placement(A22, C2, desired, rtol=YT_RTOL, maxiter=YT_MAXITER):
     """scipy's place_poles result for the request _assign_poles gets; the
@@ -276,7 +292,6 @@ def _recorded_placements(monkeypatch, designs):
         seen.setdefault(key, (A22.copy(), C2.copy(), desired.copy()))
         return assign(A22, C2, desired)
 
-    monkeypatch.setattr(numerics, "_gain_memo", OrderedDict())
     monkeypatch.setattr(numerics, "_assign_poles", recording)
     designs()
     monkeypatch.setattr(numerics, "_assign_poles", assign)
@@ -445,9 +460,10 @@ class TestConvergedPlacement:
             assert _pole_error(A22, C2, L, desired) <= 1e-10 * max(1.0, operator_norm(A22))
 
     def test_sweep_and_newton_counts_of_the_figures(self, monkeypatch):
-        # each two-output figure placement takes one sweep, three to five
-        # Newton steps and one sweep that confirms the maximum; the counts
-        # repeat exactly, so a slide back toward hundreds of sweeps fails
+        # fig3..fig8 place 11 two-output gains, 5 of them distinct; each
+        # takes one sweep, three to five Newton steps and one sweep that
+        # confirms the maximum; the counts repeat exactly, so a slide back
+        # toward hundreds of sweeps fails
         stops = []
         loop = numerics._yt_loop
 
@@ -455,12 +471,11 @@ class TestConvergedPlacement:
             stops.append(loop(*args))
             return stops[-1]
 
-        monkeypatch.setattr(numerics, "_gain_memo", OrderedDict())
         monkeypatch.setattr(numerics, "_yt_loop", counting)
         _reproduce_figures()
-        assert [how for how, _, _ in stops] == ["certificate"] * 5
-        assert sum(sweeps for _, sweeps, _ in stops) == 10
-        assert sum(steps for _, _, steps in stops) == 20
+        assert [how for how, _, _ in stops] == ["certificate"] * 11
+        assert sum(sweeps for _, sweeps, _ in stops) == 22
+        assert sum(steps for _, _, steps in stops) == 44
 
     def test_sweep_bound_fails_the_placement(self, monkeypatch, tmp_path):
         # the bound is a failure path: a placement that reaches it raises
@@ -469,7 +484,6 @@ class TestConvergedPlacement:
             p for p in _recorded_placements(
                 monkeypatch, lambda: experiments.build_pipeline(ALPHABET16))
             if p[1].shape[0] == 3)
-        monkeypatch.setattr(numerics, "_gain_memo", OrderedDict())
         monkeypatch.setattr(numerics, "_SWEEP_BOUND", 2)
         with pytest.raises(ValueError, match="did not converge in 2 sweeps"):
             place_poles(A22, C2, desired)
@@ -547,106 +561,11 @@ class TestFullQr:
         a = rng.normal(size=shape)
         if kind is complex:
             a = a + 1j * rng.normal(size=shape)
-        Q, F = numerics._full_qr(a)
+        Q, R = numerics._full_qr(a)
         want_q, want_r = np.linalg.qr(a, mode="complete")
         assert Q.flags.f_contiguous and Q.dtype == a.dtype
         assert Q.tobytes() == want_q.tobytes()
-        assert np.triu(F).tobytes() == want_r.tobytes()
-
-    @pytest.mark.parametrize("kind,routine,step", [
-        (float, "dgeqrf", "geqrf"), (float, "dorgqr", "orgqr"),
-        (complex, "zgeqrf", "geqrf"), (complex, "zungqr", "orgqr")])
-    def test_nonzero_lapack_info_raises(self, monkeypatch, kind, routine, step):
-        # a one-element workspace is an illegal argument to every routine
-        # here: LAPACK answers with a negative info instead of a result
-        real = getattr(numerics.lapack_lite, routine)
-
-        def starved(*args):
-            return real(*args[:-2], 1, args[-1])
-
-        fake = {name: getattr(numerics.lapack_lite, name)
-                for name in ("dgeqrf", "dorgqr", "zgeqrf", "zungqr")}
-        fake[routine] = starved
-        monkeypatch.setattr(numerics, "lapack_lite", SimpleNamespace(**fake))
-        with pytest.raises(np.linalg.LinAlgError, match=step + " returned info -"):
-            numerics._full_qr(np.ones((4, 2), dtype=kind))
-
-
-def _fig5_gains():
-    """Gains of fig5's three delivery-ratio cases, one dict per case."""
-    cfg = experiments.load_experiment("fig5")
-    gains = []
-    for rhos in cfg["check"]["cases"]:
-        _, _, _, obs = experiments.build_pipeline(experiments._with_rhos(cfg, rhos))
-        gains.append({i: d.L for i, d in obs.decomps.items() if d.L is not None})
-    return gains
-
-
-class TestGainMemo:
-    A = np.array([[0.0, 1.0], [-2.0, -3.0]])
-    C = np.array([[1.0, 0.0]])
-
-    @pytest.fixture(autouse=True)
-    def empty_memo(self, monkeypatch):
-        memo = OrderedDict()
-        monkeypatch.setattr(numerics, "_gain_memo", memo)
-        return memo
-
-    def test_fig5_cases_run_the_assignment_once_per_gain(self, monkeypatch):
-        # delivery ratios do not enter the gains, so the three cases ask
-        # for the same three placements
-        calls = []
-        assign = numerics._assign_poles
-
-        def counting(*args):
-            calls.append(args)
-            return assign(*args)
-
-        monkeypatch.setattr(numerics, "_assign_poles", counting)
-        size = numerics._GAIN_MEMO_SIZE
-        monkeypatch.setattr(numerics, "_GAIN_MEMO_SIZE", 0)
-        uncached = _fig5_gains()
-        assert len(calls) == 9
-        monkeypatch.setattr(numerics, "_GAIN_MEMO_SIZE", size)
-        calls.clear()
-        cached = _fig5_gains()
-        assert len(calls) == 3
-        for got, want in zip(cached, uncached):
-            assert got.keys() == want.keys() and len(got) == 3
-            for i, L in got.items():
-                assert L.shape == want[i].shape
-                assert L.tobytes(order="A") == want[i].tobytes(order="A")
-        for i, L in cached[0].items():
-            assert not np.shares_memory(L, cached[1][i])
-
-    def test_returned_gain_is_a_private_copy(self):
-        want = place_poles(self.A, self.C, [-1.0, -2.0])
-        ref = want.copy()
-        want[:] = 99.0
-        again = place_poles(self.A, self.C, [-1.0, -2.0])
-        assert np.array_equal(again, ref)
-
-    def test_invalid_requests_raise_on_every_call(self, empty_memo):
-        place_poles(self.A, self.C, [-2.0, -3.0])
-        for _ in range(2):
-            with pytest.raises(ValueError, match="distinct"):
-                place_poles(self.A, self.C, [-2.0, -2.0])
-            with pytest.raises(ValueError, match="not observable"):
-                place_poles(np.diag([-1.0, -2.0]), self.C, [-3.0, -4.0])
-        assert len(empty_memo) == 1          # only the verified gain is kept
-
-    def test_hit_still_checks_pole_accuracy(self, empty_memo):
-        place_poles(self.A, self.C, [-1.0, -2.0])
-        (key,) = empty_memo
-        empty_memo[key] = empty_memo[key] + 1.0
-        with pytest.raises(ValueError, match="did not reach"):
-            place_poles(self.A, self.C, [-1.0, -2.0])
-
-    def test_memo_size_is_bounded(self, monkeypatch, empty_memo):
-        monkeypatch.setattr(numerics, "_GAIN_MEMO_SIZE", 2)
-        for poles in ([-1.0, -2.0], [-1.0, -3.0], [-1.0, -4.0]):
-            place_poles(self.A, self.C, poles)
-        assert len(empty_memo) == 2
+        assert R.tobytes() == want_r.tobytes()
 
 
 class TestKernelBase:

@@ -5,7 +5,7 @@
 writes tests/golden/<name>.json for the named experiments (all six by
 default).  With --check it writes nothing: it reruns the experiments,
 prints every pinned value that moved at all (floats with their relative
-change) and every key added or removed, ends each experiment with its
+change) and every key or list entry added or removed, ends each experiment with its
 count of moves and its largest relative move with its key, and exits 1
 if anything moved.  Each file
 holds what `gridobs reproduce <name>` prints and writes: the check lines,
@@ -49,9 +49,9 @@ def snapshot(name, result):
 def moves(got, want, where="", rtol=RTOL):
     """(key, description, relative change) of each place where `got`
     differs from `want`: floats beyond `rtol` relative, anything else not
-    exactly equal, whose relative change is None.  A dict key that only
-    one side has is reported as added or removed, and the keys both sides
-    have are still compared."""
+    exactly equal, whose relative change is None.  A dict key or list
+    entry that only one side has is reported as added or removed, and the
+    keys and entries both sides have are still compared."""
     if isinstance(want, float) and isinstance(got, float):
         if got == want or abs(got - want) <= rtol * abs(want):
             return []
@@ -65,10 +65,11 @@ def moves(got, want, where="", rtol=RTOL):
         return added + removed + [m for k in want if k in got
                                   for m in moves(got[k], want[k], f"{where}.{k}", rtol)]
     if isinstance(want, list):
-        if len(got) != len(want):
-            return [(where, f"length {len(got)} != {len(want)}", None)]
-        return [m for i, (g, w) in enumerate(zip(got, want))
-                for m in moves(g, w, f"{where}[{i}]", rtol)]
+        shared = [m for i, (g, w) in enumerate(zip(got, want))
+                  for m in moves(g, w, f"{where}[{i}]", rtol)]
+        added = [(f"{where}[{i}]", "added", None) for i in range(len(want), len(got))]
+        removed = [(f"{where}[{i}]", "removed", None) for i in range(len(got), len(want))]
+        return shared + added + removed
     return [] if got == want else [(where, f"{got!r} != {want!r}", None)]
 
 
