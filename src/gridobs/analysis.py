@@ -216,7 +216,8 @@ def _second_moment_traces(obs, scenario_set, e0, K, Psi):
     out = np.empty(K + 1)
     out[0] = np.trace(Sigma)
     for k in range(K):
-        Sigma = np.tensordot(p, Lam @ Sigma @ Lam.transpose(0, 2, 1), axes=1) + Psi
+        Y = Lam @ Sigma @ Lam.transpose(0, 2, 1)
+        Sigma = (p @ Y.reshape(len(p), -1)).reshape(Sigma.shape) + Psi
         out[k + 1] = np.trace(Sigma)
     return out
 

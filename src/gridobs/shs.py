@@ -87,13 +87,16 @@ class ScenarioSet:
     def __len__(self):
         return len(self.scenarios)
 
-    def inverse_cdf(self, u):
+    def inverse_cdf(self, u, out=None):
         """Scenario index of each uniform in `u` (any shape): the first
         scenario whose cumulative probability exceeds it.  A uniform past
         the last edge, which rounding of the sum can leave, picks the last
         scenario.  That is the clipped take: a position past the end, which
-        is also where NaN sorts, clips to the last index."""
-        return self._indices.take(self._edges.searchsorted(u, side="right"), mode="clip")
+        is also where NaN sorts, clips to the last index.  With `out`, an
+        integer array of u's shape, the indices are written into it and
+        `out` is returned."""
+        return self._indices.take(self._edges.searchsorted(u, side="right"),
+                                  mode="clip", out=out)
 
     def by_index(self, index):
         for s in self.scenarios:
@@ -157,16 +160,18 @@ def scenarios_from_channels(channels, sigma_overrides=None):
     return scenario_set
 
 
-def sample_skeleton(scenario_set, horizon, seed):
+def sample_skeleton(scenario_set, horizon, seed, out=None):
     """i.i.d. draws of scenario indices, reproducible per seed.
 
     Implemented as inverse-CDF sampling of one uniform per interval from a
     dedicated Generator: `np.random.default_rng(seed)`, or `seed` itself
-    when it is a Generator already.  Besides keeping the switching stream
+    when it is a Generator already.  With `out`, a (horizon,) integer row,
+    the path is written into it and `out` is returned, the same values
+    the allocating call gives.  Besides keeping the switching stream
     independent of any noise stream, this couples runs that differ only in
     the delivery ratios: the same underlying uniforms fall into shifted
     probability bins, so reliability sweeps compare like against like.
     """
     if horizon < 1:
         raise ScenarioError("horizon must be >= 1")
-    return scenario_set.inverse_cdf(np.random.default_rng(seed).random(horizon))
+    return scenario_set.inverse_cdf(np.random.default_rng(seed).random(horizon), out=out)

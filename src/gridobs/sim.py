@@ -13,10 +13,11 @@ Each stream is numpy's `np.random.default_rng(seed)` stream for its
 derived seed.  `monte_carlo` takes all 2R derived seeds to PCG64
 `(state, inc)` words in one vectorised pass: a port of numpy's
 SeedSequence hash on one (4, 2R) uint32 pool, then PCG64's 128-bit
-seeding step on uint64 halves.  Per stream only the load of its four
-words remains, written straight into the state struct of one reused
-PCG64 behind one reused Generator; the loader first checks that struct's
-layout against numpy's public `state` setter.  Tests pin the words to
+seeding step on uint64 halves.  Per stream only the load of its 32-byte
+row remains, copied from a byte view of that (2R, 4) table straight into
+the state struct of one reused PCG64 behind one reused Generator, about
+0.2 µs per load; the loader first checks that struct's layout against
+numpy's public `state` setter.  Tests pin the words to
 `np.random.PCG64(seed).state`.  `run_replica` seeds through
 `default_rng` itself and stays the independent oracle.
 
@@ -29,11 +30,15 @@ Each thread has its own record, so results do not depend on scheduling,
 and the record keeps the Generator, which owns the PCG64 whose struct the
 loader writes, so the struct lives as long as the loader.
 
-Each interval advances a block of replicas with one matrix product
-against every scenario's map side by side, [Lam_a^T; Q_a^T] for all a,
-and keeps each replica's own scenario with one `take`
-(`_run_intervals`): two numpy calls per block and interval, whatever the
-paths, for arithmetic that grows with the number of scenarios.
+Each replica's switching path is written in place, into its row of the
+path array (`shs.sample_skeleton(..., out=row)`), and its normals into
+its rows of the error array, in one loop over the zipped rows.  Each
+interval advances a block of replicas with one matrix product against
+every scenario's map side by side, [Lam_a^T; Q_a^T] for all a from the
+smallest scenario index up, and keeps each replica's own scenario with
+one `take` (`_run_intervals`): two numpy calls per block and interval,
+whatever the paths, for arithmetic that grows with the number of
+scenarios.
 
 The squared errors are summed over the state one column at a time
 (`_moments`), since numpy's reduction over a short last axis is its slow
@@ -180,37 +185,41 @@ _PROBE = {"bit_generator": "PCG64",
 
 def _stream_loader(bitgen):
     """A function load(row) that puts `bitgen` at the start of the stream
-    that default_rng(seed) gives, with `row` =
-    pcg64_states(seed_sequence_words([seed]))[0].
+    that default_rng(seed) gives, with `row` the 32 bytes
+    pcg64_states(seed_sequence_words([seed])).view(np.uint8)[0].
 
     `bitgen` must be exactly an `np.random.PCG64`.  Its `ctypes.state_address`
     points at numpy's `pcg64_state` header: the `pcg64_random_t *` that
     holds (state, inc), then `int has_uint32` and `uint32_t uinteger`.  The
-    loader keeps a uint64 view of the (state, inc) struct and of the
-    has_uint32/uinteger word, and a load writes the row into the first and
-    zeroes the second, so no buffered 32-bit half of the previous stream
-    carries over.  Before that, a probe state set through the public
-    `state` setter must read back through both views as expected; a
-    different layout raises RuntimeError instead of seeding a wrong stream.
+    loader keeps a byte view of the 32-byte (state, inc) struct and a
+    uint64 view of the has_uint32/uinteger word, and a load copies the
+    row into the first and zeroes the second, so no buffered 32-bit half
+    of the previous stream carries over.  Both are memoryview writes,
+    which cost about 0.18 µs per load with the row lookup, against
+    0.33-0.35 µs for a numpy assignment of four uint64 words (timeit,
+    2-vCPU host).  Before
+    that, a probe state set through the public `state` setter must read
+    back through both views as expected; a different layout raises
+    RuntimeError instead of seeding a wrong stream.
     """
     if type(bitgen) is not np.random.PCG64:
         raise TypeError(f"stream loading needs an np.random.PCG64, "
                         f"got {type(bitgen).__name__}")
     header = bitgen.ctypes.state_address
     pcg = ctypes.c_void_p.from_address(header).value
-    words = np.frombuffer((ctypes.c_uint64 * 4).from_address(pcg), dtype=np.uint64)
-    buffered = np.frombuffer((ctypes.c_uint64 * 1).from_address(
-        header + ctypes.sizeof(ctypes.c_void_p)), dtype=np.uint64)
+    struct = memoryview((ctypes.c_uint8 * 32).from_address(pcg)).cast("B")
+    buffered = memoryview((ctypes.c_uint64 * 1).from_address(
+        header + ctypes.sizeof(ctypes.c_void_p))).cast("B").cast("Q")
     bitgen.state = _PROBE
     st = _PROBE["state"]
     want = [st["state"] & _M64, st["state"] >> 64, st["inc"] & _M64, st["inc"] >> 64]
-    if (words.tolist() != want
+    if (struct.cast("Q").tolist() != want
             or buffered.tolist() != [_PROBE["has_uint32"] | _PROBE["uinteger"] << 32]):
         raise RuntimeError("numpy's PCG64 state struct does not have the "
                            "layout the stream loader writes")
 
     def load(row):
-        words[:] = row
+        struct[:] = row
         buffered[0] = 0
 
     return load
@@ -319,32 +328,36 @@ class ErrorTrajectory:
         return float(np.max(np.abs(dev) / se[live]))
 
 
-def _run_intervals(eps, alphas, M, block):
+def _run_intervals(eps, alphas, M, block, lo):
     """Overwrite rows 1..K of each replica in `eps` (R + 1, K + 1, n) with
     its errors, in place.
 
-    Column block a of M (2n, S n) is [Lam_a^T; Q_a^T], so one product maps
-    the rows [e_k, xi_k] of many replicas, adjacent rows of eps, to their
-    next errors under every scenario at once, and one `take` keeps each
-    replica's n columns of the scenario in its path.  Replicas run in
-    blocks of `block` >= 2 rows into one reused product buffer.  No
-    product has a single row: numpy sends a one-row product to gemv,
+    Column block a - lo of M (2n, S n) is [Lam_a^T; Q_a^T], with `lo` the
+    smallest scenario index, so one product maps the rows [e_k, xi_k] of
+    many replicas, adjacent rows of eps, to their next errors under every
+    scenario at once, and one `take` keeps each replica's n columns of
+    the scenario in its path; the per-replica offsets of the take carry
+    the -lo.  Replicas run in blocks of `block` >= 2 rows into one reused
+    product buffer, and each block's rows are viewed once as (rows,
+    (K + 1) n), from which each interval slices its [e_k, xi_k] columns.
+    No product has a single row: numpy sends a one-row product to gemv,
     whose sums run in another order than gemm's, so a lone last replica
-    runs beside the spare zero row R, whose path row is zero too.
+    runs beside the spare zero row R, whose path row holds `lo`.
     """
     R = eps.shape[0] - 1
     K, n = alphas.shape[1], eps.shape[2]
     S = M.shape[1] // n
     prod = np.empty((block, S * n))
-    offsets = S * np.arange(block)
+    offsets = S * np.arange(block) - lo
     for r0 in range(0, R, block):
         r1 = max(min(r0 + block, R), r0 + 2)
-        rows, paths, at = eps[r0:r1], alphas[r0:r1], offsets[:r1 - r0]
+        rows = eps[r0:r1].reshape(r1 - r0, (K + 1) * n)
+        paths, at = alphas[r0:r1], offsets[:r1 - r0]
         step = prod[:r1 - r0]
         picks = step.reshape(-1, n)
-        for k in range(K):
-            np.matmul(rows[:, k:k + 2].reshape(r1 - r0, 2 * n), M, out=step)
-            rows[:, k + 1] = picks.take(paths[:, k] + at, axis=0)
+        for k, j in enumerate(range(n, (K + 1) * n, n)):
+            np.matmul(rows[:, j - n:j + n], M, out=step)
+            rows[:, j:j + n] = picks.take(paths[:, k] + at, axis=0)
 
 
 def _moments(sq):
@@ -375,23 +388,32 @@ def monte_carlo(A, obs, scenario_set, cfg):
 
     Each interval of scenario a maps the error e_k to
     e_{k+1} = Lam_a e_k + Q_a xi_k with xi_k standard normal, the exact
-    interval law of the continuous-time filter (`observer.build`).  The
-    PCG64 states of all 2R streams come from one vectorised pass
-    (`seed_sequence_words`, `pcg64_states`) as one table of words.  The
-    calling thread's Generator (`_engine`, built at its first call and
-    kept with the PCG64 it owns) is loaded with each replica's switching
-    words and then its noise words, each a write of all four words into
+    interval law of the continuous-time filter (`observer.build`).  A
+    scenario index the observer has no map for is a ValueError naming it.
+    The PCG64 states of all 2R streams come from one vectorised pass
+    (`seed_sequence_words`, `pcg64_states`) as one table of words, viewed
+    as 32-byte rows.  The calling thread's Generator (`_engine`, built at
+    its first call and kept with the PCG64 it owns) is loaded with each
+    replica's switching row and then its noise row, each a byte copy into
     its state struct and a zeroed buffered half (`_stream_loader`), so
     nothing carries over from an earlier call, even one that raised, or
-    from another thread: it samples the replica's switching path, then
-    draws its (K, n) block of normals in one call into rows 1..K of its
-    slice of the error array, which doubles as the noise buffer.
+    from another thread.  One loop over the zipped rows of the paths, the
+    error array and the two halves of the table samples each replica's
+    switching path into its path row (one `shs.sample_skeleton` call per
+    replica, looked up at each call), then draws its (K, n) block of
+    normals in one call into rows 1..K of its slice of the error array,
+    which doubles as the noise buffer.  Timed at fig3's size on a 2-vCPU
+    host (R = 200, K = 50, n = 4), a load costs about 0.2 µs, a
+    `sample_skeleton` call 2.3 µs and a block of normals 3.4 µs, and the
+    whole loop about 1.2 ms of a 1.8 ms call.
     Interval k overwrites row k+1, xi_k, with
     e_{k+1} = [e_k, xi_k] [Lam_a^T; Q_a^T] (`_run_intervals`): one gemm of
-    a block of replicas' rows against the (2n, S n) stack of every
-    scenario's map, then one `take` of each replica's n columns.  Blocks
-    of at least two replicas, a lone last one beside a spare zero row,
-    keep a replica's errors the same bits whatever the replica count.
+    a block of replicas' rows against the (2n, S n) stack of the maps of
+    scenarios lo..hi, the smallest index to the largest, block a - lo for
+    scenario a, then one `take` of each replica's n columns.  Blocks
+    of at least two replicas, a lone last one beside a spare zero row
+    whose path holds lo, keep a replica's errors the same bits whatever
+    the replica count.
     The engine holds the error array, the paths, the stacked maps and one
     block's product, which holds no more floats than the error array, and
     never a copy of the draws.  The product's arithmetic grows with S:
@@ -410,29 +432,38 @@ def monte_carlo(A, obs, scenario_set, cfg):
     n = obs.n
     R = cfg.replicas
     K = cfg.K
+    indices = [s.index for s in scenario_set]
+    missing = sorted(set(indices) - (obs.Lam.keys() & obs.Q.keys()))
+    if missing:
+        raise ValueError(f"the observer has no interval map for scenario "
+                         f"indices {missing}")
+    lo = min(indices)
     sw_root, nz_root = cfg.roots()
     streams = pcg64_states(seed_sequence_words(np.concatenate(
-        [derive_seeds(sw_root, R), derive_seeds(nz_root, R)])))
+        [derive_seeds(sw_root, R), derive_seeds(nz_root, R)]))).view(np.uint8)
     gen, load = _engine()
-    # row R of the paths and of the error array is a spare zero replica,
-    # never sampled, that a lone last replica runs beside
-    alphas = np.zeros((R + 1, K), dtype=int)
+    sample_skeleton = _shs.sample_skeleton
+    # row R of the paths and of the error array is a spare replica, never
+    # sampled, with zero errors and path lo, that a lone last replica runs
+    # beside
+    alphas = np.empty((R + 1, K), dtype=int)
+    alphas[R] = lo
     eps = np.empty((R + 1, K + 1, n))
     eps[:R, 0] = cfg.initial_error(n)
     eps[R] = 0.0
-    for r in range(R):
-        load(streams[r])
-        alphas[r] = _shs.sample_skeleton(scenario_set, K, gen)
-        load(streams[R + r])
-        gen.standard_normal(out=eps[r, 1:])
-    S = max(obs.Lam) + 1
+    for path, draws, switch, noise in zip(alphas[:R], eps[:R, 1:], streams, streams[R:]):
+        load(switch)
+        sample_skeleton(scenario_set, K, gen, out=path)
+        load(noise)
+        gen.standard_normal(out=draws)
+    S = max(indices) - lo + 1
     M = np.zeros((2 * n, S, n))
-    for a in obs.Lam:
-        M[:n, a] = obs.Lam[a].T
-        M[n:, a] = obs.Q[a].T
+    for a in indices:
+        M[:n, a - lo] = obs.Lam[a].T
+        M[n:, a - lo] = obs.Q[a].T
     # blocks of at least two replicas, each product no larger than eps
     block = max(2, min(R, R * (K + 1) // S))
-    _run_intervals(eps, alphas, M.reshape(2 * n, S * n), block)
+    _run_intervals(eps, alphas, M.reshape(2 * n, S * n), block, lo)
     alphas = alphas[:R]
     eps = eps[:R]
     err_sq, mean_err_sq, per_state, var = _moments(np.square(eps, out=eps))

@@ -8,6 +8,8 @@ from gridobs import shs
 from gridobs.shs import (Scenario, ScenarioError, ScenarioSet, SensorChannel,
                          sample_skeleton, scenarios_from_channels)
 
+from conftest import five_bus_scenarios
+
 
 def chans(*specs):
     n = 4
@@ -123,6 +125,36 @@ class TestInverseCdf:
             got = scs.inverse_cdf(u)
             assert np.array_equal(got, _searchsorted_minimum(scs, u))
             assert got.dtype == scs._indices.dtype
+
+
+class TestWrittenInPlace:
+    """With `out`, the path lands in a given row, the values the
+    allocating call returns."""
+
+    @pytest.fixture(params=["fig3", "sparse"])
+    def scs(self, request):
+        if request.param == "fig3":
+            return five_bus_scenarios()
+        return _scenario_set([2, 5, 9], [0.2, 0.3, 0.5])
+
+    def test_inverse_cdf_into_a_row(self, scs):
+        u = np.random.default_rng(5).random(200)
+        rows = np.full((3, 200), -1)
+        row = rows[1]
+        assert scs.inverse_cdf(u, out=row) is row
+        assert np.array_equal(row, scs.inverse_cdf(u))
+        assert len(set(row.tolist())) > 1
+        assert np.all(rows[[0, 2]] == -1)
+
+    def test_skeleton_into_a_row(self, scs):
+        row = np.full(50, -1)
+        assert sample_skeleton(scs, 50, 9, out=row) is row
+        assert np.array_equal(row, sample_skeleton(scs, 50, 9))
+        assert len(set(row.tolist())) > 1
+        rows = np.full((3, 50), -1)
+        sample_skeleton(scs, 50, np.random.default_rng(9), out=rows[1])
+        assert np.array_equal(rows[1], row)
+        assert np.all(rows[[0, 2]] == -1)
 
 
 class TestSkeleton:

@@ -123,7 +123,7 @@ class TestSeeding:
         # the loader writes into one PCG64's state struct; a stream left
         # mid-way, with a buffered 32-bit half, must not leak into the next
         seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-        streams = pcg64_states(seed_sequence_words(seeds))
+        streams = pcg64_states(seed_sequence_words(seeds)).view(np.uint8)
         bitgen = np.random.PCG64(0)
         gen = np.random.Generator(bitgen)
         load = _stream_loader(bitgen)
@@ -319,6 +319,63 @@ class TestMonteCarlo:
             assert np.array_equal(full.paths[r], alphas)
             assert np.max(np.abs(full.err_sq[r] - err) / err) < 1e-9
 
+    def test_sparse_indices_match_the_reference_engine(self, four_channel, ieee5_lin):
+        # indices 2, 5 and 9 with random maps: the stacked maps start at
+        # block 2 - 2 and leave the blocks of 3, 4, 6, 7 and 8 zero
+        _, obs = four_channel
+        rng = np.random.default_rng(259)
+        indices = [2, 5, 9]
+        scs = shs.ScenarioSet([shs.Scenario(i, np.zeros((0, 4)), np.zeros((0, 0)), p)
+                               for i, p in zip(indices, [0.2, 0.3, 0.5])], 4)
+        sparse = dataclasses.replace(
+            obs, Lam={i: 0.3 * rng.standard_normal((4, 4)) for i in indices},
+            Q={i: 0.1 * rng.standard_normal((4, 4)) for i in indices})
+        cfg = SimConfig(K=9, replicas=40, seed=8, e0=[1.0, -0.5, 0.25, 2.0])
+        full = monte_carlo(ieee5_lin.A, sparse, scs, cfg)
+        assert set(full.paths.ravel().tolist()) == set(indices)
+        for r in range(cfg.replicas):
+            _, err, alphas = run_replica(ieee5_lin.A, sparse, scs, cfg, replica_index=r)
+            assert np.array_equal(full.paths[r], alphas)
+            assert np.max(np.abs(full.err_sq[r] - err) / err) < 1e-9
+        for count in (1, 2, 3, 7):
+            part = monte_carlo(ieee5_lin.A, sparse, scs, dataclasses.replace(cfg, replicas=count))
+            assert np.array_equal(part.paths, full.paths[:count])
+            assert np.array_equal(part.err_sq, full.err_sq[:count])
+
+    def test_scenario_without_a_map_is_refused(self):
+        # before the check, index 4 read the next replica's block of the
+        # product and the run returned finite errors
+        lin, scs, obs, _ = _figure("fig3")
+        partial = dataclasses.replace(
+            obs, Lam={a: m for a, m in obs.Lam.items() if a != 4},
+            Q={a: m for a, m in obs.Q.items() if a != 4})
+        with pytest.raises(ValueError, match=r"indices \[4\]"):
+            monte_carlo(lin.A, partial, scs, SimConfig(K=5, replicas=3))
+
+    def test_index_below_the_smallest_map_is_refused(self, setup):
+        # maps for 1..4, scenarios 0..3: the block offset would wrap 0 to
+        # the last block of the previous replica
+        A, scs, obs = setup
+        shifted = shs.ScenarioSet([dataclasses.replace(s, index=s.index - 1) for s in scs],
+                                  scs.n, scs.channels)
+        with pytest.raises(ValueError, match=r"indices \[0\]"):
+            monte_carlo(A, obs, shifted, SimConfig(K=5, replicas=3))
+
+    def test_one_skeleton_call_per_replica(self, setup, monkeypatch):
+        A, scs, obs = setup
+        real = shs.sample_skeleton
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(shs, "sample_skeleton", counted)
+        for R in (1, 2, 7, 30):
+            calls.clear()
+            monte_carlo(A, obs, scs, SimConfig(K=6, replicas=R, seed=R))
+            assert calls == [6] * R
+
     def test_deterministic_under_fixed_seed(self, setup):
         A, scs, obs = setup
         cfg = SimConfig(K=15, replicas=8, seed=7, e0=[1.0, 0.0, 0.0, 0.0])
@@ -471,9 +528,9 @@ class TestEngineReuse:
         real = shs.sample_skeleton
         calls = []
 
-        def third_call_raises(scenario_set, horizon, gen):
+        def third_call_raises(scenario_set, horizon, gen, out=None):
             calls.append(horizon)
-            out = real(scenario_set, horizon, gen)
+            out = real(scenario_set, horizon, gen, out=out)
             if len(calls) == 3:
                 # leave the stream mid-way, with a buffered 32-bit half
                 gen.random(dtype=np.float32)
