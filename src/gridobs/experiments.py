@@ -138,9 +138,11 @@ def run_experiment(name, seed=None, replicas=None):
     kind = cfg["check"]["type"]
     result = {"name": name, "config": cfg}
     checks = {}
+    # delivery ratios set only the switching probabilities, so every case
+    # of an experiment shares its grid, linearization and observer
+    _, lin, scs, obs = build_pipeline(cfg)
 
     if kind == "convergence":
-        g, lin, scs, obs = build_pipeline(cfg)
         rep = analysis.contraction(obs, scs)
         simcfg, traj = simulate_with_expectation(cfg, lin, obs, scs)
         result.update(report=rep.as_dict(), trajectory=traj,
@@ -150,7 +152,6 @@ def run_experiment(name, seed=None, replicas=None):
         checks["error_reaches_1pct"] = traj.time_to_fraction(0.01) <= kmax
 
     elif kind == "tradeoff":
-        g, lin, scs, obs = build_pipeline(cfg)
         base_obs = design_observer(cfg, lin, scs, "check.baseline_poles")
         rep = analysis.contraction(obs, scs)
         rep0 = analysis.contraction(base_obs, scs)
@@ -170,15 +171,14 @@ def run_experiment(name, seed=None, replicas=None):
         decays = []
         trajs = []
         for rhos in cfg["check"]["cases"]:
-            case_cfg = _with_rhos(cfg, rhos)
-            g, lin, scs, obs = build_pipeline(case_cfg)
-            rep = analysis.contraction(obs, scs)
-            simcfg, traj = simulate_with_expectation(case_cfg, lin, obs, scs)
+            case = build_scenarios(_with_rhos(cfg, rhos), lin)
+            rep = analysis.contraction(obs, case)
+            simcfg, traj = simulate_with_expectation(cfg, lin, obs, case)
             times.append(mean_crossing_time(traj.err_sq))
             gammas.append(rep.gamma_exact)
             radii.append(rep.ms_radius)
             decays.append(analysis.noise_free_err_sq(
-                obs, scs, simcfg.initial_error(obs.n), simcfg.K)[1:])
+                obs, case, simcfg.initial_error(obs.n), simcfg.K)[1:])
             trajs.append(traj)
         result.update(times_to_1pct=times, gammas=gammas, ms_radii=radii,
                       trajectory=trajs[0], all_trajectories=trajs)
@@ -192,29 +192,26 @@ def run_experiment(name, seed=None, replicas=None):
             np.all(decays[i] < decays[i + 1]) for i in range(len(decays) - 1))
 
     elif kind == "degraded":
-        case_cfg = _with_rhos(cfg, cfg["check"]["case"])
-        ref_cfg = _with_rhos(cfg, cfg["check"]["reference_case"])
-        g, lin, scs, obs = build_pipeline(case_cfg)
-        rep = analysis.contraction(obs, scs)
-        g2, lin2, scs2, obs2 = build_pipeline(ref_cfg)
-        rep_ref = analysis.contraction(obs2, scs2)
-        ss_ref = analysis.steady_state(obs2, scs2)
+        case = build_scenarios(_with_rhos(cfg, cfg["check"]["case"]), lin)
+        ref = build_scenarios(_with_rhos(cfg, cfg["check"]["reference_case"]), lin)
+        rep = analysis.contraction(obs, case)
+        rep_ref = analysis.contraction(obs, ref)
+        ss_ref = analysis.steady_state(obs, ref)
         result.update(report=rep.as_dict(), reference_report=rep_ref.as_dict(),
                       reference_steady=ss_ref.as_dict())
         checks["gamma_strictly_worse"] = rep.gamma_exact > rep_ref.gamma_exact
         if rep.stable:
-            ss = analysis.steady_state(obs, scs)
+            ss = analysis.steady_state(obs, case)
             result["steady"] = ss.as_dict()
             checks["diverges_or_much_larger_floor"] = (
                 ss.mu_state > 10.0 * ss_ref.mu_state)
         else:
             result["steady"] = {"unstable": True}
             checks["diverges_or_much_larger_floor"] = True
-        simcfg, traj = simulate_with_expectation(case_cfg, lin, obs, scs)
+        simcfg, traj = simulate_with_expectation(cfg, lin, obs, case)
         result["trajectory"] = traj
 
     elif kind == "sensor_selection":
-        g, lin, scs, obs = build_pipeline(cfg)
         base = load_experiment(cfg["check"]["baseline"])
         gb, linb, scsb, obsb = build_pipeline(base)
         ss = analysis.steady_state(obs, scs)
@@ -227,7 +224,6 @@ def run_experiment(name, seed=None, replicas=None):
         checks["selection_changes_error"] = ratio > 1.5 or ratio < 1 / 1.5
 
     elif kind == "steady_floor":
-        g, lin, scs, obs = build_pipeline(cfg)
         rep = analysis.contraction(obs, scs)
         ss = analysis.steady_state(obs, scs)
         simcfg, traj = simulate_with_expectation(cfg, lin, obs, scs)

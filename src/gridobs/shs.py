@@ -80,6 +80,11 @@ class ScenarioSet:
         # inverse-CDF tables for inverse_cdf
         self._indices = np.array([s.index for s in self.scenarios])
         self._edges = np.cumsum([s.probability for s in self.scenarios])
+        # the observer keys its maps by index, so a repeat would overwrite one
+        indices, counts = np.unique(self._indices, return_counts=True)
+        if np.any(counts > 1):
+            raise ScenarioError(f"scenario indices {indices[counts > 1].tolist()} "
+                                "are repeated; each scenario needs its own index")
 
     def __iter__(self):
         return iter(self.scenarios)

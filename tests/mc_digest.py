@@ -12,7 +12,8 @@ R = 1, 2, 7 and 200 replicas, and prints one line per output:
 for `paths`, `err_sq`, `per_state_mean_sq`, `mean_err_sq` and
 `var_err_sq`.  Run it at two commits and `diff` the outputs: an empty diff
 means the engine gives the same bits.  The name keeps pytest from
-collecting it.
+collecting it; its `paths` lines, which do not depend on the BLAS build,
+are pinned in golden/mc_paths.txt and checked by test_sim.py.
 """
 
 import hashlib

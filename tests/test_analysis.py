@@ -220,6 +220,17 @@ class TestTauMax:
         tmax = compute_tau_max(lin.A, scs, obs.decomps)
         assert abs(tmax - 0.7365) / 0.7365 < 0.05
 
+    def test_always_active_rank_deficient_scenario_is_refused(self):
+        # a velocity sensor on a double integrator never sees the position;
+        # with probability 1 no interval length gives mean-square stability
+        A = np.array([[0.0, 1.0], [0.0, 0.0]])
+        scs = shs.ScenarioSet(
+            [shs.Scenario(1, np.array([[0.0, 1.0]]), np.zeros((1, 1)), 1.0, (0,))], 2)
+        decomps = {s.index: decompose(A, s) for s in scs}
+        assert decomps[1].n_i == 1
+        with pytest.raises(ObserverError, match="always-active scenario is rank deficient"):
+            compute_tau_max(A, scs, decomps)
+
     def test_marginally_stable_dynamics_unbounded(self):
         A = np.zeros((2, 2))
         C = np.array([[1.0, 0.0], [0.0, 1.0]])

@@ -184,6 +184,25 @@ def test_fig5_exact_checks_fail_on_reversed_cases(monkeypatch):
     assert not checks["noise_free_moment_rises_as_delivery_falls"]
 
 
+@pytest.mark.parametrize("name, n_cases", [("fig5", 3), ("fig6", 2)])
+def test_delivery_cases_keep_the_experiment_scenarios(name, n_cases):
+    # run_experiment designs once per experiment and re-weights that
+    # design per delivery case; that holds while each case's scenario set
+    # has the same indices, C and sigma, and only the probabilities differ
+    cfg = experiments.load_experiment(name)
+    _, lin, scs, _ = experiments.build_pipeline(cfg)
+    check = cfg["check"]
+    cases = check.get("cases", []) + [
+        check[k] for k in ("case", "reference_case") if k in check]
+    assert len(cases) == n_cases
+    for rhos in cases:
+        case = experiments.build_scenarios(experiments._with_rhos(cfg, rhos), lin)
+        assert [s.index for s in case] == [s.index for s in scs]
+        for got, want in zip(case, scs):
+            assert np.array_equal(got.C, want.C)
+            assert np.array_equal(got.sigma, want.sigma)
+
+
 def test_channel_row_parsing():
     labels = ["delta_1", "omega_1", "delta_2", "omega_2"]
     row = experiments.channel_row(labels, "2.omega")

@@ -144,6 +144,16 @@ class TestFindEquilibrium:
         assert slack_power(eq.network, g) == pytest.approx(3.9177, abs=2e-3)
         assert min(eq.network.voltages.values()) == pytest.approx(0.9131, abs=1e-3)
 
+    def test_grid_without_dynamic_buses_is_its_network_solution(self):
+        g = GridModel(
+            [Bus(1, grid.SLACK, 1.0, 0.0), Bus(2, grid.NON_DYNAMIC, 1.0, p_load=0.3)],
+            [Line(1, 2, 0.01, 0.05)])
+        eq = find_equilibrium(g)
+        assert eq.angles == {} and eq.p_in == {}
+        assert eq.network.angles == solve_network(g, {}).angles
+        assert eq.residual == eq.network.residual < 1e-8
+        assert eq.network.angles[2] < 0.0     # the load bus lags the slack
+
     def test_inconsistent_dispatch_rejected(self):
         g = GridModel(
             [Bus(1, grid.DYNAMIC, 1.0, 0.0, inertia=1.0, damping=0.1, p_in=1.0),

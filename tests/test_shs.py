@@ -90,6 +90,32 @@ def _scenario_set(indices, probabilities):
                         for i, p in zip(indices, probabilities)], 2)
 
 
+class TestScenarioSetValidation:
+    def test_repeated_indices_are_refused(self):
+        # the observer keys C by index: a second index-1 scenario would
+        # silently replace the first one's output matrix
+        C1, C2 = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
+        with pytest.raises(ScenarioError, match=r"indices \[1\] are repeated"):
+            ScenarioSet([Scenario(1, C1, np.zeros((1, 1)), 0.5),
+                         Scenario(1, C2, np.zeros((1, 1)), 0.5)], 2)
+        with pytest.raises(ScenarioError, match=r"indices \[2, 3\] are repeated"):
+            _scenario_set([3, 2, 1, 2, 3], [0.2] * 5)
+
+    def test_probabilities_must_sum_to_one(self):
+        with pytest.raises(ScenarioError, match="sum to 0.9, not 1"):
+            _scenario_set([1, 2], [0.5, 0.4])
+
+    def test_output_matrix_must_match_the_state_dimension(self):
+        with pytest.raises(ScenarioError, match="scenario 2: C has 3 columns, expected 2"):
+            ScenarioSet([Scenario(1, np.zeros((0, 2)), np.zeros((0, 0)), 0.5),
+                         Scenario(2, np.ones((1, 3)), np.zeros((1, 1)), 0.5)], 2)
+
+    @pytest.mark.parametrize("probabilities", [[1.0, 0.0], [1.5, -0.5]])
+    def test_probabilities_must_be_positive(self, probabilities):
+        with pytest.raises(ScenarioError, match="scenario 2: probability must be positive"):
+            _scenario_set([1, 2], probabilities)
+
+
 def _searchsorted_minimum(scs, u):
     """The inverse CDF as a searchsorted followed by np.minimum."""
     pos = np.searchsorted(scs._edges, u, side="right")

@@ -6,6 +6,7 @@ import math
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gridobs.sim import (SimConfig, _stream_loader, derive_seed, derive_seeds, m
                         pcg64_states, run_replica, seed_sequence_words, splitmix64)
 
 from conftest import delta_channels, five_bus_scenarios
+from mc_digest import REPLICAS, SEEDS, designs, digest
 from substep import (basis_row_maps, closed_form_maps, exact_floor, simulate_truth,
                      step_estimate)
 
@@ -149,6 +151,21 @@ class TestSeeding:
             _stream_loader(bitgen)
         assert np.array_equal(np.random.Generator(bitgen).integers(0, 2**63, 8),
                               np.random.Generator(kind(3)).integers(0, 2**63, 8))
+
+    def test_switching_paths_match_their_pinned_digests(self):
+        # the paths are integers from the PCG64 uniforms and the inverse-CDF
+        # edges, so their digests hold on any BLAS; the pinned file is the
+        # `paths` lines that tests/mc_digest.py prints
+        pinned = Path(__file__).parent / "golden" / "mc_paths.txt"
+        got = []
+        for name, cfg in designs():
+            _, lin, scs, obs = experiments.build_pipeline(cfg)
+            for seed in SEEDS:
+                for R in REPLICAS:
+                    _, traj = experiments.run_simulation(cfg, lin, obs, scs,
+                                                         seed=seed, replicas=R)
+                    got.append(f"{name} seed={seed} R={R} paths {digest(traj.paths)}")
+        assert got == pinned.read_text().splitlines()
 
     def test_loader_probe_catches_a_wrong_layout(self, monkeypatch):
         # a header whose buffered-half word sat 8 bytes further on: that
@@ -599,6 +616,17 @@ class TestExpectedCurve:
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
         # the noise only adds to the exact mean curve
         assert np.all(got[1:] < analysis.expected_err_sq(obs, scs, e0, 3)[1:])
+
+    def test_max_abs_z_is_zero_when_no_interval_varies(self, setup):
+        # one replica has zero sample variance at every interval, so no
+        # interval has a standard error to measure the deviation in
+        A, scs, obs = setup
+        cfg = SimConfig(K=4, replicas=1, seed=1, e0=[2.0, 0.0, 1.0, 0.0])
+        traj = monte_carlo(A, obs, scs, cfg)
+        traj.expected_err_sq = analysis.expected_err_sq(obs, scs, cfg.e0, cfg.K)
+        assert not np.any(traj.var_err_sq)
+        assert not np.array_equal(traj.mean_err_sq, traj.expected_err_sq)
+        assert traj.max_abs_z() == 0.0
 
     def test_max_abs_z_needs_the_exact_curve(self, setup):
         A, scs, obs = setup
