@@ -48,36 +48,25 @@ class ConvergenceReport:
 
 def second_moment_matrix(obs, scenario_set):
     """M = sum_j p_j Lam(j)^T Lam(j) over the realised error maps."""
-    return sum(s.probability * obs.Lam[s.index].T @ obs.Lam[s.index]
-               for s in scenario_set)
+    return obs.law.second_moment_matrix(obs.law.weights(scenario_set))
 
 
 def contraction(obs, scenario_set):
     """Contraction diagnostics of the one-interval error maps."""
-    norms = {s.index: operator_norm(obs.Lam[s.index]) for s in scenario_set}
-    gamma = sum(s.probability * norms[s.index] for s in scenario_set)
-    gamma1 = 0.0
-    for s in scenario_set:
-        blk = obs.exp_Ac_tau[s.index]
-        if blk.size:
-            gamma1 = max(gamma1, s.probability * operator_norm(blk))
-    FeP = obs.F @ obs.exp_A_tau @ obs.Phi
-    D = FeP.copy()
-    for s in scenario_set:
-        sl = obs.block_slices.get(s.index)
-        if sl is not None:
-            D[sl, :] *= (1.0 - s.probability)
-    gamma2 = operator_norm(D)
+    law = obs.law
+    p = law.weights(scenario_set)
+    norms = np.linalg.norm(law.Lam, 2, axis=(1, 2))
+    gamma2 = operator_norm(obs.F @ obs.exp_A_tau @ obs.Phi
+                           * (1.0 - p[obs.F_slots])[:, None])
     # rho(M) only bounds the exact radius: E||Lam e||^2 <= rho(M) ||e||^2
-    M = second_moment_matrix(obs, scenario_set)
+    M = law.second_moment_matrix(p)
     radius = float(max(np.abs(np.linalg.eigvals(M))))
-    exact = numerics.mean_square_radius([obs.Lam[s.index] for s in scenario_set],
-                                        [s.probability for s in scenario_set])
-    tmax = compute_tau_max(obs.A, scenario_set, obs.decomps)
+    exact = numerics.mean_square_radius(law.Lam, p)
     return ConvergenceReport(
-        gamma_exact=float(gamma), gamma1=float(gamma1), gamma2=float(gamma2),
-        tau_max=tmax, stable=exact < 1.0, ms_radius=exact,
-        second_moment_radius=radius, scenario_norms=norms)
+        gamma_exact=float(np.sum(p * norms)), gamma1=float(np.max(p * obs.filter_norms)),
+        gamma2=gamma2, tau_max=compute_tau_max(obs.A, scenario_set, obs.decomps),
+        stable=exact < 1.0, ms_radius=exact, second_moment_radius=radius,
+        scenario_norms=law.by_index(norms.tolist()))
 
 
 _TAU_SCAN_LIMIT = 100.0
@@ -170,13 +159,6 @@ class SteadyState:
         return out
 
 
-def _noise_covariance(obs, scenario_set):
-    """Psi = sum_j p_j Q_j Q_j^T, the mean covariance of the interval noise
-    w = Q_j xi that the simulation draws."""
-    return sum(s.probability * obs.Q[s.index] @ obs.Q[s.index].T
-               for s in scenario_set)
-
-
 def steady_state(obs, scenario_set):
     """Steady-state error variance of the coordinated observer.
 
@@ -185,18 +167,17 @@ def steady_state(obs, scenario_set):
     recipe converges only when the bound rho(M) is below one as well;
     where it is not, W_stein and mu_inf are None.
     """
-    maps = [obs.Lam[s.index] for s in scenario_set]
-    weights = [s.probability for s in scenario_set]
-    Psi = _noise_covariance(obs, scenario_set)
-    Psi = 0.5 * (Psi + Psi.T)
+    law = obs.law
+    p = law.weights(scenario_set)
+    Psi = law.noise_covariance(p)
     # the exact solve decides mean-square stability on its own radius
     try:
-        W_inf = numerics.solve_switched_covariance(maps, weights, Psi)
+        W_inf = numerics.solve_switched_covariance(law.Lam, p, Psi)
     except numerics.MeanSquareUnstable as exc:
         raise observer.ObserverError(
             f"error dynamics mean-square unstable (radius {exc.radius:.4f}); "
             "steady-state variance undefined") from exc
-    M = second_moment_matrix(obs, scenario_set)
+    M = law.second_moment_matrix(p)
     S = numerics.psd_sqrt(M)
     if max(np.abs(np.linalg.eigvals(M))) < 1.0:
         W_stein = numerics.solve_symmetric_stein(S, Psi)
@@ -206,18 +187,18 @@ def steady_state(obs, scenario_set):
     return SteadyState(M, S, Psi, W_stein, mu_inf, W_inf, float(np.trace(W_inf)))
 
 
-def _second_moment_traces(obs, scenario_set, e0, K, Psi):
+def _second_moment_traces(obs, scenario_set, e0, K, noise):
     """tr Sigma_k for k = 0..K, where Sigma_0 = e0 e0^T and
-    Sigma_{k+1} = sum_j p_j Lam_j Sigma_k Lam_j^T + Psi."""
-    p = np.array([s.probability for s in scenario_set])
-    Lam = np.stack([obs.Lam[s.index] for s in scenario_set])
+    Sigma_{k+1} = T(Sigma_k) + Psi, with Psi left out unless `noise`."""
+    law = obs.law
+    p = law.weights(scenario_set)
+    Psi = law.noise_covariance(p) if noise else 0.0
     e0 = np.asarray(e0, dtype=float)
     Sigma = np.outer(e0, e0)
     out = np.empty(K + 1)
     out[0] = np.trace(Sigma)
     for k in range(K):
-        Y = Lam @ Sigma @ Lam.transpose(0, 2, 1)
-        Sigma = (p @ Y.reshape(len(p), -1)).reshape(Sigma.shape) + Psi
+        Sigma = law.second_moment(Sigma, p) + Psi
         out[k + 1] = np.trace(Sigma)
     return out
 
@@ -231,12 +212,11 @@ def expected_err_sq(obs, scenario_set, e0, K):
     tr Sigma_k.  Under mean-square stability Sigma_k tends to the
     steady state's W_inf, so the curve ends at mu_state.
     """
-    return _second_moment_traces(obs, scenario_set, e0, K,
-                                 _noise_covariance(obs, scenario_set))
+    return _second_moment_traces(obs, scenario_set, e0, K, noise=True)
 
 
 def noise_free_err_sq(obs, scenario_set, e0, K):
     """Exact mean of ||e_k||^2 for k = 0..K with the noise left out:
     tr T^k(e0 e0^T) with T(W) = sum_j p_j Lam_j W Lam_j^T, the decay of
     the initial error alone, which the mean-square radius governs."""
-    return _second_moment_traces(obs, scenario_set, e0, K, 0.0)
+    return _second_moment_traces(obs, scenario_set, e0, K, noise=False)

@@ -755,6 +755,13 @@ def solve_symmetric_stein(S, Psi):
     return solve_switched_covariance([S], [1.0], Psi)
 
 
+def second_moment(maps, weights, W):
+    """T(W) = sum_j w_j M_j W M_j^T over a stack of maps (S, n, n), as one
+    batched product."""
+    Y = maps @ W @ maps.transpose(0, 2, 1)
+    return np.tensordot(weights, Y, 1)
+
+
 def mean_square_radius(maps, weights):
     """rho(sum_j w_j M_j kron M_j), the exact mean-square stability radius.
 
@@ -766,7 +773,7 @@ def mean_square_radius(maps, weights):
     positive map T(W) = sum_j w_j M_j W M_j^T, iterated from the identity
     until the growth settles to 1e-12 relative or _ITER_LIMIT steps pass.
     """
-    maps = [_as_matrix(M, "map") for M in maps]
+    maps = np.array([_as_matrix(M, "map") for M in maps])
     n = maps[0].shape[0]
     if n <= _VEC_LIMIT:
         T = sum(w * np.kron(M, M) for w, M in zip(weights, maps))
@@ -774,7 +781,7 @@ def mean_square_radius(maps, weights):
     X = np.eye(n) / n
     rate = math.nan
     for _ in range(_ITER_LIMIT):
-        Y = sum(w * M @ X @ M.T for w, M in zip(weights, maps))
+        Y = second_moment(maps, weights, X)
         step = float(np.trace(Y))
         if step == 0.0 or abs(step - rate) <= 1e-12 * step:
             break
@@ -803,14 +810,10 @@ def solve_switched_covariance(maps, weights, Psi):
     close to 1 to converge) is rejected with ValueError before the solve;
     for a radius >= 1 that error is MeanSquareUnstable, carrying the radius.
     """
-    maps = [_as_matrix(M, "map") for M in maps]
+    maps = np.array([_as_matrix(M, "map") for M in maps])
     weights = np.asarray(weights, dtype=float)
     Psi = _as_matrix(Psi, "Psi")
     n = Psi.shape[0]
-
-    def second_moment(W):
-        return sum(w * M @ W @ M.T for w, M in zip(weights, maps))
-
     rho = mean_square_radius(maps, weights)
     if rho >= 1.0:
         raise MeanSquareUnstable(rho)
@@ -827,12 +830,12 @@ def solve_switched_covariance(maps, weights, Psi):
         # ||dW||_2 <= ||dW||_F and ||W||_F / sqrt(n) <= ||W||_2
         W = Psi.copy()
         for _ in range(_ITER_LIMIT):
-            W, W_prev = second_moment(W) + Psi, W
+            W, W_prev = second_moment(maps, weights, W) + Psi, W
             if (np.linalg.norm(W - W_prev)
                     < 1e-14 * (1.0 + np.linalg.norm(W) / math.sqrt(n))):
                 break
     W = 0.5 * (W + W.T)
-    resid = operator_norm(second_moment(W) + Psi - W)
+    resid = operator_norm(second_moment(maps, weights, W) + Psi - W)
     if resid > RESIDUAL_TOL * (1.0 + operator_norm(Psi)):
         raise ValueError(f"covariance residual {resid:.3e} exceeds tolerance")
     return W

@@ -6,8 +6,9 @@ observability matrix.  A fixed-gain filter runs on the observable part of
 whichever scenario is active during a sampling interval; the complement
 rides along open loop through the model, and the interval ends by mapping
 the transformed estimate back to state coordinates.  The per-scenario
-one-interval error maps realised by that procedure drive all convergence
-and variance analysis downstream.
+one-interval error maps realised by that procedure, stacked into one
+switched law per design (`SwitchedLaw`), drive all convergence and
+variance analysis downstream.
 """
 
 from __future__ import annotations
@@ -153,6 +154,74 @@ def design_gains(decomps, poles):
     return truncated
 
 
+class SwitchedLaw:
+    """The interval law e' = Lam_a e + Q_a xi of one design, with a the
+    active scenario and xi standard normal.
+
+    Built from the maps of each scenario index, it lays them out side by
+    side from the smallest index `lo` up: slot a - lo of `Lam` and of `Q`,
+    each (S, n, n), holds scenario a's maps, and a gap in the indices
+    holds zeros.  `stack`, (2n, S n), holds [Lam_a^T; Q_a^T] as column
+    block a - lo, the operand of the Monte Carlo's interval product.  All
+    three are read-only.  A scenario set over the same indices supplies
+    only the weights p (`weights`), and with them the law gives the
+    second-moment operator T(W) = sum_j p_j Lam_j W Lam_j^T, the mean
+    interval noise covariance Psi = sum_j p_j Q_j Q_j^T and the bound
+    matrix M = sum_j p_j Lam_j^T Lam_j, each one batched product.
+    """
+
+    def __init__(self, Lam, Q):
+        if not Lam or Lam.keys() != Q.keys():
+            raise ValueError("Lam and Q need the same nonempty set of scenario indices")
+        self.indices = tuple(sorted(Lam))
+        self.lo = self.indices[0]
+        self.Lam = self.layout(Lam)
+        self.Q = self.layout(Q)
+        self.stack = np.concatenate([self.Lam, self.Q], axis=2).transpose(
+            2, 0, 1).reshape(2 * self.Lam.shape[2], -1)
+        for a in (self.Lam, self.Q, self.stack):
+            a.flags.writeable = False
+
+    def layout(self, values):
+        """The values of a {scenario index: value} mapping over the law's
+        slots, index a at slot a - lo, zeros in the gaps."""
+        shape = np.shape(next(iter(values.values())))
+        out = np.zeros((self.indices[-1] - self.lo + 1, *shape))
+        for a, v in values.items():
+            out[a - self.lo] = v
+        return out
+
+    def weights(self, scenario_set):
+        """The scenario probabilities p over the law's slots.  The set must
+        have exactly the law's indices; otherwise a ValueError names the
+        indices that differ."""
+        p = {s.index: s.probability for s in scenario_set}
+        if p.keys() != set(self.indices):
+            raise ValueError(f"the scenario set's indices differ from the design's: it adds "
+                             f"{sorted(p.keys() - set(self.indices))} and lacks "
+                             f"{sorted(set(self.indices) - p.keys())}")
+        return self.layout(p)
+
+    def by_index(self, values):
+        """{scenario index: value} of values over the law's slots, the
+        inverse of `layout`."""
+        return {a: values[a - self.lo] for a in self.indices}
+
+    def second_moment(self, W, p):
+        """T(W) = sum_j p_j Lam_j W Lam_j^T."""
+        return numerics.second_moment(self.Lam, p, W)
+
+    def noise_covariance(self, p):
+        """Psi = sum_j p_j Q_j Q_j^T, the mean covariance of the interval
+        noise w = Q_a xi, made exactly symmetric."""
+        Psi = np.tensordot(p, self.Q @ self.Q.transpose(0, 2, 1), 1)
+        return 0.5 * (Psi + Psi.T)
+
+    def second_moment_matrix(self, p):
+        """M = sum_j p_j Lam_j^T Lam_j."""
+        return np.tensordot(p, self.Lam.transpose(0, 2, 1) @ self.Lam, 1)
+
+
 @dataclass
 class CoordinatedObserver:
     A: np.ndarray
@@ -160,11 +229,10 @@ class CoordinatedObserver:
     decomps: dict                 # scenario index -> SubsystemDecomposition
     F: np.ndarray                 # stacked F_i blocks, n_s x n
     Phi: np.ndarray               # (F^T F)^-1 F^T, n x n_s
-    Lam: dict                     # scenario index -> realised n x n error map
-    Q: dict                       # scenario index -> root of the interval noise covariance
-    exp_Ac_tau: dict              # scenario index -> filter-block map over tau
+    law: SwitchedLaw              # realised interval maps and noise roots
+    filter_norms: np.ndarray      # ||exp(Ac_a tau)|| over the law's slots, 0 without a filter
+    F_slots: np.ndarray           # the law's slot of the scenario owning each row of F
     exp_A_tau: np.ndarray
-    block_slices: dict = field(default_factory=dict)
     pole_truncations: dict = field(default_factory=dict)
 
     @property
@@ -191,12 +259,12 @@ def _mix(d):
 def build(A, scenario_set, decomps, tau):
     """Assemble the coordinated observer for a designed decomposition set.
 
-    Produces the realised one-interval error maps in state coordinates:
-    the active scenario's filter block closes the loop on its observable
-    sub-state while the complement (and, for the no-sensor scenario, the
-    whole state) propagates through the model.  Noise factors are matrix
-    square roots of the per-interval error covariance lifted back to state
-    coordinates.
+    Produces the realised one-interval error maps in state coordinates,
+    stacked into the design's `SwitchedLaw`: the active scenario's filter
+    block closes the loop on its observable sub-state while the complement
+    (and, for the no-sensor scenario, the whole state) propagates through
+    the model.  Noise factors are matrix square roots of the per-interval
+    error covariance lifted back to state coordinates.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -206,16 +274,8 @@ def build(A, scenario_set, decomps, tau):
     for d in decomps.values():
         if d.needs_gain and d.Ac is None:
             raise ObserverError(f"scenario {d.index}: gain not designed yet")
-    blocks = []
-    slices = {}
-    row = 0
-    for s in scenario_set:
-        d = decomps[s.index]
-        if d.n_i:
-            blocks.append(d.F)
-            slices[s.index] = slice(row, row + d.n_i)
-            row += d.n_i
-    F = np.vstack(blocks) if blocks else np.zeros((0, n))
+    subs = [decomps[s.index] for s in scenario_set if decomps[s.index].n_i]
+    F = np.vstack([d.F for d in subs]) if subs else np.zeros((0, n))
     rank = np.linalg.matrix_rank(F, numerics.RANK_TOL * operator_norm(F))
     if rank < n:
         raise ObserverError(
@@ -225,31 +285,26 @@ def build(A, scenario_set, decomps, tau):
     if operator_norm(Phi @ F - np.eye(n)) > 1e-10:
         raise ObserverError("reconstruction map is not a left inverse")
     exp_A_tau = numerics.matrix_exponential(A, tau)
-    Lam, Q, exp_Ac = {}, {}, {}
+    Lam, Q, filter_norms = {}, {}, {}
     for s in scenario_set:
+        # a blind scenario (n_i = 0) has T = I and mix = A: its map is
+        # exp(A tau), with an empty filter block and no noise
         d = decomps[s.index]
-        if d.n_i == 0:
-            Lam[s.index] = exp_A_tau.copy()
-            Q[s.index] = np.zeros((n, n))
-            exp_Ac[s.index] = np.zeros((0, 0))
-            continue
         mix = _mix(d)
         E = numerics.matrix_exponential(mix, tau)
-        Tinv = np.vstack([d.G, d.F])
-        Lam[s.index] = d.T @ E @ Tinv
+        Lam[s.index] = d.T @ E @ np.vstack([d.G, d.F])
         k = n - d.n_i
-        exp_Ac[s.index] = E[k:, k:]
-        if d.L is not None and s.sigma.size:
-            Nf = np.zeros((n, s.r))
+        filter_norms[s.index] = operator_norm(E[k:, k:])
+        Nf = np.zeros((n, s.r))
+        if s.r:
             Nf[k:, :] = d.L @ s.sigma
-            Vmix = numerics.noise_gramian(mix, Nf, tau)
-            Vs = d.T @ Vmix @ d.T.T
-        else:
-            Vs = np.zeros((n, n))
+        Vs = d.T @ numerics.noise_gramian(mix, Nf, tau) @ d.T.T
         Q[s.index] = numerics.psd_sqrt(0.5 * (Vs + Vs.T))
+    law = SwitchedLaw(Lam, Q)
     return CoordinatedObserver(
-        A=A, tau=tau, decomps=decomps, F=F, Phi=Phi, Lam=Lam, Q=Q,
-        exp_Ac_tau=exp_Ac, exp_A_tau=exp_A_tau, block_slices=slices)
+        A=A, tau=tau, decomps=decomps, F=F, Phi=Phi, law=law, exp_A_tau=exp_A_tau,
+        filter_norms=law.layout(filter_norms),
+        F_slots=np.repeat([d.index for d in subs], [d.n_i for d in subs]) - law.lo)
 
 
 def design(A, scenario_set, poles, tau, completion="orthonormal"):

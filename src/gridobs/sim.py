@@ -282,6 +282,8 @@ def run_replica(A, obs, scenario_set, cfg, replica_index=0):
     the error recursion does not depend on the true state.
     """
     n = obs.n
+    law = obs.law
+    law.weights(scenario_set)              # refuses a set that is not the design's
     sw_root, nz_root = cfg.roots()
     alphas = _shs.sample_skeleton(scenario_set, cfg.K,
                                   derive_seed(sw_root, replica_index))
@@ -290,8 +292,8 @@ def run_replica(A, obs, scenario_set, cfg, replica_index=0):
     eps = np.empty((cfg.K + 1, n))
     eps[0] = cfg.initial_error(n)
     for k in range(cfg.K):
-        a = int(alphas[k])
-        eps[k + 1] = obs.Lam[a] @ eps[k] + obs.Q[a] @ xi[k]
+        a = alphas[k] - law.lo
+        eps[k + 1] = law.Lam[a] @ eps[k] + law.Q[a] @ xi[k]
     return eps, np.sum(eps * eps, axis=1), alphas
 
 
@@ -432,12 +434,8 @@ def monte_carlo(A, obs, scenario_set, cfg):
     n = obs.n
     R = cfg.replicas
     K = cfg.K
-    indices = [s.index for s in scenario_set]
-    missing = sorted(set(indices) - (obs.Lam.keys() & obs.Q.keys()))
-    if missing:
-        raise ValueError(f"the observer has no interval map for scenario "
-                         f"indices {missing}")
-    lo = min(indices)
+    law = obs.law
+    law.weights(scenario_set)              # refuses a set that is not the design's
     sw_root, nz_root = cfg.roots()
     streams = pcg64_states(seed_sequence_words(np.concatenate(
         [derive_seeds(sw_root, R), derive_seeds(nz_root, R)]))).view(np.uint8)
@@ -447,7 +445,7 @@ def monte_carlo(A, obs, scenario_set, cfg):
     # sampled, with zero errors and path lo, that a lone last replica runs
     # beside
     alphas = np.empty((R + 1, K), dtype=int)
-    alphas[R] = lo
+    alphas[R] = law.lo
     eps = np.empty((R + 1, K + 1, n))
     eps[:R, 0] = cfg.initial_error(n)
     eps[R] = 0.0
@@ -456,14 +454,9 @@ def monte_carlo(A, obs, scenario_set, cfg):
         sample_skeleton(scenario_set, K, gen, out=path)
         load(noise)
         gen.standard_normal(out=draws)
-    S = max(indices) - lo + 1
-    M = np.zeros((2 * n, S, n))
-    for a in indices:
-        M[:n, a - lo] = obs.Lam[a].T
-        M[n:, a - lo] = obs.Q[a].T
     # blocks of at least two replicas, each product no larger than eps
-    block = max(2, min(R, R * (K + 1) // S))
-    _run_intervals(eps, alphas, M.reshape(2 * n, S * n), block, lo)
+    block = max(2, min(R, R * (K + 1) // len(law.Lam)))
+    _run_intervals(eps, alphas, law.stack, block, law.lo)
     alphas = alphas[:R]
     eps = eps[:R]
     err_sq, mean_err_sq, per_state, var = _moments(np.square(eps, out=eps))

@@ -223,7 +223,8 @@ def test_criterion_07_interval_variance_monte_carlo(five_bus):
     t0 = time.time()
     lin, scs, obs = five_bus
     d = obs.decomps[1]
-    V = obs.Q[1] @ obs.Q[1].T
+    Q1 = obs.law.Q[1 - obs.law.lo]
+    V = Q1 @ Q1.T
     mix = observer._mix(d)
     sigma = scs.by_index(1).sigma
     N = np.zeros((mix.shape[0], sigma.shape[1]))

@@ -88,7 +88,8 @@ class TestIntervalVariance:
         for s in full:
             d = obs.decomps[s.index]
             V, _ = interval_variance(d.Ac, d.L, s.sigma, obs.tau)
-            QQ = obs.Q[s.index] @ obs.Q[s.index].T
+            Q = obs.law.Q[s.index - obs.law.lo]
+            QQ = Q @ Q.T
             assert np.allclose(QQ, d.T @ V @ d.T.T, rtol=1e-10, atol=1e-12 * np.abs(V).max())
 
     def test_warns_on_unstable_filter(self):
@@ -107,7 +108,7 @@ class TestContraction:
             [shs.Scenario(1, C, np.zeros((1, 1)), 1.0, (0,))], 2)
         obs = design(A, scs, [-2.0, -3.0], tau=2.0)
         rep = contraction(obs, scs)
-        want = numerics.operator_norm(obs.Lam[1])
+        want = numerics.operator_norm(obs.law.Lam[0])
         assert rep.gamma_exact == pytest.approx(want, rel=1e-12)
         assert rep.gamma_exact < 1.0
         assert rep.stable
@@ -136,7 +137,8 @@ class TestContraction:
         scs = five_bus_scenarios(rho1=rho, rho2=rho)
         obs = design(ieee5_lin.A, scs, [-3.6, -2.7, -3.0, -3.3], tau=0.6261)
         rep = contraction(obs, scs)
-        want = numerics.mean_square_radius([obs.Lam[s.index] for s in scs],
+        law = obs.law
+        want = numerics.mean_square_radius([law.Lam[s.index - law.lo] for s in scs],
                                            [s.probability for s in scs])
         assert rep.ms_radius == want
         assert rep.stable == (want < 1.0)
@@ -316,7 +318,7 @@ class TestSteadyState:
         # Lyapunov fixed point of the closed-loop map
         X = np.zeros((2, 2))
         for _ in range(500):
-            X = obs.Lam[1] @ X @ obs.Lam[1].T + ss.Psi
+            X = obs.law.Lam[0] @ X @ obs.law.Lam[0].T + ss.Psi
         assert ss.mu_state == pytest.approx(np.trace(X), abs=1e-10)
 
     def test_published_design_matrices_psd(self, five_bus_design):
@@ -373,11 +375,12 @@ class TestSteadyState:
         assert rep.second_moment_radius == pytest.approx(1.382, abs=1e-3)
         assert rep.stable
         assert rep.ms_radius == pytest.approx(0.1509, abs=1e-4)
-        T = sum(s.probability * np.kron(obs.Lam[s.index], obs.Lam[s.index])
-                for s in scs)
+        Lam = {s.index: obs.law.Lam[s.index - obs.law.lo] for s in scs}
+        Q = {s.index: obs.law.Q[s.index - obs.law.lo] for s in scs}
+        T = sum(s.probability * np.kron(Lam[s.index], Lam[s.index]) for s in scs)
         assert max(np.abs(np.linalg.eigvals(T))) == pytest.approx(0.1509, abs=1e-4)
         ss = steady_state(obs, scs)
-        Psi = sum(s.probability * obs.Q[s.index] @ obs.Q[s.index].T for s in scs)
+        Psi = sum(s.probability * Q[s.index] @ Q[s.index].T for s in scs)
         W = np.linalg.solve(np.eye(16) - T, Psi.flatten(order="F")).reshape(
             (4, 4), order="F")
         assert np.allclose(ss.W_inf, W, rtol=1e-12, atol=1e-15)

@@ -172,7 +172,7 @@ class TestBuild:
         assert np.allclose(obs.Phi, np.eye(2))
         d = obs.decomps[1]
         want = numerics.matrix_exponential(A - d.L @ C, 0.1)
-        assert np.allclose(obs.Lam[1], want, atol=1e-12)
+        assert np.allclose(obs.law.Lam[0], want, atol=1e-12)
 
     def test_reconstruction_left_inverse(self, ieee5_lin):
         scs = five_bus_scenarios()
@@ -189,15 +189,15 @@ class TestBuild:
     def test_published_design_contracts_on_average(self, ieee5_lin):
         scs = five_bus_scenarios()
         obs = design(ieee5_lin.A, scs, [-4.8, -3.6, -4.0, -4.4], tau=0.6261)
-        gamma = sum(s.probability * numerics.operator_norm(obs.Lam[s.index])
+        gamma = sum(s.probability * numerics.operator_norm(obs.law.Lam[s.index - obs.law.lo])
                     for s in scs)
         assert gamma < 1.0
 
     def test_no_sensor_scenario_map_is_model_propagation(self, ieee5_lin):
         scs = five_bus_scenarios()
         obs = design(ieee5_lin.A, scs, [-4.8, -3.6, -4.0, -4.4], tau=0.6261)
-        assert np.allclose(obs.Lam[4], obs.exp_A_tau)
-        assert np.allclose(obs.Q[4], np.zeros((4, 4)))
+        assert np.allclose(obs.law.Lam[4 - obs.law.lo], obs.exp_A_tau)
+        assert np.allclose(obs.law.Q[4 - obs.law.lo], np.zeros((4, 4)))
 
     def test_unreconstructable_set_rejected(self, ieee5_lin):
         chans = delta_channels(LABELS5, [("1.omega", 0.9, 0.0),
@@ -253,7 +253,7 @@ class TestStepEstimate:
                 s = scs.by_index(alpha)
                 dy = np.zeros((n_sub, s.r))
                 xhat = step_estimate(obs, xhat, alpha, dy)
-                eps = obs.Lam[alpha] @ eps
+                eps = obs.law.Lam[alpha - obs.law.lo] @ eps
             return np.max(np.abs(xhat - eps)), np.max(np.abs(eps))
 
         d64, scale = defect(64)

@@ -67,7 +67,7 @@ def _conditional_moments(obs, paths, e0):
         if k:
             for idx in np.unique(paths[:, k - 1]):
                 rows = paths[:, k - 1] == idx
-                Lam, Q = obs.Lam[idx], obs.Q[idx]
+                Lam, Q = obs.law.Lam[idx - obs.law.lo], obs.law.Q[idx - obs.law.lo]
                 mean[rows] = mean[rows] @ Lam.T
                 cov[rows] = Lam @ cov[rows] @ Lam.T + Q @ Q.T
         expect[:, k] = np.sum(mean ** 2, axis=1) + np.trace(cov, axis1=1, axis2=2)
@@ -306,9 +306,9 @@ class TestMonteCarlo:
         chans = [shs.SensorChannel(f"c{j}", np.eye(4)[j % 4], 0.5, 0.01) for j in range(9)]
         scs = shs.scenarios_from_channels(chans)
         S = len(scs) + 1                       # scenario indices run 1..512
-        big = dataclasses.replace(
-            obs, Lam={s.index: 0.3 * rng.standard_normal((4, 4)) for s in scs},
-            Q={s.index: 0.1 * rng.standard_normal((4, 4)) for s in scs})
+        big = dataclasses.replace(obs, law=observer.SwitchedLaw(
+            {s.index: 0.3 * rng.standard_normal((4, 4)) for s in scs},
+            {s.index: 0.1 * rng.standard_normal((4, 4)) for s in scs}))
         cfg = SimConfig(K=5, replicas=40, seed=8, e0=[1.0, -0.5, 0.25, 2.0])
         R, K, n = cfg.replicas, cfg.K, obs.n
         monte_carlo(ieee5_lin.A, big, scs, SimConfig(K=2, replicas=2))
@@ -344,9 +344,9 @@ class TestMonteCarlo:
         indices = [2, 5, 9]
         scs = shs.ScenarioSet([shs.Scenario(i, np.zeros((0, 4)), np.zeros((0, 0)), p)
                                for i, p in zip(indices, [0.2, 0.3, 0.5])], 4)
-        sparse = dataclasses.replace(
-            obs, Lam={i: 0.3 * rng.standard_normal((4, 4)) for i in indices},
-            Q={i: 0.1 * rng.standard_normal((4, 4)) for i in indices})
+        sparse = dataclasses.replace(obs, law=observer.SwitchedLaw(
+            {i: 0.3 * rng.standard_normal((4, 4)) for i in indices},
+            {i: 0.1 * rng.standard_normal((4, 4)) for i in indices}))
         cfg = SimConfig(K=9, replicas=40, seed=8, e0=[1.0, -0.5, 0.25, 2.0])
         full = monte_carlo(ieee5_lin.A, sparse, scs, cfg)
         assert set(full.paths.ravel().tolist()) == set(indices)
@@ -363,10 +363,11 @@ class TestMonteCarlo:
         # before the check, index 4 read the next replica's block of the
         # product and the run returned finite errors
         lin, scs, obs, _ = _figure("fig3")
-        partial = dataclasses.replace(
-            obs, Lam={a: m for a, m in obs.Lam.items() if a != 4},
-            Q={a: m for a, m in obs.Q.items() if a != 4})
-        with pytest.raises(ValueError, match=r"indices \[4\]"):
+        law = obs.law
+        partial = dataclasses.replace(obs, law=observer.SwitchedLaw(
+            {a: law.Lam[a - law.lo] for a in (1, 2, 3)},
+            {a: law.Q[a - law.lo] for a in (1, 2, 3)}))
+        with pytest.raises(ValueError, match=r"adds \[4\] and lacks \[\]$"):
             monte_carlo(lin.A, partial, scs, SimConfig(K=5, replicas=3))
 
     def test_index_below_the_smallest_map_is_refused(self, setup):
@@ -375,7 +376,7 @@ class TestMonteCarlo:
         A, scs, obs = setup
         shifted = shs.ScenarioSet([dataclasses.replace(s, index=s.index - 1) for s in scs],
                                   scs.n, scs.channels)
-        with pytest.raises(ValueError, match=r"indices \[0\]"):
+        with pytest.raises(ValueError, match=r"adds \[0\] and lacks \[4\]$"):
             monte_carlo(A, obs, shifted, SimConfig(K=5, replicas=3))
 
     def test_one_skeleton_call_per_replica(self, setup, monkeypatch):
@@ -414,9 +415,9 @@ class TestMonteCarlo:
                           .standard_normal((cfg.K, 4)) for r in range(cfg.replicas)])
         paths = []
         for scs_i in (scs, rho7):
-            probe = dataclasses.replace(
-                obs, Lam={s.index: np.zeros((4, 4)) for s in scs_i},
-                Q={s.index: np.eye(4) for s in scs_i})
+            probe = dataclasses.replace(obs, law=observer.SwitchedLaw(
+                {s.index: np.zeros((4, 4)) for s in scs_i},
+                {s.index: np.eye(4) for s in scs_i}))
             traj = monte_carlo(A, probe, scs_i, cfg)
             assert np.array_equal(traj.err_sq[:, 1:], np.sum(draws ** 2, axis=2))
             assert np.array_equal(traj.per_state_mean_sq[1:], np.mean(draws ** 2, axis=0))
@@ -610,7 +611,7 @@ class TestExpectedCurve:
             for path in itertools.product(list(scs), repeat=k):
                 e = e0
                 for s in path:
-                    e = obs.Lam[s.index] @ e
+                    e = obs.law.Lam[s.index - obs.law.lo] @ e
                 total += math.prod(s.probability for s in path) * float(e @ e)
             want.append(total)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
