@@ -9,6 +9,10 @@ Stein-equation recipe built from the second-moment matrix, and the exact
 stationary covariance of the switched recursion.  The exact trace is the
 number to compare against simulated errors; the Stein trace is kept as the
 classical diagnostic.
+
+Every question reads the design's switched law (`observer.SwitchedLaw`)
+under the weights p of a scenario set, which must have the design's
+scenario indices.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ class ConvergenceReport:
     gamma_exact: float            # E ||Lam_k|| = sum p_j ||Lam(j)||
     gamma1: float                 # || diag[p_i exp(Ac_i tau)] ||
     gamma2: float                 # || diag[(1-p_i) I] F exp(A tau) Phi ||
-    tau_max: float
+    tau_max: float                # inf when no limit shows within the scan window
     stable: bool                  # mean-square stable: ms_radius below one
     ms_radius: float              # rho(sum p_j Lam(j) kron Lam(j)), the exact radius
     second_moment_radius: float   # rho(M), a sufficient bound only
@@ -38,7 +42,8 @@ class ConvergenceReport:
             "gamma_exact": self.gamma_exact,
             "gamma1": self.gamma1,
             "gamma2": self.gamma2,
-            "tau_max": self.tau_max,
+            # strict JSON has no infinity: null is "no limit found"
+            "tau_max": self.tau_max if math.isfinite(self.tau_max) else None,
             "stable": self.stable,
             "ms_radius": self.ms_radius,
             "second_moment_radius": self.second_moment_radius,
@@ -194,12 +199,16 @@ def _second_moment_traces(obs, scenario_set, e0, K, noise):
     p = law.weights(scenario_set)
     Psi = law.noise_covariance(p) if noise else 0.0
     e0 = np.asarray(e0, dtype=float)
-    Sigma = np.outer(e0, e0)
     out = np.empty(K + 1)
-    out[0] = np.trace(Sigma)
-    for k in range(K):
-        Sigma = law.second_moment(Sigma, p) + Psi
-        out[k + 1] = np.trace(Sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Sigma = np.outer(e0, e0)
+        out[0] = np.trace(Sigma)
+        for k in range(K):
+            Sigma = law.second_moment(Sigma, p) + Psi
+            out[k + 1] = np.trace(Sigma)
+    if not np.isfinite(out).all():
+        raise ValueError("the exact mean squared error leaves the float range; "
+                         "e0 is too large or the error grows without bound")
     return out
 
 
@@ -210,7 +219,8 @@ def expected_err_sq(obs, scenario_set, e0, K):
     Sigma_{k+1} = sum_j p_j (Lam_j Sigma_k Lam_j^T + Q_j Q_j^T) with
     Sigma_0 = e0 e0^T (Costa, Fragoso & Marques 2005), and returns
     tr Sigma_k.  Under mean-square stability Sigma_k tends to the
-    steady state's W_inf, so the curve ends at mu_state.
+    steady state's W_inf, so the curve ends at mu_state.  A curve that
+    leaves the float range is a ValueError.
     """
     return _second_moment_traces(obs, scenario_set, e0, K, noise=True)
 

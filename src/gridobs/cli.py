@@ -78,6 +78,9 @@ _TABLE = "\x00table"
 def _dumps(doc):
     """json.dumps(doc, indent=2), with each row of an integer table on one line.
 
+    The output is strict JSON: a NaN or an infinity anywhere in `doc` is a
+    ValueError, as a strict parser would refuse the file.
+
     Indented output goes through json's pure-Python encoder, which would
     give every entry of a switching-path table (600 x 120 in fig5) a line
     of its own.  The rows are encoded by the C encoder instead.
@@ -91,7 +94,7 @@ def _dumps(doc):
             return f"{_TABLE}{len(tables) - 1}"
         return _jsonable(obj)
 
-    lines = json.dumps(doc, indent=2, default=default).split("\n")
+    lines = json.dumps(doc, indent=2, default=default, allow_nan=False).split("\n")
     token = json.dumps(_TABLE)[:-1]
     for k, line in enumerate(lines):
         head, found, tail = line.partition(token)
@@ -167,7 +170,7 @@ def cmd_linearize(args):
         },
     }
     with open(outdir / "linearized.json", "w") as f:
-        json.dump(doc, f, indent=2, default=_jsonable)
+        json.dump(doc, f, indent=2, default=_jsonable, allow_nan=False)
     _manifest(outdir / "manifest.json", "linearize", cfg)
     print(f"wrote {outdir / 'linearized.json'}")
     return 0
@@ -203,7 +206,7 @@ def cmd_design(args):
             str(k): f"used first {v[1]} of {v[0]} requested poles"
             for k, v in obs.pole_truncations.items()}
     with open(outdir / "design.json", "w") as f:
-        json.dump(doc, f, indent=2, default=_jsonable)
+        json.dump(doc, f, indent=2, default=_jsonable, allow_nan=False)
     _manifest(outdir / "manifest.json", "design", cfg)
     print(f"wrote {outdir / 'design.json'}")
     return 0
@@ -221,7 +224,7 @@ def cmd_analyze(args):
         doc["steady_state"] = {"unstable": True}
     outdir = _outdir(args)
     with open(outdir / "analysis.json", "w") as f:
-        json.dump(doc, f, indent=2, default=_jsonable)
+        json.dump(doc, f, indent=2, default=_jsonable, allow_nan=False)
     _manifest(outdir / "manifest.json", "analyze", cfg, {"report": doc})
     print(json.dumps(doc, indent=2, default=_jsonable))
     return 0

@@ -13,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import analysis, grid, observer, shs, sim
+from . import analysis, grid, numerics, observer, shs, sim
 
 EXPERIMENTS = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 
@@ -32,6 +32,15 @@ def typed(value, key, kinds, want):
     the key takes."""
     if not isinstance(value, kinds):
         raise ValueError(f"config {key!r} must be {want}, got {type(value).__name__}")
+    return value
+
+
+def real_list(value, key):
+    """`value`, read from config key `key`, if it is a list of finite real
+    numbers; else a ValueError naming the key or its first bad entry."""
+    for i, v in enumerate(typed(value, key, list, "a list")):
+        if not numerics.is_finite_real(v):
+            raise ValueError(f"config '{key}[{i}]' must be a finite real number, got {v!r}")
     return value
 
 
@@ -72,7 +81,9 @@ def design_observer(cfg, lin, scs, poles_key="observer.poles"):
     section, key = poles_key.split(".")
     poles = typed(cfg[section][key], poles_key, (list, dict), "a list or an object")
     if isinstance(poles, dict):
-        poles = {int(k): v for k, v in poles.items()}
+        poles = {int(k): real_list(v, f"{poles_key}.{k}") for k, v in poles.items()}
+    else:
+        real_list(poles, poles_key)
     return observer.design(lin.A, scs, poles, ocfg["tau"],
                            completion=ocfg.get("completion", "orthonormal"))
 
@@ -92,9 +103,10 @@ def run_simulation(cfg, lin, obs, scs, **overrides):
         raise ValueError(f"sim sets {' and '.join(states)}; the error recursion "
                          "starts from the initial estimation error sim.e0 alone")
     scfg.update({k: v for k, v in overrides.items() if v is not None})
+    e0 = scfg.get("e0")
     simcfg = sim.SimConfig(
         K=scfg["K"], replicas=scfg.get("replicas", 1), seed=scfg.get("seed", 0),
-        e0=scfg.get("e0"))
+        e0=None if e0 is None else real_list(e0, "sim.e0"))
     return simcfg, sim.monte_carlo(lin.A, obs, scs, simcfg)
 
 
@@ -123,6 +135,16 @@ def mean_crossing_time(eps_sq, fraction=0.01):
     return float(times.astype(float).mean())
 
 
+def _reaches_1pct(cfg, traj, result, checks):
+    """The sampled check that the mean squared error falls to 1% of its
+    start within the config's limit, and its exact companion on the exact
+    mean curve, whose crossing is recorded in `result`."""
+    kmax = cfg["check"]["max_intervals_to_1pct"]
+    checks["error_reaches_1pct"] = traj.time_to_fraction(0.01) <= kmax
+    k = result["expected_intervals_to_1pct"] = sim.time_to_fraction(traj.expected_err_sq)
+    checks["expected_error_reaches_1pct"] = k <= kmax
+
+
 def run_experiment(name, seed=None, replicas=None):
     """Execute one bundled experiment; returns (result dict, checks dict).
 
@@ -148,8 +170,7 @@ def run_experiment(name, seed=None, replicas=None):
         result.update(report=rep.as_dict(), trajectory=traj,
                       steady=analysis.steady_state(obs, scs).as_dict())
         checks["gamma_below_one"] = rep.gamma_exact < 1.0
-        kmax = cfg["check"]["max_intervals_to_1pct"]
-        checks["error_reaches_1pct"] = traj.time_to_fraction(0.01) <= kmax
+        _reaches_1pct(cfg, traj, result, checks)
 
     elif kind == "tradeoff":
         base_obs = design_observer(cfg, lin, scs, "check.baseline_poles")
@@ -230,11 +251,16 @@ def run_experiment(name, seed=None, replicas=None):
         result.update(report=rep.as_dict(), steady=ss.as_dict(), trajectory=traj)
         k0 = cfg["check"]["floor_window_start"]
         floor = float(np.mean(traj.mean_err_sq[k0:]))
-        result["simulated_floor"] = floor
         tol = cfg["check"]["floor_rel_tol"]
+        margin = tol * ss.mu_state - abs(floor - ss.mu_state)
+        # the floor's standard error, from the spread of the per-replica
+        # window means; one replica has no spread
+        se = (float(np.std(traj.err_sq[:, k0:].mean(axis=1), ddof=1) / np.sqrt(traj.replicas))
+              if traj.replicas > 1 else None)
+        result.update(simulated_floor=floor, simulated_floor_se=se, floor_margin=margin,
+                      floor_margin_se=None if not se else margin / se)
         checks["floor_matches_analysis"] = abs(floor - ss.mu_state) <= tol * ss.mu_state
-        checks["error_reaches_1pct"] = traj.time_to_fraction(0.01) <= cfg["check"][
-            "max_intervals_to_1pct"]
+        _reaches_1pct(cfg, traj, result, checks)
 
     else:
         raise ValueError(f"unknown check type {kind!r}")

@@ -193,9 +193,10 @@ def noise_gramian(Ac, N, tau):
         return np.zeros((p, p))
     blk = np.zeros((2 * p, 2 * p))
     blk[:p, :p] = -Ac
-    blk[:p, p:] = N @ N.T
     blk[p:, p:] = Ac.T
-    with np.errstate(over="ignore"):
+    # an overflow leaves inf in blk, which _expm refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        blk[:p, p:] = N @ N.T
         blk *= tau
     E = _expm(blk)
     V = E[p:, p:].T @ E[:p, p:]

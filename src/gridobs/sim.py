@@ -2,7 +2,10 @@
 
 Over one sampling interval of scenario a the estimation error of the
 continuous-time filter moves exactly as e_{k+1} = Lam_a e_k + w_k, with
-w_k ~ N(0, Q_a Q_a^T) and both matrices built by `observer.build`.  The
+w_k ~ N(0, Q_a Q_a^T): the design's switched law (`observer.SwitchedLaw`,
+built once per design by `observer.build`) holds every scenario's Lam_a
+and Q_a, stacked from the smallest scenario index lo up at slot a - lo,
+and checks that a scenario set has exactly the design's indices.  The
 Monte Carlo simulates that recursion.  Every interval draws n standard
 normals xi_k whichever scenario is active, and w_k = Q_a xi_k, so the
 switching path and the noise draws never interact (changing one seed
@@ -34,11 +37,11 @@ Each replica's switching path is written in place, into its row of the
 path array (`shs.sample_skeleton(..., out=row)`), and its normals into
 its rows of the error array, in one loop over the zipped rows.  Each
 interval advances a block of replicas with one matrix product against
-every scenario's map side by side, [Lam_a^T; Q_a^T] for all a from the
-smallest scenario index up, and keeps each replica's own scenario with
-one `take` (`_run_intervals`): two numpy calls per block and interval,
+the law's `stack`, every scenario's [Lam_a^T; Q_a^T] side by side as
+column block a - lo, and keeps each replica's own scenario with one
+`take` (`_run_intervals`): two numpy calls per block and interval,
 whatever the paths, for arithmetic that grows with the number of
-scenarios.
+scenarios.  `run_replica` indexes the law's Lam and Q stacks at a - lo.
 
 The squared errors are summed over the state one column at a time
 (`_moments`), since numpy's reduction over a short last axis is its slow
@@ -277,8 +280,9 @@ def run_replica(A, obs, scenario_set, cfg, replica_index=0):
 
     Returns (eps, err_sq, alphas) with eps shaped (K+1, n).  This is the
     plain per-interval loop e_{k+1} = Lam_a e_k + Q_a xi_k over the same
-    switching path and the same draws as `monte_carlo`, kept as its
-    oracle; their errors agree up to summation order.  `A` is not used:
+    switching path, the same draws and the same law's stacks as
+    `monte_carlo`, kept as its oracle; their errors agree up to summation
+    order.  `A` is not used:
     the error recursion does not depend on the true state.
     """
     n = obs.n
@@ -297,6 +301,12 @@ def run_replica(A, obs, scenario_set, cfg, replica_index=0):
     return eps, np.sum(eps * eps, axis=1), alphas
 
 
+def time_to_fraction(curve, fraction=0.01):
+    """First k with curve[k] <= fraction * curve[0]; len(curve) if none."""
+    below = np.flatnonzero(curve <= fraction * curve[0])
+    return int(below[0]) if below.size else curve.size
+
+
 @dataclass
 class ErrorTrajectory:
     tau: float
@@ -312,9 +322,7 @@ class ErrorTrajectory:
     def time_to_fraction(self, fraction=0.01):
         """First interval where the mean squared error drops below
         fraction * initial; returns K+1 if it never does."""
-        target = fraction * self.mean_err_sq[0]
-        below = np.flatnonzero(self.mean_err_sq <= target)
-        return int(below[0]) if below.size else self.mean_err_sq.size
+        return time_to_fraction(self.mean_err_sq, fraction)
 
     def max_abs_z(self):
         """Largest |mean_err_sq - expected_err_sq| in standard errors of
@@ -390,8 +398,9 @@ def monte_carlo(A, obs, scenario_set, cfg):
 
     Each interval of scenario a maps the error e_k to
     e_{k+1} = Lam_a e_k + Q_a xi_k with xi_k standard normal, the exact
-    interval law of the continuous-time filter (`observer.build`).  A
-    scenario index the observer has no map for is a ValueError naming it.
+    interval law of the continuous-time filter (`observer.SwitchedLaw`).
+    A scenario set whose indices are not the design's is a ValueError
+    naming the indices that differ (`SwitchedLaw.weights`).
     The PCG64 states of all 2R streams come from one vectorised pass
     (`seed_sequence_words`, `pcg64_states`) as one table of words, viewed
     as 32-byte rows.  The calling thread's Generator (`_engine`, built at
@@ -410,15 +419,16 @@ def monte_carlo(A, obs, scenario_set, cfg):
     whole loop about 1.2 ms of a 1.8 ms call.
     Interval k overwrites row k+1, xi_k, with
     e_{k+1} = [e_k, xi_k] [Lam_a^T; Q_a^T] (`_run_intervals`): one gemm of
-    a block of replicas' rows against the (2n, S n) stack of the maps of
-    scenarios lo..hi, the smallest index to the largest, block a - lo for
-    scenario a, then one `take` of each replica's n columns.  Blocks
+    a block of replicas' rows against the law's (2n, S n) `stack`, built
+    once per design, of the maps of scenarios lo..hi, the smallest index
+    to the largest, block a - lo for scenario a, then one `take` of each
+    replica's n columns.  Blocks
     of at least two replicas, a lone last one beside a spare zero row
     whose path holds lo, keep a replica's errors the same bits whatever
     the replica count.
-    The engine holds the error array, the paths, the stacked maps and one
-    block's product, which holds no more floats than the error array, and
-    never a copy of the draws.  The product's arithmetic grows with S:
+    The engine holds the error array, the paths and one block's product,
+    which holds no more floats than the error array, and never a copy of
+    the draws.  The product's arithmetic grows with S:
     on a 2-vCPU host (n = 4, R = 200, K = 50) the interval loop took
     0.65, 0.80 and 1.3 ms at S = 4, 16 and 32 against about 1.4 ms for
     the per-replica gathered maps it replaced, and lost from S = 64 on
@@ -428,8 +438,12 @@ def monte_carlo(A, obs, scenario_set, cfg):
     `run_replica` for its index.  Aggregation runs in replica order and
     sums the squared errors one state column at a time (`_moments`): the
     bits of `sum(axis=2)` for n < 8, at about the same cost at n = 22
-    and at 1.7 times numpy's at n = 60.  `A` is not used: the error recursion
-    does not depend on the true state.
+    and at 1.7 times numpy's at n = 60.  The interval loop and the
+    moments run under `np.errstate`: a squared error that left the float
+    range shows in the short mean or variance row, not in the (R, K+1)
+    table, which is not scanned, and is a ValueError rather than a numpy
+    warning.  `A` is not used: the error recursion does not depend on the
+    true state.
     """
     n = obs.n
     R = cfg.replicas
@@ -456,12 +470,17 @@ def monte_carlo(A, obs, scenario_set, cfg):
         gen.standard_normal(out=draws)
     # blocks of at least two replicas, each product no larger than eps
     block = max(2, min(R, R * (K + 1) // len(law.Lam)))
-    _run_intervals(eps, alphas, law.stack, block, law.lo)
-    alphas = alphas[:R]
-    eps = eps[:R]
-    err_sq, mean_err_sq, per_state, var = _moments(np.square(eps, out=eps))
+    # an error that leaves the float range shows in the short mean and
+    # variance rows, which are checked instead of the (R, K+1) table
+    with np.errstate(over="ignore", invalid="ignore"):
+        _run_intervals(eps, alphas, law.stack, block, law.lo)
+        eps = eps[:R]
+        err_sq, mean_err_sq, per_state, var = _moments(np.square(eps, out=eps))
+    if not (np.isfinite(mean_err_sq).all() and np.isfinite(var).all()):
+        raise ValueError("the simulated squared error leaves the float range; "
+                         "sim.e0 is too large or the error grows without bound")
     return ErrorTrajectory(
         tau=obs.tau, mean_err_sq=mean_err_sq, per_state_mean_sq=per_state,
-        var_err_sq=var, paths=alphas, err_sq=err_sq, replicas=cfg.replicas,
+        var_err_sq=var, paths=alphas[:R], err_sq=err_sq, replicas=cfg.replicas,
         seeds={"switch_root": sw_root, "noise_root": nz_root,
                "mix": "splitmix64(root xor replica*golden)"})

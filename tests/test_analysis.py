@@ -1,12 +1,15 @@
 """Convergence diagnostics, tau_max, steady-state variances."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
-from gridobs import analysis, experiments, grid, numerics, observer, shs
+from gridobs import analysis, experiments, grid, numerics, observer, shs, sim
 from gridobs.analysis import compute_tau_max, contraction, steady_state
 from gridobs.observer import ObserverError, decompose, design
 
@@ -422,3 +425,107 @@ class TestTradeoff:
         for r in rows:
             assert r["mu_state"] == pytest.approx(0.0, abs=1e-13)
             assert r["mu_inf"] == pytest.approx(0.0, abs=1e-13)
+
+
+class TestSwitchedLaw:
+    def test_layout_fills_gaps_with_zeros_and_is_read_only(self):
+        maps = {2: np.eye(2), 5: 2 * np.eye(2)}
+        law = observer.SwitchedLaw(maps, {a: 0.1 * m for a, m in maps.items()})
+        assert law.indices == (2, 5) and law.lo == 2
+        assert law.Lam.shape == law.Q.shape == (4, 2, 2)
+        assert np.array_equal(law.Lam[0], np.eye(2)) and np.array_equal(law.Lam[3], 2 * np.eye(2))
+        assert not np.any(law.Lam[1:3]) and not np.any(law.Q[1:3])
+        # block a - lo of the Monte Carlo operand is [Lam_a^T; Q_a^T]
+        for a in law.indices:
+            blk = law.stack[:, 2 * (a - law.lo):2 * (a - law.lo + 1)]
+            assert np.array_equal(blk, np.vstack([maps[a].T, 0.1 * maps[a].T]))
+        for arr in (law.Lam, law.Q, law.stack):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0
+        assert law.by_index(law.layout({2: 0.25, 5: 0.75})) == {2: 0.25, 5: 0.75}
+        with pytest.raises(ValueError, match="same nonempty set"):
+            observer.SwitchedLaw(maps, {2: np.eye(2)})
+
+    @pytest.mark.parametrize("call", [
+        lambda obs, scs: contraction(obs, scs),
+        lambda obs, scs: steady_state(obs, scs),
+        lambda obs, scs: analysis.expected_err_sq(obs, scs, np.ones(4), 3),
+        lambda obs, scs: analysis.noise_free_err_sq(obs, scs, np.ones(4), 3),
+        lambda obs, scs: analysis.second_moment_matrix(obs, scs),
+        lambda obs, scs: sim.monte_carlo(None, obs, scs, sim.SimConfig(K=3, replicas=2)),
+        lambda obs, scs: sim.run_replica(None, obs, scs, sim.SimConfig(K=3)),
+    ], ids=["contraction", "steady_state", "expected_err_sq", "noise_free_err_sq",
+            "second_moment_matrix", "monte_carlo", "run_replica"])
+    def test_a_set_with_other_indices_is_refused(self, five_bus_design, call):
+        # indices 1..4 shifted to 6..9: every index differs, and fig3's
+        # shape of the failure was a bare KeyError
+        _, scs, obs = five_bus_design
+        shifted = shs.ScenarioSet([dataclasses.replace(s, index=s.index + 5) for s in scs],
+                                  scs.n, scs.channels)
+        with pytest.raises(ValueError, match=r"it adds \[6, 7, 8, 9\] and lacks \[1, 2, 3, 4\]$"):
+            call(obs, shifted)
+        dropped = shs.ScenarioSet(
+            [dataclasses.replace(s, probability=s.probability / (1 - scs.by_index(4).probability))
+             for s in scs if s.index != 4], scs.n, scs.channels)
+        with pytest.raises(ValueError, match=r"it adds \[\] and lacks \[4\]$"):
+            call(obs, dropped)
+
+
+def _loop_maps(obs, s):
+    """Lam_s rebuilt from the scenario's decomposition, and Q_s from the
+    law, for the per-scenario loop oracle."""
+    d = obs.decomps[s.index]
+    E = numerics.matrix_exponential(observer._mix(d), obs.tau)
+    return d.T @ E @ np.vstack([d.G, d.F]), obs.law.Q[s.index - obs.law.lo]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(n=st.integers(2, 6), data=st.data())
+def test_random_designs_keep_the_law_exact(n, data):
+    # a random A, upper block-triangular with probability about one half so
+    # that some channels see only part of the state, and one or two
+    # channels on distinct states at delivery in (0.5, 1)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    A = rng.standard_normal((n, n))
+    k = data.draw(st.integers(0, n - 1), label="split")
+    A[k:, :k] = 0.0
+    states = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True),
+                       label="states")
+    rho = st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)
+    chans = [shs.SensorChannel(f"c{j}", np.eye(n)[j], data.draw(rho, label="rho"),
+                               data.draw(st.floats(0.0, 0.1), label="sigma"))
+             for j in states]
+    scs = shs.scenarios_from_channels(chans)
+    tau = data.draw(st.floats(0.05, 1.0), label="tau")
+    poles = -np.linspace(1.0, 3.0, n) * data.draw(st.floats(0.5, 2.0), label="scale")
+    try:
+        obs = design(A, scs, poles.tolist(), tau)
+    except (ObserverError, ValueError, np.linalg.LinAlgError):
+        reject()
+    law = obs.law
+    p = law.weights(scs)
+    G = rng.standard_normal((n, n))
+    W = G @ G.T
+    maps = {s.index: _loop_maps(obs, s) for s in scs}
+    T = sum(s.probability * maps[s.index][0] @ W @ maps[s.index][0].T for s in scs)
+    Psi = sum(s.probability * maps[s.index][1] @ maps[s.index][1].T for s in scs)
+    M = sum(s.probability * maps[s.index][0].T @ maps[s.index][0] for s in scs)
+    scale = lambda X: 1e-12 * (1.0 + np.abs(X).max())
+    assert np.allclose(law.second_moment(W, p), T, rtol=1e-9, atol=scale(T))
+    assert np.allclose(law.noise_covariance(p), Psi, rtol=1e-9, atol=scale(Psi))
+    assert np.allclose(analysis.second_moment_matrix(obs, scs), M, rtol=1e-9, atol=scale(M))
+    rep = contraction(obs, scs)
+    assert rep.ms_radius <= rep.second_moment_radius * (1 + 1e-12)
+    if not rep.stable:
+        return
+    ss = steady_state(obs, scs)
+    Tw = sum(s.probability * maps[s.index][0] @ ss.W_inf @ maps[s.index][0].T for s in scs)
+    resid = numerics.operator_norm(Tw + Psi - ss.W_inf)
+    assert resid <= 1e-8 * (1.0 + numerics.operator_norm(Psi))
+    if rep.ms_radius < 0.95:
+        # radius^K below 1e-13, so the exact curve has reached its limit
+        K = max(1, math.ceil(math.log(1e-13) / math.log(max(rep.ms_radius, 1e-6))))
+        e0 = rng.standard_normal(n)
+        curve = analysis.expected_err_sq(obs, scs, e0, K)
+        assert curve[-1] == pytest.approx(ss.mu_state, rel=1e-6, abs=1e-10 * float(e0 @ e0))

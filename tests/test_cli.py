@@ -201,7 +201,9 @@ class TestReproduce:
         run(["reproduce", name, "--out", str(tmp_path), "--replicas", "3"])
         text = (tmp_path / f"{name}_manifest.json").read_text()
         (doc,) = built
-        assert json.loads(text) == json.loads(json.dumps(doc, default=cli._jsonable))
+        # strict JSON: no NaN or Infinity tokens (fig8's tau_max is null)
+        assert json.loads(text, parse_constant=_refuse) \
+            == json.loads(json.dumps(doc, default=cli._jsonable))
         paths = doc["result"]["switching_paths"]
         assert paths.shape == (3, doc["config"]["sim"]["K"])
         lines = text.splitlines()
@@ -234,14 +236,24 @@ class TestReproduce:
             run(["reproduce", "fig99"])
 
 
-def _fig3_with(overrides=None, channel2=None, sim=None, **observer):
+def _fig3_with(overrides=None, channel2=None, sim=None, channel1=None, **observer):
     cfg = experiments.load_experiment("fig3")
     if overrides is not None:
         cfg["scenario_sigma_overrides"] = overrides
+    cfg["channels"][0].update(channel1 or {})
     cfg["channels"][1].update(channel2 or {})
     cfg["sim"].update(sim or {})
     cfg["observer"].update(observer)
     return cfg
+
+
+def _refuse(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def test_manifests_refuse_non_finite_numbers():
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._dumps({"mean_err_sq": [1.0, float("nan")]})
 
 
 def _fig3_replacing(**sections):
@@ -312,6 +324,13 @@ def _two_bus_with(bus=None, line=None, mode=None):
     (["simulate", "--config", "cfg.json"], _fig3_with(sim={"x0": [0.0] * 4}), 2),
     (["simulate", "--config", "cfg.json"], _fig3_with(sim={"xhat0": [0.0] * 4}), 2),
     (["simulate", "--config", "cfg.json"], _fig3_with(sim={"e0": [2.0, 0.0]}), 2),
+    # pole and initial-error entries that are not numbers
+    (["design", "--config", "cfg.json"], _fig3_with(poles=[-4.8, {"a": 1}, -4.0, -4.4]), 2),
+    (["simulate", "--config", "cfg.json"], _fig3_with(sim={"e0": {"a": 1}}), 2),
+    (["simulate", "--config", "cfg.json"], _fig3_with(sim={"e0": [2.0, {"a": 1}, 1.0, 0.0]}), 2),
+    # numbers whose results leave the float range
+    (["simulate", "--config", "cfg.json"], _fig3_with(sim={"e0": [1e308, 0.0, 1.0, 0.0]}), 2),
+    (["analyze", "--config", "cfg.json"], _fig3_with(channel1={"sigma": 1e308}), 2),
     # config sections of the wrong JSON type
     (["simulate", "--config", "cfg.json"], _fig3_replacing(sim=5), 2),
     (["design", "--config", "cfg.json"], _fig3_replacing(channels=5), 2),
@@ -339,7 +358,8 @@ def _two_bus_with(bus=None, line=None, mode=None):
         "k-string", "k-fraction",
         "k-bool", "replicas-fraction", "seed-fraction", "seed-negative", "seed-2-64",
         "reproduce-seed-2-64", "sim-x0", "sim-xhat0",
-        "e0-short", "sim-int", "channels-int", "channel-int", "measure-int", "measure-no-dot",
+        "e0-short", "pole-object", "e0-object", "e0-entry-object", "e0-huge",
+        "sigma-huge", "sim-int", "channels-int", "channel-int", "measure-int", "measure-no-dot",
         "observer-list", "poles-int", "overrides-list", "grid-list", "grid-int", "sim-int-seed-flag",
         "config-list", "reproduce-grid", "design-seed", "seed-string"])
 def test_failures_exit_cleanly(tmp_path, argv, config, code):
@@ -355,6 +375,23 @@ def test_failures_exit_cleanly(tmp_path, argv, config, code):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("config,field", [
+    (_fig3_with(poles=[-4.8, {"a": 1}, -4.0, -4.4]), "config 'observer.poles[1]'"),
+    (_fig3_with(poles={"1": [-4.8, None, -4.0, -4.4]}), "config 'observer.poles.1[1]'"),
+    (_fig3_with(sim={"e0": {"a": 1}}), "config 'sim.e0' must be a list"),
+    (_fig3_with(sim={"e0": [2.0, {"a": 1}, 1.0, 0.0]}), "config 'sim.e0[1]'"),
+    (_fig3_with(sim={"e0": [1e308, 0.0, 1.0, 0.0]}), "sim.e0 is too large"),
+    (_fig3_with(channel1={"sigma": 1e308}), "scenario 1: the noise levels overflow"),
+], ids=["pole", "per-scenario-pole", "e0", "e0-entry", "e0-huge", "sigma-huge"])
+def test_entry_failures_name_the_field(tmp_path, capsys, config, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert run(["simulate", "--config", str(path), "--replicas", "2",
+                "--out", str(tmp_path / "out")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and field in line
 
 
 def test_run_leaves_scipy_unloaded(tmp_path, fig3_config):

@@ -126,6 +126,37 @@ def test_fig8_floor_agreement(run):
         res["steady"]["mu_state"], rel=0.25)
 
 
+@pytest.mark.parametrize("name,k", [("fig3", 4), ("fig8", 2)])
+def test_exact_crossing_beside_the_sampled_one(run, name, k):
+    # the first k with expected_err_sq[k] <= 1% of ||e0||^2, from the exact
+    # mean curve, next to the sampled check on the same limit
+    res = run(name)
+    traj = res["trajectory"]
+    assert res["expected_intervals_to_1pct"] == k
+    assert traj.expected_err_sq[k] <= 0.01 * traj.expected_err_sq[0] < traj.expected_err_sq[k - 1]
+    assert res["checks"]["expected_error_reaches_1pct"] and res["checks"]["error_reaches_1pct"]
+    cfg = experiments.load_experiment(name)
+    cfg["check"]["max_intervals_to_1pct"] = k - 1
+    checks = {}
+    experiments._reaches_1pct(cfg, traj, {}, checks)
+    assert not checks["expected_error_reaches_1pct"]
+
+
+def test_fig8_floor_records_its_standard_error_and_margin(run):
+    res = run("fig8")
+    traj, mu = res["trajectory"], res["steady"]["mu_state"]
+    window = traj.err_sq[:, 40:].mean(axis=1)
+    se = window.std(ddof=1) / np.sqrt(window.size)
+    assert res["simulated_floor_se"] == pytest.approx(se, rel=1e-12)
+    assert res["floor_margin"] == pytest.approx(0.25 * mu - abs(res["simulated_floor"] - mu),
+                                                rel=1e-12)
+    assert res["floor_margin_se"] == pytest.approx(res["floor_margin"] / se, rel=1e-12)
+    # about 3.1% of mu_state, so the check holds by about 6.9 standard errors
+    assert 6.5 < res["floor_margin_se"] < 7.5
+    alone = experiments.run_experiment("fig8", replicas=1)
+    assert alone["simulated_floor_se"] is None and alone["floor_margin_se"] is None
+
+
 def test_mean_crossing_time_censoring():
     err = np.array([[4.0, 1.0, 0.02, 0.01], [4.0, 3.0, 2.0, 1.0]])
     t = experiments.mean_crossing_time(err, fraction=0.01)
