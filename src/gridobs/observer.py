@@ -177,8 +177,10 @@ class SwitchedLaw:
         self.lo = self.indices[0]
         self.Lam = self.layout(Lam)
         self.Q = self.layout(Q)
-        self.stack = np.concatenate([self.Lam, self.Q], axis=2).transpose(
-            2, 0, 1).reshape(2 * self.Lam.shape[2], -1)
+        # C order, as the Monte Carlo's gemm is fastest on it; the reshape
+        # alone would give a Fortran-ordered view
+        self.stack = np.ascontiguousarray(np.concatenate([self.Lam, self.Q], axis=2)
+                                          .transpose(2, 0, 1).reshape(2 * self.Lam.shape[2], -1))
         for a in (self.Lam, self.Q, self.stack):
             a.flags.writeable = False
 

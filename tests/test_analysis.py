@@ -439,6 +439,8 @@ class TestSwitchedLaw:
         for a in law.indices:
             blk = law.stack[:, 2 * (a - law.lo):2 * (a - law.lo + 1)]
             assert np.array_equal(blk, np.vstack([maps[a].T, 0.1 * maps[a].T]))
+        # the Monte Carlo's gemm runs on the stack as it is, in C order
+        assert law.stack.flags.c_contiguous
         for arr in (law.Lam, law.Q, law.stack):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = 1.0
