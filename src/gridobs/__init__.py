@@ -11,8 +11,8 @@ from . import analysis, grid, numerics, observer, shs, sim
 from .grid import (Bus, GridModel, Line, LinearizedSystem, builtin,
                    find_equilibrium, linearize, load_grid,
                    read_matpower, solve_network)
-from .observer import (CoordinatedObserver, SubsystemDecomposition, decompose,
-                       design, design_gains)
+from .observer import (CoordinatedObserver, SubsystemDecomposition, SwitchedLaw,
+                       decompose, design, design_gains)
 from .shs import (Scenario, ScenarioSet, SensorChannel, sample_skeleton,
                   scenarios_from_channels)
 from .sim import ErrorTrajectory, SimConfig, monte_carlo, run_replica

@@ -298,11 +298,12 @@ def build(A, scenario_set, decomps, tau):
         k = n - d.n_i
         filter_norms[s.index] = operator_norm(E[k:, k:])
         Nf = np.zeros((n, s.r))
-        with np.errstate(over="ignore", invalid="ignore"):
-            Nf[k:, :] = d.L @ s.sigma if s.r else 0.0
-        if not np.isfinite(Nf).all():
-            raise ObserverError(f"scenario {s.index}: the noise levels overflow "
-                                "the filter's noise input L sigma")
+        if s.r:
+            with np.errstate(over="ignore", invalid="ignore"):
+                Nf[k:, :] = d.L @ s.sigma
+            if not np.isfinite(Nf).all():
+                raise ObserverError(f"scenario {s.index}: the noise levels overflow "
+                                    "the filter's noise input L sigma")
         Vs = d.T @ numerics.noise_gramian(mix, Nf, tau) @ d.T.T
         Q[s.index] = numerics.psd_sqrt(0.5 * (Vs + Vs.T))
     law = SwitchedLaw(Lam, Q)
