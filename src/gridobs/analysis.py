@@ -102,9 +102,7 @@ def compute_tau_max(A, scenario_set, decomps):
     q = max(deficient)
     if q >= 1.0:
         raise observer.ObserverError("an always-active scenario is rank deficient")
-    # F and Phi as observer.build assembles them
-    F = np.vstack([decomps[s.index].F for s in scenario_set if decomps[s.index].n_i])
-    Phi = np.linalg.solve(F.T @ F, F.T)
+    F, Phi, _ = observer.reconstruction(scenario_set, decomps, n)
 
     def holds(E):
         # ||M||_2 <= ||M||_F, so the Frobenius norm settles most points

@@ -223,14 +223,33 @@ def place_poles(A22, C2, desired):
         raise ValueError(f"need exactly {p} poles, got {len(desired)}")
     if not np.allclose(np.sort_complex(desired), np.sort_complex(desired.conj())):
         raise ValueError("pole list must be closed under conjugation")
-    # a set, not np.unique, which imports numpy.ma
-    if len(set(np.round(desired, 10).tolist())) != len(desired):
+    # pairwise gaps, not np.round, which overflows on a huge pole and maps
+    # distinct huge poles to one inf; a gap that overflows is no repeat
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = np.abs(desired[:, None] - desired)
+    if np.count_nonzero(gaps <= 1e-10) > p:
         raise ValueError("repeated poles are not supported; request distinct poles")
     W = observability_stack(C2, A22)
     if np.linalg.matrix_rank(W, tol=RANK_TOL * max(operator_norm(W), 1.0)) < p:
         raise ValueError("(C2, A22) is not observable; poles cannot be placed")
-    L = _assign_poles(A22, C2, desired)
-    got = np.linalg.eigvals(A22 - L @ C2)
+    # dependent output rows (two sensors on one state) leave the dual
+    # pair's input rank deficient: place on the row-compressed output
+    # Sigma_r V_r^T of C2 = U Sigma V^T and lift the gain back, L = L' U_r^T,
+    # so that L C2 = L' Sigma_r V_r^T.  This minimum-norm lift splits the
+    # gain equally between duplicated sensors.
+    U, sv, Vt = np.linalg.svd(C2, full_matrices=False)
+    r = np.count_nonzero(sv > RANK_TOL * sv[0])
+    # a huge pole overflows the assignment; a non-finite gain entry leaves
+    # its row of the closed loop non-finite, which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if r < C2.shape[0]:
+            L = _assign_poles(A22, sv[:r, None] * Vt[:r], desired) @ U[:, :r].T
+        else:
+            L = _assign_poles(A22, C2, desired)
+        Acl = A22 - L @ C2
+    if not np.isfinite(Acl).all():
+        raise ValueError("the placed gain leaves the float range; request smaller poles")
+    got = np.linalg.eigvals(Acl)
     if np.max(np.abs(np.sort_complex(got) - np.sort_complex(desired))) > 1e-6:
         raise ValueError("placement did not reach the requested poles")
     # a complex pole list's gain is a strided view; order K keeps its

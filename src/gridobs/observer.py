@@ -2,11 +2,13 @@
 
 For each sensing scenario the state space splits into an observable
 sub-state and its unobservable complement via the kernel of the scenario's
-observability matrix.  A fixed-gain filter runs on the observable part of
-whichever scenario is active during a sampling interval; the complement
-rides along open loop through the model, and the interval ends by mapping
-the transformed estimate back to state coordinates.  The per-scenario
-one-interval error maps realised by that procedure, stacked into one
+observability matrix, T = [M, N] with M the kernel base.  A fixed-gain
+filter runs on the observable part of whichever scenario is active during
+a sampling interval, and the complement rides along open loop through the
+model.  In state coordinates that is one switched Luenberger observer: the
+filter gain L_a of scenario a acts through K_a = N_a L_a, and the error
+follows the closed-loop generator A - K_a C_a while a is active.  The
+per-scenario one-interval error maps of that observer, stacked into one
 switched law per design (`SwitchedLaw`), drive all convergence and
 variance analysis downstream.
 """
@@ -30,13 +32,10 @@ class SubsystemDecomposition:
     index: int
     n_i: int
     M: np.ndarray                 # kernel base, n x (n - n_i)
-    T: np.ndarray
-    G: np.ndarray                 # top rows of T^-1
-    F: np.ndarray                 # bottom rows of T^-1
-    A11: np.ndarray
-    A12: np.ndarray
-    A22: np.ndarray
-    C2: np.ndarray
+    T: np.ndarray                 # [M, N], N the n_i observable columns
+    F: np.ndarray                 # bottom n_i rows of T^-1: the observable sub-state map
+    A22: np.ndarray               # observable block of T^-1 A T, n_i x n_i
+    C2: np.ndarray                # C N, the output on the observable sub-state
     L: np.ndarray = None          # set by design_gains
     Ac: np.ndarray = None
 
@@ -78,16 +77,15 @@ def decompose(A, scenario, completion="orthonormal"):
     C = np.asarray(scenario.C, dtype=float).reshape(-1, n)
     if C.shape[0] == 0:
         return SubsystemDecomposition(
-            scenario.index, 0, np.eye(n), np.eye(n), np.eye(n), np.zeros((0, n)),
-            A.copy(), np.zeros((n, 0)), np.zeros((0, 0)), np.zeros((0, 0)))
+            scenario.index, 0, np.eye(n), np.eye(n), np.zeros((0, n)),
+            np.zeros((0, 0)), np.zeros((0, 0)))
     W = numerics.observability_stack(C, A)
     M = numerics.kernel_base(W)
     n_i = n - M.shape[1]
     if n_i == n:
         # fully observable: skip the transform entirely
         return SubsystemDecomposition(
-            scenario.index, n, np.zeros((n, 0)), np.eye(n), np.zeros((0, n)),
-            np.eye(n), np.zeros((0, 0)), np.zeros((0, n)), A.copy(), C.copy())
+            scenario.index, n, np.zeros((n, 0)), np.eye(n), np.eye(n), A.copy(), C.copy())
     if completion == "orthonormal":
         # kernel_base returns orthonormal columns; complete orthogonally
         _, _, Vt = np.linalg.svd(W)
@@ -105,11 +103,7 @@ def decompose(A, scenario, completion="orthonormal"):
         Tinv = np.linalg.inv(T)
     if operator_norm(Tinv @ T - np.eye(n)) > 1e-10:
         raise ObserverError("transformation inverse check failed")
-    G = Tinv[: n - n_i]
-    F = Tinv[n - n_i:]
     At = Tinv @ A @ T
-    A11 = At[: n - n_i, : n - n_i]
-    A12 = At[: n - n_i, n - n_i:]
     A22 = At[n - n_i:, n - n_i:]
     lower = At[n - n_i:, : n - n_i]
     if operator_norm(lower) > 1e-8 * max(operator_norm(A), 1.0):
@@ -118,8 +112,7 @@ def decompose(A, scenario, completion="orthonormal"):
     if operator_norm(Ct[:, : n - n_i]) > 1e-8 * max(operator_norm(C), 1.0):
         raise ObserverError("output matrix keeps weight on the unobservable part")
     C2 = Ct[:, n - n_i:]
-    return SubsystemDecomposition(scenario.index, n_i, M, T, G, F,
-                                  A11, A12, A22, C2)
+    return SubsystemDecomposition(scenario.index, n_i, M, T, Tinv[n - n_i:], A22, C2)
 
 
 def design_gains(decomps, poles):
@@ -246,36 +239,14 @@ class CoordinatedObserver:
         return self.F.shape[0]
 
 
-def _mix(d):
-    """Closed-loop error generator [[A11, A12], [0, Ac]] in T coordinates."""
-    k = d.A11.shape[0]
-    n = k + d.n_i
-    mix = np.zeros((n, n))
-    mix[:k, :k] = d.A11
-    mix[:k, k:] = d.A12
-    if d.n_i:
-        mix[k:, k:] = d.Ac
-    return mix
+def reconstruction(scenario_set, decomps, n):
+    """The stacked sub-state maps F of the scenarios with an observable
+    part, its left inverse Phi = (F^T F)^-1 F^T, and the index of the
+    scenario owning each row of F.
 
-
-def build(A, scenario_set, decomps, tau):
-    """Assemble the coordinated observer for a designed decomposition set.
-
-    Produces the realised one-interval error maps in state coordinates,
-    stacked into the design's `SwitchedLaw`: the active scenario's filter
-    block closes the loop on its observable sub-state while the complement
-    (and, for the no-sensor scenario, the whole state) propagates through
-    the model.  Noise factors are matrix square roots of the per-interval
-    error covariance lifted back to state coordinates.
+    Refuses a stack of rank below n, for which no convergent coordinated
+    observer exists, and a Phi that fails as a left inverse.
     """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if not numerics.is_finite_real(tau) or tau <= 0:
-        raise ObserverError(f"tau must be a finite real number > 0, got {tau!r}")
-    tau = float(tau)
-    for d in decomps.values():
-        if d.needs_gain and d.Ac is None:
-            raise ObserverError(f"scenario {d.index}: gain not designed yet")
     subs = [decomps[s.index] for s in scenario_set if decomps[s.index].n_i]
     F = np.vstack([d.F for d in subs]) if subs else np.zeros((0, n))
     rank = np.linalg.matrix_rank(F, numerics.RANK_TOL * operator_norm(F))
@@ -286,38 +257,57 @@ def build(A, scenario_set, decomps, tau):
     Phi = np.linalg.solve(F.T @ F, F.T)
     if operator_norm(Phi @ F - np.eye(n)) > 1e-10:
         raise ObserverError("reconstruction map is not a left inverse")
+    return F, Phi, np.repeat([d.index for d in subs], [d.n_i for d in subs])
+
+
+def build(A, scenario_set, decomps, tau):
+    """Assemble the coordinated observer for a designed decomposition set.
+
+    Scenario a's filter gain L_a acts in state coordinates as
+    K_a = N_a L_a, N_a the observable columns of T (K_a = 0 for a blind
+    scenario), so over one interval its error moves as
+    e' = Lam_a e + Q_a xi with Lam_a = exp((A - K_a C_a) tau) and Q_a the
+    root of the Gramian of (A - K_a C_a, K_a sigma_a) over the interval.
+    These maps make up the design's `SwitchedLaw`.  In T coordinates
+    A - K_a C_a is block upper triangular with the filter's
+    Ac_a = A22 - L_a C2 as its lower right block, so the filter's own map
+    exp(Ac_a tau) is F_a Lam_a N_a.
+    """
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    if not numerics.is_finite_real(tau) or tau <= 0:
+        raise ObserverError(f"tau must be a finite real number > 0, got {tau!r}")
+    tau = float(tau)
+    for d in decomps.values():
+        if d.needs_gain and d.Ac is None:
+            raise ObserverError(f"scenario {d.index}: gain not designed yet")
+    F, Phi, owners = reconstruction(scenario_set, decomps, n)
     exp_A_tau = numerics.matrix_exponential(A, tau)
     Lam, Q, filter_norms = {}, {}, {}
     for s in scenario_set:
-        # a blind scenario (n_i = 0) has T = I and mix = A: its map is
-        # exp(A tau), with an empty filter block and no noise
         d = decomps[s.index]
-        mix = _mix(d)
-        E = numerics.matrix_exponential(mix, tau)
-        Lam[s.index] = d.T @ E @ np.vstack([d.G, d.F])
-        k = n - d.n_i
-        filter_norms[s.index] = operator_norm(E[k:, k:])
-        Nf = np.zeros((n, s.r))
-        if s.r:
-            with np.errstate(over="ignore", invalid="ignore"):
-                Nf[k:, :] = d.L @ s.sigma
-            if not np.isfinite(Nf).all():
-                raise ObserverError(f"scenario {s.index}: the noise levels overflow "
-                                    "the filter's noise input L sigma")
-        Vs = d.T @ numerics.noise_gramian(mix, Nf, tau) @ d.T.T
-        Q[s.index] = numerics.psd_sqrt(0.5 * (Vs + Vs.T))
+        N = d.T[:, n - d.n_i:]
+        K = N @ d.L if d.needs_gain else np.zeros((n, s.r))
+        with np.errstate(over="ignore", invalid="ignore"):
+            Ks = K @ s.sigma
+        if not np.isfinite(Ks).all():
+            raise ObserverError(f"scenario {s.index}: the noise levels overflow "
+                                "the filter's noise input K sigma")
+        Acl = A - K @ s.C
+        Lam[s.index] = numerics.matrix_exponential(Acl, tau)
+        filter_norms[s.index] = operator_norm(d.F @ Lam[s.index] @ N)
+        Q[s.index] = numerics.psd_sqrt(numerics.noise_gramian(Acl, Ks, tau))
     law = SwitchedLaw(Lam, Q)
     return CoordinatedObserver(
         A=A, tau=tau, decomps=decomps, F=F, Phi=Phi, law=law, exp_A_tau=exp_A_tau,
-        filter_norms=law.layout(filter_norms),
-        F_slots=np.repeat([d.index for d in subs], [d.n_i for d in subs]) - law.lo)
+        filter_norms=law.layout(filter_norms), F_slots=owners - law.lo)
 
 
 def design(A, scenario_set, poles, tau, completion="orthonormal"):
     """decompose + design_gains + build in one call.
 
-    Combined observability is decided once, by build's rank check on the
-    stacked sub-state maps.
+    Combined observability is decided by build, in `reconstruction`'s
+    rank check on the stacked sub-state maps.
     """
     decomps = {s.index: decompose(A, s, completion) for s in scenario_set}
     truncated = design_gains(decomps, poles)

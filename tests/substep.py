@@ -11,6 +11,9 @@ approaches with a bias of order h.
 Measurements come in lanes: every sensor channel draws one normal per
 substep whether or not its data arrives, so an interval of scenario a
 consumes an (n_sub, n_ch) block of draws.
+
+`t_mix` is the closed-loop error generator in T coordinates, the oracle
+that the tests check the package's state-coordinate interval maps against.
 """
 
 import numpy as np
@@ -19,9 +22,31 @@ from gridobs import numerics, observer
 from gridobs.numerics import matrix_exponential
 
 
+def t_blocks(A, d):
+    """T^-1 and the blocks A11 = (T^-1 A T)[:k, :k] and A12 =
+    (T^-1 A T)[:k, k:] of decomposition d, k = n - n_i: the T-coordinate
+    pieces that the package's state-coordinate assembly does without."""
+    Tinv = np.linalg.inv(d.T)
+    k = d.T.shape[0] - d.n_i
+    At = Tinv @ A @ d.T
+    return Tinv, At[:k, :k], At[:k, k:]
+
+
+def t_mix(A, d):
+    """Closed-loop error generator [[A11, A12], [0, Ac]] in T coordinates."""
+    _, A11, A12 = t_blocks(A, d)
+    k = A11.shape[0]
+    mix = np.zeros(A.shape)
+    mix[:k, :k] = A11
+    mix[:k, k:] = A12
+    if d.n_i:
+        mix[k:, k:] = d.Ac
+    return mix
+
+
 def substep_map(obs, d, h):
     """exp(h [[A11, A12], [0, A22]]): one open-loop substep in T coordinates."""
-    mix = observer._mix(d)
+    mix = t_mix(obs.A, d)
     mix[obs.n - d.n_i:, obs.n - d.n_i:] = d.A22
     return matrix_exponential(mix, h)
 
@@ -80,7 +105,7 @@ def step_estimate(obs, xhat, alpha, dy):
     h = obs.tau / n_sub
     k = obs.n - d.n_i
     E = substep_map(obs, d, h)
-    z = np.concatenate([d.G @ xhat, d.F @ xhat])
+    z = t_blocks(obs.A, d)[0] @ xhat
     gain = np.zeros((obs.n, d.C2.shape[0]))
     gain[k:, :] = d.L
     for j in range(n_sub):
@@ -127,7 +152,7 @@ def basis_row_maps(A, obs, scenario_set, n_sub):
         gain_T = np.zeros((s.r, n))
         gain_T[:, kdim:] = d.L.T
         Z = np.zeros((n_in, n))
-        Z[:n] = np.hstack([d.G.T, d.F.T])
+        Z[:n] = t_blocks(A, d)[0].T
         for j in range(n_sub):
             innov = dy[:, j, :] - (Z[:, kdim:] @ d.C2.T) * h
             Z = Z @ E_T + innov @ gain_T
@@ -142,7 +167,7 @@ def closed_form_maps(A, obs, scenario_set, n_sub):
     z' = z Phi_a + dy_j gain_T with the closed-loop substep matrix
     Phi_a = E_a^T - h [0; C2^T] gain_T, so with R_j = gain_T Phi_a^(n_sub-1-j) T^T
 
-        P_a = [G^T F^T] Phi_a^n_sub T^T,
+        P_a = T^-T Phi_a^n_sub T^T,
         Qx_a = h sum_j Eh^(j T) C^T R_j,
         N_a[(j, lane)] = sigma_lane sqrt(h) R_j[lane's position],
 
@@ -179,7 +204,7 @@ def closed_form_maps(A, obs, scenario_set, n_sub):
         for i in range(n_sub):
             V[i + 1] = Phi @ V[i]
         Rj = gain_T @ V[n_sub - 1::-1]
-        M[:n] = np.hstack([d.G.T, d.F.T]) @ V[n_sub]
+        M[:n] = t_blocks(A, d)[0].T @ V[n_sub]
         M[n:2 * n] = h * np.einsum("jbc,jcn->bn", xs @ s.C.T, Rj)
         N = M[2 * n:].reshape(n_sub, n_ch, n)
         N[:, lanes] = (sig * np.sqrt(h))[:, None] * Rj

@@ -14,6 +14,8 @@ from gridobs.analysis import compute_tau_max, contraction, steady_state
 from gridobs.observer import ObserverError, decompose, design
 
 from conftest import five_bus_scenarios, open_loop_gain, tradeoff_sweep
+from mc_digest import ALPHABET16
+from substep import t_blocks, t_mix
 
 POLES = [-4.8, -3.6, -4.0, -4.4]
 
@@ -474,11 +476,72 @@ class TestSwitchedLaw:
 
 
 def _loop_maps(obs, s):
-    """Lam_s rebuilt from the scenario's decomposition, and Q_s from the
-    law, for the per-scenario loop oracle."""
+    """Lam_s and the interval noise covariance V_s = Q_s Q_s^T of scenario
+    s, rebuilt in its T coordinates: T exp(mix tau) T^-1 and
+    T noise_gramian(mix, [0; L sigma], tau) T^T, with mix the closed-loop
+    generator of the substep oracle.
+
+    The Gramian is taken over tau / 16 and doubled back up four times,
+    V(2h) = V(h) + exp(mix h) V(h) exp(mix h)^T: one augmented exponential
+    over the whole interval loses digits to ||exp(-mix tau)|| (1.4e5 for
+    fig7's scenario 3, where it misses a 40-digit reference by 1.8e-11
+    relative and the doubled Gramian by 1.2e-14).
+    """
     d = obs.decomps[s.index]
-    E = numerics.matrix_exponential(observer._mix(d), obs.tau)
-    return d.T @ E @ np.vstack([d.G, d.F]), obs.law.Q[s.index - obs.law.lo]
+    Tinv = t_blocks(obs.A, d)[0]
+    mix = t_mix(obs.A, d)
+    noise = np.zeros((obs.n, s.r))
+    if d.n_i:
+        noise[obs.n - d.n_i:] = d.L @ s.sigma
+    V = numerics.noise_gramian(mix, noise, obs.tau / 16)
+    E = numerics.matrix_exponential(mix, obs.tau / 16)
+    for _ in range(4):
+        V = V + E @ V @ E.T
+        E = E @ E
+    return d.T @ numerics.matrix_exponential(mix, obs.tau) @ Tinv, d.T @ V @ d.T.T
+
+
+def _every_design(monkeypatch):
+    """(scenario set, observer) of each design that the bundled experiments
+    build, baselines included, of ALPHABET16 and of ALPHABET16 with the
+    paper_identity completion."""
+    built = []
+    build = observer.build
+
+    def record(A, scs, decomps, tau):
+        obs = build(A, scs, decomps, tau)
+        built.append((scs, obs))
+        return obs
+
+    monkeypatch.setattr(observer, "build", record)
+    for name in experiments.EXPERIMENTS:
+        experiments.run_experiment(name, replicas=1)
+    for completion in ("orthonormal", "paper_identity"):
+        experiments.build_pipeline(
+            dict(ALPHABET16, observer=dict(ALPHABET16["observer"], completion=completion)))
+    monkeypatch.setattr(observer, "build", build)
+    return built
+
+
+def test_every_design_matches_its_t_coordinate_maps(monkeypatch):
+    # build forms each map in state coordinates; the oracle goes through T.
+    # The law's Gramian, one augmented exponential, carries a relative
+    # error of about u ||exp(-A_c tau)|| = u ||Lam^-1|| (4e-18 ||Lam^-1||
+    # on these designs against a 40-digit reference, up to 1.8e-11 in all)
+    built = _every_design(monkeypatch)
+    partial = 0
+    for scs, obs in built:
+        law = obs.law
+        for s in scs:
+            lam, V = _loop_maps(obs, s)
+            Lam, Q = law.Lam[s.index - law.lo], law.Q[s.index - law.lo]
+            assert np.abs(Lam - lam).max() <= 1e-12 * np.abs(lam).max()
+            bound = 1e-12 + np.spacing(1.0) * numerics.operator_norm(np.linalg.inv(lam))
+            assert np.abs(Q @ Q.T - V).max() <= bound * np.abs(V).max()
+            partial += 0 < obs.decomps[s.index].n_i < obs.n
+    # 8 experiment designs and the two of ALPHABET16, whose scenarios
+    # include partly observable ones under both completions
+    assert len(built) == 10 and partial > 0
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None,
@@ -511,7 +574,7 @@ def test_random_designs_keep_the_law_exact(n, data):
     W = G @ G.T
     maps = {s.index: _loop_maps(obs, s) for s in scs}
     T = sum(s.probability * maps[s.index][0] @ W @ maps[s.index][0].T for s in scs)
-    Psi = sum(s.probability * maps[s.index][1] @ maps[s.index][1].T for s in scs)
+    Psi = sum(s.probability * maps[s.index][1] for s in scs)
     M = sum(s.probability * maps[s.index][0].T @ maps[s.index][0] for s in scs)
     scale = lambda X: 1e-12 * (1.0 + np.abs(X).max())
     assert np.allclose(law.second_moment(W, p), T, rtol=1e-9, atol=scale(T))

