@@ -160,7 +160,7 @@ def cmd_linearize(args):
         "grid": g.name,
         "state_labels": lin.state_labels,
         "A": lin.A, "B1": lin.B1, "B2": lin.B2, "D1": lin.D1, "D2": lin.D2,
-        "eigenvalues_A": sorted(np.linalg.eigvals(lin.A).real.tolist()),
+        "eigenvalues_A": sorted([z.real, z.imag] for z in np.linalg.eigvals(lin.A).tolist()),
         "equilibrium": {
             "angles_rad": lin.equilibrium.angles,
             "dispatch": lin.equilibrium.p_in,

@@ -1,8 +1,9 @@
 """Coordinated observer: per-scenario observability split, gains, assembly.
 
 For each sensing scenario the state space splits into an observable
-sub-state and its unobservable complement via the kernel of the scenario's
-observability matrix, T = [M, N] with M the kernel base.  A fixed-gain
+sub-state and its unobservable complement, read off the orthogonal
+staircase form of the scenario's pair (C, A): T = [M, N] with M spanning
+the unobservable subspace and N the observable directions.  A fixed-gain
 filter runs on the observable part of whichever scenario is active during
 a sampling interval, and the complement rides along open loop through the
 model.  In state coordinates that is one switched Luenberger observer: the
@@ -31,7 +32,7 @@ class ObserverError(Exception):
 class SubsystemDecomposition:
     index: int
     n_i: int
-    M: np.ndarray                 # kernel base, n x (n - n_i)
+    M: np.ndarray                 # unobservable columns of T, n x (n - n_i)
     T: np.ndarray                 # [M, N], N the n_i observable columns
     F: np.ndarray                 # bottom n_i rows of T^-1: the observable sub-state map
     A22: np.ndarray               # observable block of T^-1 A T, n_i x n_i
@@ -45,7 +46,7 @@ class SubsystemDecomposition:
 
 
 def _identity_completion(M):
-    """Standard-basis completion: skip one row per kernel column pivot."""
+    """Standard-basis completion: skip one row per column pivot of M."""
     n, k = M.shape
     taken = set()
     for j in range(k):
@@ -64,11 +65,15 @@ def _identity_completion(M):
 def decompose(A, scenario, completion="orthonormal"):
     """Observability decomposition of one scenario (gain left unset).
 
-    completion = "orthonormal" takes the orthogonal complement of the
-    kernel, so T is orthogonal and perfectly conditioned.  completion =
-    "paper_identity" completes with standard basis columns (and flips the
-    kernel sign so its first nonzero entry is negative), which reproduces
-    handbook-style printed transforms exactly.
+    The split comes from the scenario's orthogonal staircase
+    (`numerics.observability_staircase`): M holds its unobservable columns,
+    each with its first nonzero entry positive.  completion = "orthonormal"
+    takes the staircase's observable columns as N, so T = [M, N] is
+    orthogonal and perfectly conditioned.  completion = "paper_identity"
+    flips M (its first nonzero entries become negative) and completes it
+    with standard basis columns, which reproduces handbook-style printed
+    transforms exactly.  A fully observable scenario keeps T = I and a
+    scenario without sensors has n_i = 0.
     """
     if completion not in ("orthonormal", "paper_identity"):
         raise ObserverError(f"unknown completion mode {completion!r}")
@@ -79,27 +84,18 @@ def decompose(A, scenario, completion="orthonormal"):
         return SubsystemDecomposition(
             scenario.index, 0, np.eye(n), np.eye(n), np.zeros((0, n)),
             np.zeros((0, 0)), np.zeros((0, 0)))
-    W = numerics.observability_stack(C, A)
-    M = numerics.kernel_base(W)
-    n_i = n - M.shape[1]
+    Z, n_i = numerics.observability_staircase(A, C)
     if n_i == n:
         # fully observable: skip the transform entirely
         return SubsystemDecomposition(
             scenario.index, n, np.zeros((n, 0)), np.eye(n), np.eye(n), A.copy(), C.copy())
     if completion == "orthonormal":
-        # kernel_base returns orthonormal columns; complete orthogonally
-        _, _, Vt = np.linalg.svd(W)
-        N = Vt[:n_i].T
-        T = np.hstack([M, N])
+        M = Z[:, n_i:]
+        T = np.hstack([M, Z[:, :n_i]])
         Tinv = T.T
     else:
-        M = M.copy()
-        for j in range(M.shape[1]):
-            nz = np.flatnonzero(np.abs(M[:, j]) > 1e-12)
-            if nz.size and M[nz[0], j] > 0:
-                M[:, j] = -M[:, j]
-        N = _identity_completion(M)
-        T = np.hstack([M, N])
+        M = -Z[:, n_i:]
+        T = np.hstack([M, _identity_completion(M)])
         Tinv = np.linalg.inv(T)
     if operator_norm(Tinv @ T - np.eye(n)) > 1e-10:
         raise ObserverError("transformation inverse check failed")

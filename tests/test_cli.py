@@ -41,6 +41,11 @@ class TestLinearize:
         A = np.array(doc["A"])
         assert abs(A[entry] - value) / abs(value) < 5e-2
         assert (tmp_path / "manifest.json").exists()
+        if name == "ieee33":
+            # each eigenvalue as [re, im], sorted by (re, im)
+            assert np.allclose(doc["eigenvalues_A"], [[-0.0667, -2.1078], [-0.0667, 2.1078],
+                                                      [-0.0611, -1.0497], [-0.0611, 1.0497]],
+                               rtol=0.0, atol=1e-4)
 
     def test_unknown_grid_exit_code(self, tmp_path, capsys):
         assert run(["linearize", "--grid", "nope", "--out", str(tmp_path)]) == 2

@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridobs import cli, experiments, grid, numerics
-from gridobs.numerics import (kernel_base, matrix_exponential, mean_square_radius,
+from gridobs.numerics import (matrix_exponential, mean_square_radius,
                               noise_gramian, operator_norm, place_poles, psd_sqrt,
                               solve_switched_covariance, solve_symmetric_stein)
 
 from capped_yt import YT_MAXITER, YT_RTOL, capped_assign, capped_loop, placement, unit_det
-from conftest import A5_PRINTED, W3_PRINTED
+from conftest import A5_PRINTED, W3_PRINTED, kernel_base, observability_stack
 from write_placements import PLACEMENTS, load_placements, placement_key
 
 
@@ -349,7 +349,7 @@ class TestAssignPolesMatchesScipy:
         while True:
             A = rng.normal(size=(n, n))
             C = rng.normal(size=(m, n))
-            if np.linalg.matrix_rank(numerics.observability_stack(C, A)) == n:
+            if np.linalg.matrix_rank(observability_stack(C, A)) == n:
                 return A, C
 
     @staticmethod
@@ -567,6 +567,75 @@ class TestFullQr:
         assert Q.flags.f_contiguous and Q.dtype == a.dtype
         assert Q.tobytes() == want_q.tobytes()
         assert R.tobytes() == want_r.tobytes()
+
+
+def pbh_margin(A, C):
+    """min over the eigenvalues lam of A of sigma_min([A - lam I; C]), the
+    Popov-Belevitch-Hautus distance of (C, A) from unobservability there."""
+    n = A.shape[0]
+    return min(np.linalg.svd(np.vstack([A - lam * np.eye(n), C]), compute_uv=False)[-1]
+               for lam in np.linalg.eigvals(A))
+
+
+class TestObservabilityStaircase:
+    """The staircase split against pairs with a known unobservable subspace."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 30), data=st.data())
+    def test_split_of_a_known_unobservable_subspace(self, n, data):
+        # A = Q [[A_uu, A_uo], [0, A_oo]] Q^T and C = [0, C_o] Q^T leave
+        # span Q[:, :k] unobservable; a PBH margin of (C_o, A_oo) well above
+        # the cutoff makes the rest observable beyond doubt
+        k = data.draw(st.integers(0, n - 1), label="k")
+        m = data.draw(st.integers(1, n - k), label="m")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        while True:
+            Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            blocks = rng.normal(size=(n, n))
+            blocks[k:, :k] = 0.0
+            A = Q @ blocks @ Q.T
+            C = np.hstack([np.zeros((m, k)), rng.normal(size=(m, n - k))]) @ Q.T
+            if pbh_margin(blocks[k:, k:], C @ Q[:, k:]) >= 1e-3 * max(operator_norm(A), 1.0):
+                break
+        Z, n_i = numerics.observability_staircase(A, C)
+        assert n_i == n - k
+        assert np.max(np.abs(Z.T @ Z - np.eye(n))) <= 1e-12
+        U = Z[:, n_i:]
+        assert operator_norm(U @ U.T - Q[:, :k] @ Q[:, :k].T) <= 1e-8
+        assert operator_norm(Z[:, :n_i].T @ A @ U) <= 1e-8 * max(operator_norm(A), 1.0)
+        assert operator_norm(C @ U) <= 1e-8 * max(operator_norm(C), 1.0)
+        # each column's first nonzero entry is positive
+        first = np.argmax(np.abs(Z) > 1e-12, axis=0)
+        assert np.all(Z[first, np.arange(n)] > 0)
+
+    def test_split_matches_the_krylov_kernel_on_the_bundled_pairs(self, monkeypatch):
+        # at n <= 4 the Krylov stack is well conditioned: on every pair that
+        # decompose and place_poles hand the staircase in fig3..fig8 and
+        # ALPHABET16 it gives the stack's rank and kernel
+        seen = []
+        staircase = numerics.observability_staircase
+
+        def recording(A, C):
+            seen.append((A, C))
+            return staircase(A, C)
+
+        monkeypatch.setattr(numerics, "observability_staircase", recording)
+        _reproduce_figures()
+        experiments.build_pipeline(ALPHABET16)
+        assert len(seen) > 40 and any(0 < n_i < len(A) for A, C in seen
+                                      for _, n_i in [staircase(A, C)])
+        for A, C in seen:
+            Z, n_i = staircase(A, C)
+            K = kernel_base(observability_stack(C, A))
+            U = Z[:, n_i:]
+            assert n_i == A.shape[0] - K.shape[1]
+            assert operator_norm(U @ U.T - K @ K.T) <= 1e-12
+
+    def test_blind_and_zero_pairs(self):
+        Z, n_i = numerics.observability_staircase(np.ones((3, 3)), np.zeros((0, 3)))
+        assert n_i == 0 and np.array_equal(Z, np.eye(3))
+        Z, n_i = numerics.observability_staircase(np.zeros((3, 3)), np.zeros((2, 3)))
+        assert n_i == 0 and np.array_equal(Z, np.eye(3))
 
 
 class TestKernelBase:

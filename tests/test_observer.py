@@ -7,7 +7,8 @@ from gridobs import numerics, observer, shs
 from gridobs.observer import ObserverError, decompose, design, design_gains
 
 from conftest import (A5_PRINTED, T3_PRINTED, T3_INV_PRINTED, W3_PRINTED,
-                      delta_channels, five_bus_scenarios, open_loop_gain)
+                      angle_rows, delta_channels, five_bus_scenarios,
+                      observability_stack, open_loop_gain, promoted_feeder)
 from substep import step_estimate, t_blocks
 
 LABELS5 = ["delta_1", "omega_1", "delta_2", "omega_2"]
@@ -23,19 +24,19 @@ def scen(C, index=1, prob=1.0, sigma=None):
 class TestObservabilityMatrix:
     def test_identity_output_leads_with_identity(self):
         A = np.random.default_rng(0).normal(size=(3, 3))
-        W = numerics.observability_stack(np.eye(3), A)
+        W = observability_stack(np.eye(3), A)
         assert np.array_equal(W[:3], np.eye(3))
         assert np.array_equal(W[3:6], A)
 
     def test_five_bus_frequency_sensor_matches_published(self):
-        W = numerics.observability_stack(np.array([[0.0, 1.0, 0.0, 0.0]]), A5_PRINTED)
+        W = observability_stack(np.array([[0.0, 1.0, 0.0, 0.0]]), A5_PRINTED)
         mask = np.abs(W3_PRINTED) > 1e-12
         rel = np.max(np.abs((W[mask] - W3_PRINTED[mask]) / W3_PRINTED[mask]))
         assert rel < 1e-3
 
     def test_five_bus_normal_operation_full_rank(self, ieee5_lin):
         C1 = np.array([[1.0, 0, 0, 0], [0, 0, 1.0, 0]])
-        W = numerics.observability_stack(C1, ieee5_lin.A)
+        W = observability_stack(C1, ieee5_lin.A)
         assert np.linalg.matrix_rank(W) == 4
 
 
@@ -120,6 +121,36 @@ class TestDecompose:
                 Ct = s.C @ d.T
                 assert numerics.operator_norm(Ct[:, : 4 - d.n_i]) <= \
                     1e-8 * max(numerics.operator_norm(s.C), 1.0)
+
+
+class TestPromotedFeeders:
+    """The staircase split on 33-bus feeders with ||A|| near 3000, where
+    the Krylov stack's rank test broke down from n = 10 on."""
+
+    @pytest.mark.parametrize("k", [5, 11, 20])
+    @pytest.mark.parametrize("half", [True, False], ids=["m=n/2", "m=1"])
+    def test_angle_sensors_observe_the_whole_state(self, k, half):
+        lin = promoted_feeder(k)
+        m = k if half else 1
+        d = decompose(lin.A, scen(angle_rows(lin, m)))
+        assert lin.n == 2 * k and d.n_i == lin.n
+        assert np.array_equal(d.T, np.eye(lin.n))
+
+    def test_one_angle_places_six_poles(self):
+        lin = promoted_feeder(3)
+        C = angle_rows(lin, 1)
+        desired = -np.linspace(1.0, 5.0, 6)
+        L = numerics.place_poles(lin.A, C, desired)
+        got = np.sort_complex(np.linalg.eigvals(lin.A - L @ C))
+        assert np.max(np.abs(got - np.sort(desired))) <= 1e-8 * numerics.operator_norm(lin.A)
+
+    def test_one_angle_channel_design_builds(self):
+        lin = promoted_feeder(3)
+        scs = shs.scenarios_from_channels(
+            delta_channels(lin.state_labels, [("2.delta", 0.9, 0.01)]))
+        obs = design(lin.A, scs, list(-np.linspace(1.0, 5.0, 6)), tau=0.1)
+        assert [obs.decomps[s.index].n_i for s in scs] == [6, 0]
+        assert obs.law.Lam.shape == (2, 6, 6) and np.all(np.isfinite(obs.law.Q))
 
 
 class TestDesignGains:
