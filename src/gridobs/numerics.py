@@ -262,20 +262,16 @@ def place_poles(A22, C2, desired):
     return L.copy(order="K")
 
 
-# Tits & Yang's test on the relative change of |det X| over one sweep
-_DET_RTOL = 1e-11
 # norm of the Riemannian gradient of log|det X| that, with a definite
 # Hessian, certifies a strict local maximum
 _GRAD_TOL = 1e-12
-# Newton steps one phase may take before the sweeps resume; a phase that
-# converges takes about five
-_NEWTON_STEPS = 20
-# a Newton step predicted to raise log|det X| by less than this, relative
-# to max(1, |log det X|), is below the rounding of its value
+# a step predicted to raise log|det X| by less than this, relative to
+# max(1, |log det X|), is below the rounding of its value
 _RISE_FLOOR = 64 * _UNIT_ROUNDOFF
-# sweeps after which a placement is declared not to converge, a failure
-# path only: every bundled placement stops within a few sweeps
-_SWEEP_BOUND = 5000
+# trust-region iterations after which a placement is declared not to
+# converge, a failure path only: the bundled placements take at most 12,
+# a 22-state feeder 342
+_ITERATION_BOUND = 1000
 _SQRT_EPS = np.sqrt(np.spacing(1))
 _SQRT2 = math.sqrt(2.0)
 
@@ -288,7 +284,8 @@ def _assign_poles(A22, C2, desired):
     place_poles asks of it.  Single-output pairs get their unique gain,
     pairs with rank(B) = n a least-squares gain, and the rest start from
     the kernel-sum transfer matrix X, which _yt_loop moves to a maximum of
-    |det X|.  Its sweeps are scipy's YT rank-2 updates, operation for
+    |det X| with one YT sweep and a trust-region ascent.  The sweep is
+    scipy's YT rank-2 updates, operation for
     operation in scipy's order (a KNV0 step for a lone real pole); each
     full QR (of B, of each pole's space, of X without the columns being
     updated) is _full_qr's, numpy's complete QR with Q in the Fortran
@@ -457,38 +454,95 @@ def _yt_sweep(ker_pole, X, plan):
 def _yt_loop(ker_pole, X, poles):
     """Move X in place to a maximum of |det X| over unit kernel vectors.
 
-    Each round runs one YT sweep and stops if Tits & Yang's test finds
-    |det X| settled to _DET_RTOL.  Otherwise Newton steps on the product of
-    spheres (_newton) take over where the Hessian is definite, until the
-    gradient certifies a strict local maximum; if they cannot get there,
-    the sweeps resume from where they were.  A certified maximum is kept
-    if the next sweep does not raise |det X| beyond _DET_RTOL: a YT update
-    maximises over two whole kernels and can reach a higher maximum than
-    the Newton steps found.  Returns how the loop stopped ("tits-yang" or "certificate"),
-    the sweeps run and the Newton steps taken.  A placement still open
-    after _SWEEP_BOUND sweeps raises ValueError.
+    One YT sweep seeds the ascent: from the kernel-sum start alone X can
+    be singular.  A Riemannian trust region (Absil, Baker & Gallivan 2007)
+    then climbs log|det X| on the product of spheres of _kernel_frame, with
+    each pair's phase quotiented out, since |det X| does not see it.  Its
+    model is solved exactly in the eigenbasis of minus the Riemannian
+    Hessian (_model_step), so it follows negative curvature where the
+    Hessian is indefinite.  A step is kept if log|det X| rises by at least
+    a quarter of the model's prediction; where it rises by more than three
+    quarters the radius grows to at least twice the step, and where it is
+    refused the radius shrinks to a quarter of the step.  A
+    rise predicted below the rounding of log|det X| cannot show in it, and
+    such a step is kept if it lowers the gradient instead; where it does
+    not, the gradient is at its rounding floor.  The ascent stops with
+    "certificate" where the gradient is at most _GRAD_TOL, or at its
+    rounding floor, and -H is numerically definite (smallest eigenvalue at
+    least _SQRT_EPS times the largest): a strict local maximum.  It stops
+    with "ridge" where the gradient is at its floor and -H is semidefinite
+    with a null direction, a maximum that is not isolated.  Returns how it
+    stopped, the sweeps run (one) and the trust-region iterations.  A
+    placement still open after _ITERATION_BOUND iterations raises
+    ValueError.
     """
-    plan = _yt_sweep_plan(poles)
+    _yt_sweep(ker_pole, X, _yt_sweep_plan(poles))
     frame = _kernel_frame(ker_pole, poles)
-    det_after = abs(np.linalg.det(X))
-    newton_steps = 0
-    certified = None
-    for sweeps in range(1, _SWEEP_BOUND + 1):
-        det_before = det_after
-        _yt_sweep(ker_pole, X, plan)
-        det_after = abs(np.linalg.det(X))
-        if certified is not None:
-            if det_after <= det_before * (1.0 + _DET_RTOL):
-                X[:] = certified
-                return "certificate", sweeps, newton_steps
-        elif det_after > _SQRT_EPS and abs((det_after - det_before) / det_after) < _DET_RTOL:
-            return "tits-yang", sweeps, newton_steps
-        found, steps = _newton(frame, X)
-        newton_steps += steps
-        certified = X.copy() if found else None
-        if found:
-            det_after = abs(np.linalg.det(X))
-    raise ValueError(f"pole placement did not converge in {_SWEEP_BOUND} sweeps")
+    s = _coordinates(frame, X)
+    f, grad, T, lam, V = _riemannian(frame, s)
+    radius = 0.5
+    for iterations in range(_ITERATION_BOUND):
+        if np.linalg.norm(grad) <= _GRAD_TOL and _definite(lam):
+            X[:] = _transfer(frame, s)
+            return "certificate", 1, iterations
+        step, rise = _model_step(grad, lam, V, radius)
+        trial = _on_spheres(s + T @ step, frame[2])
+        point = _riemannian(frame, trial)
+        if rise > _RISE_FLOOR * max(1.0, abs(f)):
+            kept = point[0] - f >= 0.25 * rise
+            if point[0] - f > 0.75 * rise:
+                radius = max(radius, 2.0 * np.linalg.norm(step))
+        else:
+            kept = np.linalg.norm(point[1]) < np.linalg.norm(grad)
+            # an interior step is the model's Newton step: where it does
+            # not lower the gradient, the gradient is at its rounding floor
+            if not kept and np.linalg.norm(step) < radius and lam[0] > -_SQRT_EPS * lam[-1]:
+                X[:] = _transfer(frame, s)
+                return "certificate" if _definite(lam) else "ridge", 1, iterations + 1
+        if kept:
+            s = trial
+            f, grad, T, lam, V = point
+        else:
+            radius = 0.25 * np.linalg.norm(step)
+    raise ValueError(
+        f"pole placement did not converge in {_ITERATION_BOUND} trust-region iterations")
+
+
+def _model_step(grad, lam, V, radius):
+    """(step, rise) maximising the model grad . step - step . M step / 2
+    over |step| <= radius, with M = V diag(lam) V^T and lam ascending.
+
+    Curvature within _SQRT_EPS * lam[-1] of zero is numerically null, the
+    tolerance of _definite, and enters the model at that bound: on a ridge
+    of maxima the gradient along the null direction is of second order,
+    and a model that took it at face value would spend its steps walking
+    along the ridge.  In M's eigenbasis the maximiser is
+    y = (grad V) / (lam + mu) for the smallest mu >= max(0, -lam[0]) with
+    |y| <= radius (More & Sorensen 1983).  Newton's method on
+    1/|y(mu)| - 1/radius, which is concave in mu, finds that mu from a
+    start left of it, where |y_0| alone reaches the radius.  The shift
+    delta = lam[0] + mu is the unknown, so that lam[0] + mu is exact and
+    |y_0| at the start is the radius to rounding however small grad V's
+    first entry.  Where that entry is zero and lam[0] is negative (the
+    hard case), the lowest eigenvector fills the step out to the boundary.
+    """
+    gv = grad @ V
+    null = _SQRT_EPS * lam[-1]
+    lam = np.where(abs(lam) < null, null, lam)
+    delta = max(lam[0], abs(gv[0]) / radius)
+    # from the left Newton's iterates rise to the root monotonically; the
+    # count only guards the loop
+    for _ in range(50):
+        shifted = lam - lam[0] + delta
+        inv = np.divide(1.0, shifted, out=np.zeros_like(shifted), where=shifted > 0.0)
+        y = gv * inv
+        norm = np.linalg.norm(y)
+        if norm <= radius * (1.0 + 1e-12):
+            break
+        delta += (norm / radius - 1.0) * norm ** 2 / (y @ (y * inv))
+    if delta <= 0.0:
+        y[0] = math.sqrt(max(radius ** 2 - norm ** 2, 0.0))
+    return V @ y, gv @ y - 0.5 * (lam * y) @ y
 
 
 def _kernel_frame(ker_pole, poles):
@@ -596,48 +650,6 @@ def _riemannian(frame, s):
 def _definite(lam):
     """Whether ascending eigenvalues lam are numerically positive definite."""
     return lam[-1] > 0.0 and lam[0] >= _SQRT_EPS * lam[-1]
-
-
-def _newton(frame, X):
-    """Riemannian Newton steps on log|det X| from X: (certified, steps).
-
-    The kernel coordinates of X, each block scaled to unit norm, live on a
-    product of spheres (Absil, Mahony & Sepulchre 2008), with each pair's
-    phase quotiented out, since |det X| does not see it.  Steps, retracted
-    to the spheres, start only where -H is numerically definite (smallest
-    eigenvalue at least _SQRT_EPS times the largest).  A step is kept if
-    -H stays definite where it lands and log|det X| rises; a rise
-    predicted below the rounding of log|det X| cannot show in it, and such
-    a step is kept if it lowers the gradient instead.  A gradient of norm _GRAD_TOL or less certifies a
-    strict local maximum, and so does a refused step whose predicted rise
-    is below that rounding: the gradient is then at its rounding floor.
-    At most _NEWTON_STEPS steps are taken.  X is overwritten in place only
-    with a certified point: steps that end elsewhere are dropped, so the
-    sweeps resume from their own iterate.
-    """
-    blocks = frame[2]
-    s = _coordinates(frame, X)
-    f, grad, T, lam, V = _riemannian(frame, s)
-    if not _definite(lam):
-        return False, 0
-    steps = 0
-    certified = np.linalg.norm(grad) <= _GRAD_TOL
-    while not certified and steps < _NEWTON_STEPS:
-        step = V @ ((grad @ V) / lam)
-        trial = _on_spheres(s + T @ step, blocks)
-        point = _riemannian(frame, trial)
-        unresolved = 0.5 * grad @ step <= _RISE_FLOOR * max(1.0, abs(f))
-        if not (_definite(point[3]) and (point[0] > f or unresolved and
-                                         np.linalg.norm(point[1]) < np.linalg.norm(grad))):
-            certified = unresolved
-            break
-        s = trial
-        f, grad, T, lam, V = point
-        steps += 1
-        certified = np.linalg.norm(grad) <= _GRAD_TOL
-    if certified:
-        X[:] = _transfer(frame, s)
-    return certified, steps
 
 
 def _knv0(ker_pole, X, j, rest):

@@ -4,8 +4,10 @@ scipy stops its YT sweeps once |det X| changes by less than `rtol`
 (relative) over a sweep, or after `maxiter` sweeps.  `capped_assign` runs
 numerics._assign_poles with that driver in place of the production loop,
 on production's own sweep kernel (numerics._yt_sweep), so at scipy's
-budget its gains equal scipy's bit for bit.  `placement` runs either
-driver and also returns the transfer matrix X the gain was read from.
+budget its gains equal scipy's bit for bit.  Production runs one of
+these sweeps and then a trust-region ascent, so the oracle pins the
+sweeps, not the finish.  `placement` runs either driver and also returns
+the transfer matrix X the gain was read from.
 """
 
 from contextlib import contextmanager
@@ -15,8 +17,8 @@ import numpy as np
 from gridobs import numerics
 
 # scipy's stopping rule and the budget gridobs ran it with before its
-# placements were finished by Newton steps: the two-output bundled designs
-# all stop at the budget, short of the optimum
+# placements were finished by an ascent to a certified maximum: the
+# two-output bundled designs all stop at the budget, short of the optimum
 YT_RTOL = 1e-11
 YT_MAXITER = 300
 
@@ -57,7 +59,8 @@ def placement(A22, C2, desired, loop=None):
     """(gain, X, poles, ker_pole, stop) of one optimised assignment.
 
     Runs the production loop, or `loop` if given; `stop` is its return
-    value (how it stopped, sweeps, Newton steps).  X is the optimised
+    value (how it stopped, sweeps, trust-region iterations; the capped
+    driver reports 0 iterations).  X is the optimised
     transfer matrix in the loop's (Re w, Im w) layout for conjugate pairs.
     """
     inner = loop or numerics._yt_loop
